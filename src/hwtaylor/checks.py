@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from .diffpoly import DiffPolyRing
 from .hurwitz import HurwitzRing, HurwitzSeries, series_to_json
@@ -643,10 +643,19 @@ def _check_inversion(rng: random.Random, size: Size, ordinal: int) -> dict | Non
 # expansion checks
 
 
-def _applicable(constructor_needs_constant: bool, needs_rationals: bool, K: DifferentialRing) -> bool:
-    if needs_rationals and K.ring.characteristic != 0:
-        return False
-    return True
+def _applicable(
+    constant_coeffs: bool, K: DifferentialRing
+) -> Iterator[tuple[str, Callable, bool]]:
+    """(name, fn, needs rationals) for each constructor defined over K.
+
+    Reads ``_CONSTRUCTORS`` on every call, so a replaced table takes effect.
+    """
+    for name, fn, needs_constant, needs_rationals in _CONSTRUCTORS:
+        if needs_constant and not constant_coeffs:
+            continue
+        if needs_rationals and K.ring.characteristic != 0:
+            continue
+        yield name, fn, needs_rationals
 
 
 def _self_spec(
@@ -703,11 +712,7 @@ def _check_ev1(rng: random.Random, size: Size, ordinal: int) -> dict | None:
         "argument": A.element_to_json(a),
     }
     expected = spec.phi(a)
-    for name, fn, needs_constant, needs_rationals in _CONSTRUCTORS:
-        if needs_constant and not constant_coeffs:
-            continue
-        if needs_rationals and K.ring.characteristic != 0:
-            continue
+    for name, fn, _ in _applicable(constant_coeffs, K):
         got = spec.target.ev(fn(spec, a))
         if not K.ring.eq(got, expected):
             return _element_detail(
@@ -759,11 +764,7 @@ def _check_tm1(rng: random.Random, size: Size, ordinal: int) -> dict | None:
     H = spec.target
     inputs = {"coefficients": kdesc, "source": sdesc, "argument": argument}
     expected = H.embed(spec.phi(a))
-    for name, fn, needs_constant, needs_rationals in _CONSTRUCTORS:
-        if needs_constant and not constant_coeffs:
-            continue
-        if needs_rationals and K.ring.characteristic != 0:
-            continue
+    for name, fn, _ in _applicable(constant_coeffs, K):
         got = fn(spec, a)
         if not H.eq(got, expected):
             return _series_detail(
@@ -806,11 +807,7 @@ def _check_tm2(rng: random.Random, size: Size, ordinal: int) -> dict | None:
         "argument": A.element_to_json(a),
     }
     H = spec_a.target
-    for name, fn, needs_constant, needs_rationals in _CONSTRUCTORS:
-        if needs_constant and not constant_coeffs:
-            continue
-        if needs_rationals and K.ring.characteristic != 0:
-            continue
+    for name, fn, _ in _applicable(constant_coeffs, K):
         via_a = fn(spec_a, a)
         via_b = fn(spec_b, included)
         if not H.eq(via_a, via_b):
@@ -953,11 +950,7 @@ def _check_morphism_laws(rng: random.Random, size: Size, ordinal: int) -> dict |
             ),
         )
 
-    for name, fn, needs_constant, needs_rationals in _CONSTRUCTORS:
-        if needs_constant and not constant_coeffs:
-            continue
-        if needs_rationals and K.ring.characteristic != 0:
-            continue
+    for name, fn, needs_rationals in _applicable(constant_coeffs, K):
         Ta, Tb = fn(spec, a), fn(spec, b)
         case = {**inputs, "constructor": name}
         got = fn(spec, A.add(a, b))

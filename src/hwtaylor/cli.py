@@ -45,6 +45,7 @@ from .rings import (
     PolynomialRing,
     PrimeField,
     Ring,
+    _reject_unknown,
     constant_structure,
     ring_from_json,
 )
@@ -77,12 +78,6 @@ def _expect_object(doc: Any, path: str) -> dict:
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: expected an object")
     return doc
-
-
-def _reject_unknown(doc: dict, allowed: set[str], path: str) -> None:
-    for key in doc:
-        if key not in allowed:
-            raise ValueError(f"{path}.{key}: unknown field")
 
 
 def _field(doc: dict, key: str, path: str) -> Any:

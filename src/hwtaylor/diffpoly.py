@@ -24,6 +24,7 @@ from .rings import (
     Element,
     Ring,
     RingError,
+    _reject_unknown,
 )
 
 # (variable slot, derivative order); the order width is the derivation width
@@ -191,12 +192,6 @@ class DiffPolyRing(Ring):
             self, tuple((lambda a, s=slot: self.derive(a, s)) for slot in range(self.width))
         )
 
-    def highest_order(self, a: DiffPolynomial) -> int:
-        """Largest total degree of a symbol order appearing in ``a``; 0 if none."""
-        return max(
-            (order.degree for mon, _ in a.terms for (_, order), _p in mon), default=0
-        )
-
     def evaluate(
         self,
         a: DiffPolynomial,
@@ -340,9 +335,7 @@ class DiffPolyRing(Ring):
             where = f"{path}[{pos}]"
             if not isinstance(item, dict):
                 raise ValueError(f"{where}: expected an object")
-            unknown = sorted(set(item) - {"coeff", "monomial"})
-            if unknown:
-                raise ValueError(f"{where}: unknown field {unknown[0]!r}")
+            _reject_unknown(item, {"coeff", "monomial"}, where)
             if "coeff" not in item or "monomial" not in item:
                 raise ValueError(f"{where}: needs coeff and monomial")
             if not isinstance(item["coeff"], str):

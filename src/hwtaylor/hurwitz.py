@@ -32,6 +32,7 @@ from .rings import (
     NotUnitError,
     Ring,
     RingError,
+    _reject_unknown,
     ring_from_json,
 )
 
@@ -215,17 +216,6 @@ class HurwitzRing(Ring):
             K.eq(a.coeffs[alpha], b.coeffs[alpha])
             for alpha in enumerate_upto(self.width, order)
         )
-
-    def first_disagreement(
-        self, a: HurwitzSeries, b: HurwitzSeries, order: int
-    ) -> MultiIndex | None:
-        """Earliest index (graded-lex) where the two differ, up to ``order``."""
-        self._check_pair(a, b)
-        K = self.coeff_ring
-        for alpha in enumerate_upto(self.width, order):
-            if not K.eq(a.coeffs[alpha], b.coeffs[alpha]):
-                return alpha
-        return None
 
     def embed_int(self, n: int) -> HurwitzSeries:
         return self.embed(self.coeff_ring.embed_int(n))
@@ -437,10 +427,7 @@ def series_to_json(a: HurwitzSeries) -> dict:
 def series_from_json(doc: Any, path: str = "series") -> HurwitzSeries:
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: expected an object")
-    allowed = {"m", "trunc", "valid", "ring", "coeffs"}
-    unknown = sorted(set(doc) - allowed)
-    if unknown:
-        raise ValueError(f"{path}: unknown field {unknown[0]!r}")
+    _reject_unknown(doc, {"m", "trunc", "valid", "ring", "coeffs"}, path)
     for key in ("m", "trunc", "valid", "ring", "coeffs"):
         if key not in doc:
             raise ValueError(f"{path}.{key}: missing")

@@ -15,7 +15,6 @@ additionally property-tests it on random elements.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -117,9 +116,6 @@ class Ring:
             acc = self.add(acc, x)
         return acc
 
-    def mul_int(self, n: int, a: Element) -> Element:
-        return self.mul(self.embed_int(n), a)
-
     def pow(self, a: Element, n: int) -> Element:
         if n < 0:
             raise ValueError("negative power")
@@ -193,11 +189,33 @@ class RationalField(Ring):
 QQ = RationalField()
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# The smallest strong pseudoprime to every base in _MR_BASES (it is composite);
+# below it the Miller-Rabin test over those bases decides primality exactly.
+_PRIME_BOUND = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, exact for every n below ``_PRIME_BOUND``."""
+    if n >= _PRIME_BOUND:
+        raise ValueError(f"primality of {n} is not decided: moduli must be below {_PRIME_BOUND}")
+    if n < 2:
         return False
-    for d in range(2, math.isqrt(p) + 1):
-        if p % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for q in _MR_BASES:
+        x = pow(q, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
     return True
 
@@ -420,7 +438,9 @@ class PolynomialRing(Ring):
         if isinstance(self.base, PrimeField):
             doc["p"] = self.base.p
         elif not isinstance(self.base, RationalField):
-            doc["base"] = self.base.to_json()
+            # element strings cannot spell base generators, so a nested
+            # base would write documents that cannot be read back
+            raise DomainError(f"{self!r} has no JSON descriptor: the base must be Q or Fp")
         return doc
 
     def derivation(
@@ -672,8 +692,8 @@ def ring_from_json(doc: Any, path: str = "ring") -> Ring:
     if kind == "Fp":
         _reject_unknown(doc, {"kind", "p"}, path)
         p = doc.get("p")
-        if not isinstance(p, int) or not _is_prime(p):
-            raise ValueError(f"{path}.p: expected a prime integer")
+        if not isinstance(p, int) or p >= _PRIME_BOUND or not _is_prime(p):
+            raise ValueError(f"{path}.p: expected a prime integer below {_PRIME_BOUND}")
         return PrimeField(p)
     if kind == "poly":
         _reject_unknown(doc, {"kind", "p", "base", "generators"}, path)
@@ -686,6 +706,8 @@ def ring_from_json(doc: Any, path: str = "ring") -> Ring:
             raise ValueError(f"{path}.generators: expected a nonempty list of names")
         if "base" in doc:
             base = ring_from_json(doc["base"], f"{path}.base")
+            if not isinstance(base, (RationalField, PrimeField)):
+                raise ValueError(f"{path}.base: expected a Q or Fp descriptor, got {base!r}")
         elif "p" in doc:
             base = ring_from_json({"kind": "Fp", "p": doc["p"]}, path)
         else:
@@ -698,6 +720,7 @@ def ring_from_json(doc: Any, path: str = "ring") -> Ring:
 
 
 def _reject_unknown(doc: Mapping[str, Any], allowed: set[str], path: str) -> None:
+    """Name the first field of ``doc`` outside ``allowed``, in sorted order."""
     unknown = sorted(set(doc) - allowed)
     if unknown:
-        raise ValueError(f"{path}: unknown field {unknown[0]!r}")
+        raise ValueError(f"{path}.{unknown[0]}: unknown field")

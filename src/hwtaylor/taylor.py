@@ -1,24 +1,21 @@
 """Expansion maps from a differential ring into truncated Hurwitz series.
 
 Given a ring map phi from the source carrier A into the coefficient ring K,
-four constructors produce a series whose coefficients are built from the
-iterated source derivatives of the argument:
+every constructor starts from the same raw series: coefficient beta is phi of
+the beta-th iterated source derivative of the argument.  The four
+constructors are that series read in four ways:
 
-* ``hurwitz_morphism``: coefficient alpha is phi of the alpha-th derivative.
-  Needs the coefficient derivations to vanish; works in any characteristic.
-* ``classical_taylor``: the same divided by alpha factorial.  Needs constant
+* ``hurwitz_morphism``: the raw series itself.  Needs the coefficient
+  derivations to vanish on it; works in any characteristic.
+* ``classical_taylor``: ``to_divided`` of ``hurwitz_morphism``, so
+  coefficient alpha is divided by alpha factorial.  Needs constant
   coefficients and a ring containing the rationals.
-* ``twisted_hurwitz``: the signed double sum over gamma <= alpha of
+* ``twisted_hurwitz``: ``ev_untwist`` of the raw series by the coefficient
+  derivations, which is the signed sum over gamma <= alpha of
   (-1)^{|gamma|} binom(alpha, gamma) delta^gamma(phi(d^{alpha-gamma} a)).
   No restrictions; the twist cancels whatever the coefficient derivations do.
-* ``twisted_taylor``: the same sum written over beta = alpha - gamma, then
-  divided by alpha factorial; rational algebras only.
-
-The two sum forms match term by term: substituting beta = alpha - gamma
-swaps the binomial to its mirror (binom(alpha, gamma) = binom(alpha, beta))
-and the sign exponent |alpha - beta| = |gamma| is unchanged, so the twisted
-constructors agree through the divided-power bridge.  The tests keep both
-code paths honest against each other and against the evaluation twist.
+* ``twisted_taylor``: ``to_divided`` of ``twisted_hurwitz``; rational
+  algebras only.
 
 ``ev_twist`` reshuffles an existing series by a commuting family acting on
 its coefficients; composing twists adds the families, and twisting by the
@@ -96,23 +93,17 @@ def derivative_table(
     return table
 
 
-def _phi_derivative_tables(
-    spec: MorphismSpec, a: Element
-) -> dict[MultiIndex, dict[MultiIndex, Element]]:
-    """For each source order beta, the coefficient-side derivative table of
-    phi(d^beta a), deep enough that beta plus the inner order reaches trunc."""
-    src = derivative_table(spec.source, a, spec.trunc)
-    return {
-        beta: derivative_table(
-            spec.coefficients, spec.phi(v), spec.trunc - beta.degree
-        )
-        for beta, v in src.items()
-    }
+def _raw_series(spec: MorphismSpec, a: Element) -> HurwitzSeries:
+    """Coefficient beta is phi of the beta-th source derivative of ``a``."""
+    table = derivative_table(spec.source, a, spec.trunc)
+    return spec.target.from_table(
+        {beta: spec.phi(v) for beta, v in table.items()}, spec.trunc
+    )
 
 
-def _require_constant_coefficients(spec: MorphismSpec, values) -> None:
+def _require_constant_coefficients(spec: MorphismSpec, raw: HurwitzSeries) -> None:
     K = spec.coefficients.ring
-    for beta, v in values.items():
+    for beta, v in raw.coeffs.items():
         for slot, d in enumerate(spec.coefficients.derivations):
             if not K.is_zero(d(v)):
                 raise DomainError(
@@ -122,93 +113,26 @@ def _require_constant_coefficients(spec: MorphismSpec, values) -> None:
                 )
 
 
-class _FactorialInverses:
-    """Per-call cache of inverses of alpha factorial in the coefficient ring."""
-
-    def __init__(self, ring):
-        if ring.characteristic != 0:
-            raise DomainError(
-                "divided form needs characteristic 0 coefficients, got"
-                f" characteristic {ring.characteristic}"
-            )
-        self.ring = ring
-        self.cache: dict[int, Element] = {1: ring.one()}
-
-    def __call__(self, alpha: MultiIndex) -> Element:
-        f = alpha.factorial()
-        if f not in self.cache:
-            inv = self.ring.try_invert(self.ring.embed_int(f))
-            if inv is None:
-                raise DomainError(
-                    f"coefficient ring does not invert {f}; divided form needs"
-                    " a ring containing the rationals"
-                )
-            self.cache[f] = inv
-        return self.cache[f]
-
-
 def hurwitz_morphism(spec: MorphismSpec, a: Element) -> HurwitzSeries:
     """Coefficient alpha is phi of the alpha-th source derivative of ``a``."""
-    src = derivative_table(spec.source, a, spec.trunc)
-    values = {beta: spec.phi(v) for beta, v in src.items()}
-    _require_constant_coefficients(spec, values)
-    H = spec.target
-    return H.from_table({alpha: values[alpha] for alpha in H.indices}, spec.trunc)
+    raw = _raw_series(spec, a)
+    _require_constant_coefficients(spec, raw)
+    return raw
 
 
 def classical_taylor(spec: MorphismSpec, a: Element) -> HurwitzSeries:
     """Divided coefficients: phi of the alpha-th derivative over alpha factorial."""
-    inv = _FactorialInverses(spec.coefficients.ring)
-    src = derivative_table(spec.source, a, spec.trunc)
-    values = {beta: spec.phi(v) for beta, v in src.items()}
-    _require_constant_coefficients(spec, values)
-    H = spec.target
-    K = spec.coefficients.ring
-    return H.from_table(
-        {alpha: K.mul(inv(alpha), values[alpha]) for alpha in H.indices}, spec.trunc
-    )
+    return spec.target.to_divided(hurwitz_morphism(spec, a))
 
 
 def twisted_hurwitz(spec: MorphismSpec, a: Element) -> HurwitzSeries:
-    """Signed double sum over gamma; valid in every characteristic."""
-    tables = _phi_derivative_tables(spec, a)
-    H = spec.target
-    K = spec.coefficients.ring
-    out: dict[MultiIndex, Element] = {}
-    for alpha in H.indices:
-        acc = K.zero()
-        for gamma in iter_dominated(alpha):
-            term = tables[alpha - gamma][gamma]
-            w = alpha.binomial(gamma)
-            if w != 1:
-                term = K.mul(K.embed_int(w), term)
-            if gamma.degree % 2:
-                term = K.neg(term)
-            acc = K.add(acc, term)
-        out[alpha] = acc
-    return H.from_table(out, spec.trunc)
+    """The raw series untwisted by the coefficient derivations; any characteristic."""
+    return ev_untwist(_raw_series(spec, a), spec.coefficients.derivations)
 
 
 def twisted_taylor(spec: MorphismSpec, a: Element) -> HurwitzSeries:
-    """Signed double sum over beta, divided by alpha factorial."""
-    inv = _FactorialInverses(spec.coefficients.ring)
-    tables = _phi_derivative_tables(spec, a)
-    H = spec.target
-    K = spec.coefficients.ring
-    out: dict[MultiIndex, Element] = {}
-    for alpha in H.indices:
-        acc = K.zero()
-        for beta in iter_dominated(alpha):
-            gamma = alpha - beta
-            term = tables[beta][gamma]
-            w = alpha.binomial(beta)
-            if w != 1:
-                term = K.mul(K.embed_int(w), term)
-            if gamma.degree % 2:
-                term = K.neg(term)
-            acc = K.add(acc, term)
-        out[alpha] = K.mul(inv(alpha), acc)
-    return H.from_table(out, spec.trunc)
+    """Divided form of ``twisted_hurwitz``; rational algebras only."""
+    return spec.target.to_divided(twisted_hurwitz(spec, a))
 
 
 def ev_twist(a: HurwitzSeries, family: Sequence[Derivation]) -> HurwitzSeries:

@@ -104,6 +104,10 @@ class TestExpand:
                 lambda d: d["ring"].__setitem__("derivations", [{"w": "1"}]),
                 "problem.ring.derivations[0].w",
             ),
+            (
+                lambda d: d["ring"].__setitem__("base", {"kind": "poly", "generators": ["w"]}),
+                "problem.ring.base",
+            ),
         ],
     )
     def test_validation_errors_name_paths(self, tmp_path, capsys, mutate, path_fragment):
@@ -138,20 +142,40 @@ class TestExpand:
         assert "not valid JSON" in err
 
     def test_divided_over_prime_field_is_domain_error(self, tmp_path, capsys):
-        doc = {
-            "ring": {"kind": "Fp", "p": 3},
-            "m": 1,
-            "trunc": 5,
-            "source": {"kind": "self"},
-            "phi": "identity",
-            "morphism": "classical_taylor",
-            "element": "2",
-        }
+        for morphism in ("classical_taylor", "twisted_taylor"):
+            doc = {
+                "ring": {"kind": "Fp", "p": 3},
+                "m": 1,
+                "trunc": 5,
+                "source": {"kind": "self"},
+                "phi": "identity",
+                "morphism": morphism,
+                "element": "2",
+            }
+            rc = main(["expand", "--spec", write_spec(tmp_path, doc)])
+            out, err = capsys.readouterr()
+            assert rc == 3
+            assert out == ""
+            assert "out of domain" in err
+
+    @pytest.mark.parametrize(
+        "p, expected_rc",
+        [
+            (1000000000000000003, 0),
+            (1000000000000000001, 2),  # 101 * 9901 * 999999000001
+            (3317044064679887385961981, 2),  # composite, fools all 13 bases
+        ],
+    )
+    def test_large_moduli_are_decided(self, tmp_path, capsys, p, expected_rc):
+        doc = dict(LINEAR_DOC, ring={"kind": "Fp", "p": p}, element="2")
         rc = main(["expand", "--spec", write_spec(tmp_path, doc)])
         out, err = capsys.readouterr()
-        assert rc == 3
-        assert out == ""
-        assert "out of domain" in err
+        assert rc == expected_rc
+        if expected_rc == 0:
+            assert json.loads(out)["ring"] == {"kind": "Fp", "p": p}
+        else:
+            assert out == ""
+            assert "problem.ring.p" in err
 
     def test_nonconstant_coefficients_reject_plain_construction(self, tmp_path, capsys):
         doc = dict(LINEAR_DOC, morphism="hurwitz_morphism")

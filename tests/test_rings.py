@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from hwtaylor.multiindex import MultiIndex
 from hwtaylor.rings import (
     QQ,
     DifferentialRing,
+    DomainError,
     PolynomialRing,
     PrimeField,
     RingHom,
@@ -19,6 +21,7 @@ from hwtaylor.rings import (
     is_differential_hom,
     ring_from_json,
 )
+from hwtaylor.rings import _PRIME_BOUND, _is_prime
 
 
 class TestRationals:
@@ -53,6 +56,23 @@ class TestPrimeField:
             PrimeField(6)
         with pytest.raises(ValueError):
             PrimeField(1)
+
+    def test_primality_is_exact(self):
+        def trial_division(n):
+            return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+        assert [n for n in range(10_000) if _is_prime(n)] == [
+            n for n in range(10_000) if trial_division(n)
+        ]
+        for carmichael in (561, 41041):
+            with pytest.raises(ValueError):
+                PrimeField(carmichael)
+        # strong pseudoprimes to the first 4, 9 and 12 prime bases
+        for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+            assert not _is_prime(n)
+        assert _is_prime(2**61 - 1)
+        with pytest.raises(ValueError, match="not decided"):
+            PrimeField(_PRIME_BOUND)
 
     def test_embed_wraps(self):
         F = PrimeField(3)
@@ -198,6 +218,21 @@ class TestJson:
             ring_from_json({"kind": "poly", "generators": []})
         with pytest.raises(ValueError, match="unknown field"):
             ring_from_json({"kind": "Q", "extra": 1})
+
+
+    def test_unknown_field_names_first_sorted_key(self):
+        with pytest.raises(ValueError, match=r"^ring\.alpha: unknown field$"):
+            ring_from_json({"kind": "Q", "zeta": 1, "alpha": 2})
+
+    def test_polynomial_base_must_be_q_or_fp(self):
+        doc = {"kind": "poly", "generators": ["w"], "base": {"kind": "Fp", "p": 3}}
+        assert ring_from_json(doc) == PolynomialRing(PrimeField(3), ["w"])
+        doc["base"] = {"kind": "poly", "generators": ["u"]}
+        with pytest.raises(ValueError, match=r"ring\.base"):
+            ring_from_json(doc)
+        # in-process nested bases stay usable but have no readable wire form
+        with pytest.raises(DomainError):
+            PolynomialRing(PolynomialRing(QQ, ["u"]), ["w"]).to_json()
 
 
 @st.composite

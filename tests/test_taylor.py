@@ -173,53 +173,74 @@ class TestConstantCoincidence:
 
 
 class TestOracleCrossChecks:
-    def _spec_rational(self, trunc):
+    def _cases(self, trunc, seed, fields):
+        """(spec, arguments, source family, phi) for each oracle input.
+
+        First width 1 over Q[u] with a constant source and identity phi, then
+        width 2 over each of ``fields``[u, v] with the family (d/du, v*d/dv),
+        a diffpoly source and a value-table phi.
+        """
         K = rational_poly_carrier()
-        source = constant_structure(K.ring, 1)
-        return MorphismSpec(source=source, coefficients=K, phi=lambda a: a, trunc=trunc)
+        R = K.ring
+        spec = MorphismSpec(
+            source=constant_structure(R, 1), coefficients=K, phi=lambda a: a, trunc=trunc
+        )
+        rng = random.Random(seed)
+        yield spec, [R.sample(rng) for _ in range(5)], [lambda _x: R.zero()], lambda v: v
+        for field in fields:
+            K = differential_polynomial_carrier(field, ["u", "v"], [["1", "0"], ["0", "v"]])
+            A = DiffPolyRing(K, ["x"])
+            # A.sample uses symbol orders <= 1, so trunc + 1 covers every derivative
+            values = {(0, alpha): K.ring.sample(rng) for alpha in enumerate_upto(2, trunc + 1)}
+            phi = A.value_hom(values)
+            source = A.differential_ring()
+            spec = MorphismSpec(
+                source=source, coefficients=K, phi=phi, trunc=trunc,
+                samples=(A.gen("x"), A.sample(rng)),
+            )
+            yield spec, [A.sample(rng) for _ in range(2)], source.derivations, phi
 
     def test_twisted_hurwitz_against_direct_sum(self):
-        spec = self._spec_rational(5)
-        R = spec.coefficients.ring
-        rng = random.Random(4)
-        ops = poly_ops(R)
-        for _ in range(5):
-            a = R.sample(rng)
-            got = twisted_hurwitz(spec, a)
-            for alpha in spec.target.indices:
-                want = twisted_hurwitz_coeff(
-                    a,
-                    alpha.entries,
-                    [lambda _x: R.zero()],
-                    spec.coefficients.derivations,
-                    lambda v: v,
-                    ops,
-                )
-                assert R.eq(got.coeff(alpha), want)
+        for spec, arguments, source_family, phi in self._cases(
+            5, seed=4, fields=(QQ, PrimeField(3))
+        ):
+            R = spec.coefficients.ring
+            ops = poly_ops(R)
+            for a in arguments:
+                got = twisted_hurwitz(spec, a)
+                for alpha in spec.target.indices:
+                    want = twisted_hurwitz_coeff(
+                        a,
+                        alpha.entries,
+                        source_family,
+                        spec.coefficients.derivations,
+                        phi,
+                        ops,
+                    )
+                    assert R.eq(got.coeff(alpha), want)
 
     def test_twisted_taylor_against_direct_sum(self):
-        spec = self._spec_rational(4)
-        R = spec.coefficients.ring
-        rng = random.Random(5)
-        ops = poly_ops(R)
+        # twisted_taylor divides by alpha factorial, so F_3 is out of its domain
+        for spec, arguments, source_family, phi in self._cases(4, seed=5, fields=(QQ,)):
+            R = spec.coefficients.ring
+            ops = poly_ops(R)
 
-        def divide(v, n):
-            return R.mul(R.constant(Fraction(1, n)), v)
+            def divide(v, n):
+                return R.mul(R.constant(Fraction(1, n)), v)
 
-        for _ in range(5):
-            a = R.sample(rng)
-            got = twisted_taylor(spec, a)
-            for alpha in spec.target.indices:
-                want = twisted_divided_coeff(
-                    a,
-                    alpha.entries,
-                    [lambda _x: R.zero()],
-                    spec.coefficients.derivations,
-                    lambda v: v,
-                    ops,
-                    divide,
-                )
-                assert R.eq(got.coeff(alpha), want)
+            for a in arguments:
+                got = twisted_taylor(spec, a)
+                for alpha in spec.target.indices:
+                    want = twisted_divided_coeff(
+                        a,
+                        alpha.entries,
+                        source_family,
+                        spec.coefficients.derivations,
+                        phi,
+                        ops,
+                        divide,
+                    )
+                    assert R.eq(got.coeff(alpha), want)
 
     def test_ev_twist_against_direct_sum(self):
         F = PrimeField(3)
