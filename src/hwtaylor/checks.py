@@ -27,10 +27,9 @@ from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from .diffpoly import DiffPolyRing
 from .hurwitz import HurwitzRing, HurwitzSeries, series_to_json
-from .multiindex import MultiIndex, enumerate_upto
+from .multiindex import enumerate_upto
 from .rings import (
     QQ,
-    Derivation,
     DifferentialRing,
     Element,
     PolynomialRing,
@@ -645,17 +644,18 @@ def _check_inversion(rng: random.Random, size: Size, ordinal: int) -> dict | Non
 
 def _applicable(
     constant_coeffs: bool, K: DifferentialRing
-) -> Iterator[tuple[str, Callable, bool]]:
-    """(name, fn, needs rationals) for each constructor defined over K.
+) -> Iterator[tuple[str, Callable, bool, bool]]:
+    """Each constructor defined over K, with its two requirement flags.
 
-    Reads ``_CONSTRUCTORS`` on every call, so a replaced table takes effect.
+    Yields (name, fn, needs constant coefficients, needs rationals).  Reads
+    ``_CONSTRUCTORS`` on every call, so a replaced table takes effect.
     """
     for name, fn, needs_constant, needs_rationals in _CONSTRUCTORS:
         if needs_constant and not constant_coeffs:
             continue
         if needs_rationals and K.ring.characteristic != 0:
             continue
-        yield name, fn, needs_rationals
+        yield name, fn, needs_constant, needs_rationals
 
 
 def _self_spec(
@@ -712,7 +712,7 @@ def _check_ev1(rng: random.Random, size: Size, ordinal: int) -> dict | None:
         "argument": A.element_to_json(a),
     }
     expected = spec.phi(a)
-    for name, fn, _ in _applicable(constant_coeffs, K):
+    for name, fn, *_ in _applicable(constant_coeffs, K):
         got = spec.target.ev(fn(spec, a))
         if not K.ring.eq(got, expected):
             return _element_detail(
@@ -764,7 +764,7 @@ def _check_tm1(rng: random.Random, size: Size, ordinal: int) -> dict | None:
     H = spec.target
     inputs = {"coefficients": kdesc, "source": sdesc, "argument": argument}
     expected = H.embed(spec.phi(a))
-    for name, fn, _ in _applicable(constant_coeffs, K):
+    for name, fn, *_ in _applicable(constant_coeffs, K):
         got = fn(spec, a)
         if not H.eq(got, expected):
             return _series_detail(
@@ -807,7 +807,7 @@ def _check_tm2(rng: random.Random, size: Size, ordinal: int) -> dict | None:
         "argument": A.element_to_json(a),
     }
     H = spec_a.target
-    for name, fn, _ in _applicable(constant_coeffs, K):
+    for name, fn, *_ in _applicable(constant_coeffs, K):
         via_a = fn(spec_a, a)
         via_b = fn(spec_b, included)
         if not H.eq(via_a, via_b):
@@ -929,28 +929,7 @@ def _check_morphism_laws(rng: random.Random, size: Size, ordinal: int) -> dict |
         "arguments": [A.element_to_json(a), A.element_to_json(b)],
     }
 
-    def target_structure(name: str) -> DifferentialRing:
-        if name == "hurwitz_morphism":
-            return H.differential_structure()
-        if name == "classical_taylor":
-            return DifferentialRing(
-                H, tuple((lambda s, i=i: H.formal_derive(s, i)) for i in range(H.width))
-            )
-        if name == "twisted_hurwitz":
-            return H.differential_structure(K.derivations)
-        return DifferentialRing(
-            H,
-            tuple(
-                (
-                    lambda s, i=i: H.add(
-                        H.coeff_derive(s, K.derivations, i), H.formal_derive(s, i)
-                    )
-                )
-                for i in range(H.width)
-            ),
-        )
-
-    for name, fn, needs_rationals in _applicable(constant_coeffs, K):
+    for name, fn, needs_constant, needs_rationals in _applicable(constant_coeffs, K):
         Ta, Tb = fn(spec, a), fn(spec, b)
         case = {**inputs, "constructor": name}
         got = fn(spec, A.add(a, b))
@@ -968,7 +947,9 @@ def _check_morphism_laws(rng: random.Random, size: Size, ordinal: int) -> dict |
         got = fn(spec, A.one())
         if not H.eq(got, H.one()):
             return _series_detail({**case, "law": "unital"}, H.one(), got, size.trunc)
-        structure = target_structure(name)
+        structure = H.differential_structure(
+            None if needs_constant else K.derivations, divided=needs_rationals
+        )
         for slot in range(H.width):
             lhs = fn(spec, A.derive(a, slot))
             rhs = structure.derive(Ta, slot)

@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from typing import Any, Callable
 
 from .checks import (
@@ -36,15 +37,17 @@ from .checks import (
     run_suite,
 )
 from .diffpoly import DiffPolyRing, UncoveredSymbolError
-from .hurwitz import HurwitzRing, series_to_json
+from .hurwitz import HurwitzRing, HurwitzSeries, series_to_json
 from .multiindex import MultiIndex
 from .rings import (
+    MAX_EXPONENT,
     QQ,
     DifferentialRing,
     DomainError,
     PolynomialRing,
     PrimeField,
     Ring,
+    _expect_int,
     _reject_unknown,
     constant_structure,
     ring_from_json,
@@ -84,14 +87,6 @@ def _field(doc: dict, key: str, path: str) -> Any:
     if key not in doc:
         raise ValueError(f"{path}.{key}: missing")
     return doc[key]
-
-
-def _expect_int(value: Any, path: str, lo: int, hi: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{path}: expected an integer")
-    if not lo <= value <= hi:
-        raise ValueError(f"{path}: must be between {lo} and {hi}")
-    return value
 
 
 def _expect_string(value: Any, path: str) -> str:
@@ -138,7 +133,7 @@ def _parse_values(A: DiffPolyRing, doc: Any, path: str) -> dict:
         var = _expect_int(var, f"{here}[0]", 0, len(A.variables) - 1)
         if not isinstance(order, list) or len(order) != A.width:
             raise ValueError(f"{here}[1]: expected {A.width} order entries")
-        entries = [_expect_int(e, f"{here}[1]", 0, 64) for e in order]
+        entries = [_expect_int(e, f"{here}[1]", 0, MAX_EXPONENT) for e in order]
         try:
             value = K.parse(_expect_string(text, f"{here}[2]"))
         except ValueError as exc:
@@ -150,20 +145,10 @@ def _parse_values(A: DiffPolyRing, doc: Any, path: str) -> dict:
     return table
 
 
-class Problem:
-    """A validated expansion request, ready to run."""
-
-    def __init__(self, spec: MorphismSpec, constructor: Callable, element: Any, name: str):
-        self.spec = spec
-        self.constructor = constructor
-        self.element = element
-        self.name = name
-
-    def run(self):
-        return self.constructor(self.spec, self.element)
-
-
-def load_problem(doc: Any, trunc_override: int | None = None) -> Problem:
+def load_problem(
+    doc: Any, trunc_override: int | None = None
+) -> Callable[[], HurwitzSeries]:
+    """Validate a problem document; the result runs the requested expansion."""
     _expect_object(doc, "problem")
     _reject_unknown(
         doc, {"ring", "m", "trunc", "source", "phi", "morphism", "element"}, "problem"
@@ -231,7 +216,7 @@ def load_problem(doc: Any, trunc_override: int | None = None) -> Problem:
     spec = MorphismSpec(
         source=source, coefficients=K, phi=phi, trunc=trunc, samples=samples
     )
-    return Problem(spec, _CONSTRUCTORS[name], element, name)
+    return partial(_CONSTRUCTORS[name], spec, element)
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +242,7 @@ def cmd_expand(args: argparse.Namespace) -> int:
         print(f"error: {args.spec}: not valid JSON: {exc}", file=sys.stderr)
         return 2
     try:
-        problem = load_problem(doc, trunc_override=args.trunc_override)
-        series = problem.run()
+        series = load_problem(doc, trunc_override=args.trunc_override)()
     except DomainError as exc:
         print(f"error: out of domain: {exc}", file=sys.stderr)
         return 3

@@ -19,11 +19,13 @@ from typing import Any, Callable, Mapping, Sequence
 
 from .multiindex import MultiIndex, grlex_key
 from .rings import (
+    MAX_EXPONENT,
     DifferentialRing,
     DomainError,
     Element,
     Ring,
     RingError,
+    _expect_int,
     _reject_unknown,
 )
 
@@ -352,20 +354,15 @@ class DiffPolyRing(Ring):
                 if not isinstance(entry, list) or len(entry) != 3:
                     raise ValueError(f"{spath}: expected [var, order, power]")
                 var, order, power = entry
-                if not isinstance(var, int) or not 0 <= var < len(self.variables):
-                    raise ValueError(
-                        f"{spath}: variable index must be in [0, {len(self.variables)})"
-                    )
-                if (
-                    not isinstance(order, list)
-                    or len(order) != self.width
-                    or not all(isinstance(e, int) and e >= 0 for e in order)
-                ):
+                var = _expect_int(
+                    var, f"{spath}[0] variable index", 0, len(self.variables) - 1
+                )
+                if not isinstance(order, list) or len(order) != self.width:
                     raise ValueError(
                         f"{spath}: order must be {self.width} nonnegative integers"
                     )
-                if not isinstance(power, int) or power < 1:
-                    raise ValueError(f"{spath}: power must be a positive integer")
+                order = [_expect_int(e, f"{spath}[1] order", 0, MAX_EXPONENT) for e in order]
+                power = _expect_int(power, f"{spath}[2] power", 1, MAX_EXPONENT)
                 sym = (var, MultiIndex(tuple(order)))
                 if sym in counts:
                     raise ValueError(f"{spath}: duplicate symbol in monomial")

@@ -9,6 +9,11 @@ the familiar divided-power presentation of power series: ``to_divided``
 divides coefficient alpha by alpha factorial and turns the shift maps into
 the ordinary formal partial derivatives.
 
+One kernel, ``HurwitzRing.convolve``, owns the summation order and the
+binomial weighting: ``mul`` and ``cauchy_mul`` are its weighted and
+unweighted forms, ``invert`` solves it grade by grade, and
+``taylor.ev_twist`` feeds it iterated coefficient derivatives.
+
 Validity bookkeeping: each series carries ``valid <= trunc``, the order up
 to which its coefficients are trustworthy.  A shift derivation consumes one
 grade (``valid`` drops by 1), binary operations take the minimum, and the
@@ -19,8 +24,9 @@ the order they compare at; ``agree`` uses the shared valid order.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from .multiindex import MultiIndex, count_upto, enumerate_upto, iter_dominated
 from .rings import (
@@ -32,6 +38,7 @@ from .rings import (
     NotUnitError,
     Ring,
     RingError,
+    _expect_int,
     _reject_unknown,
     ring_from_json,
 )
@@ -158,20 +165,35 @@ class HurwitzRing(Ring):
             {alpha: K.neg(a.coeffs[alpha]) for alpha in self.indices}, a.valid
         )
 
-    def mul(self, a: HurwitzSeries, b: HurwitzSeries) -> HurwitzSeries:
-        self._check_pair(a, b)
+    def convolve(
+        self, term: Callable[[MultiIndex, MultiIndex], Element], weighted: bool = True
+    ) -> Iterator[tuple[MultiIndex, Element]]:
+        """Rows of the convolution whose (beta, alpha - beta) entry is ``term``.
+
+        Yields ``(alpha, sum over beta <= alpha of binom(alpha, beta) *
+        term(beta, alpha - beta))`` in graded-lex order; ``weighted=False``
+        drops the binomials.  Each row is computed only when it is asked for,
+        so ``term`` may read rows the caller stored from earlier yields.
+        Every product, the inverse and the evaluation twist are this loop.
+        """
         K = self.coeff_ring
-        table: dict[MultiIndex, Element] = {}
+        add, mul = K.add, K.mul
         for alpha in self.indices:
             acc = K.zero()
             for beta in iter_dominated(alpha):
-                term = K.mul(a.coeffs[beta], b.coeffs[alpha - beta])
-                w = alpha.binomial(beta)
-                if w != 1:
-                    term = K.mul(K.embed_int(w), term)
-                acc = K.add(acc, term)
-            table[alpha] = acc
-        return self.from_table(table, min(a.valid, b.valid))
+                value = term(beta, alpha - beta)
+                if weighted:
+                    w = alpha.binomial(beta)
+                    if w != 1:
+                        value = mul(K.embed_int(w), value)
+                acc = add(acc, value)
+            yield alpha, acc
+
+    def mul(self, a: HurwitzSeries, b: HurwitzSeries) -> HurwitzSeries:
+        self._check_pair(a, b)
+        mul, x, y = self.coeff_ring.mul, a.coeffs, b.coeffs
+        rows = self.convolve(lambda beta, rest: mul(x[beta], y[rest]))
+        return self.from_table(dict(rows), min(a.valid, b.valid))
 
     def cauchy_mul(self, a: HurwitzSeries, b: HurwitzSeries) -> HurwitzSeries:
         """Plain convolution, the product of the divided reading.
@@ -182,14 +204,9 @@ class HurwitzRing(Ring):
         sense over any coefficient ring.
         """
         self._check_pair(a, b)
-        K = self.coeff_ring
-        table: dict[MultiIndex, Element] = {}
-        for alpha in self.indices:
-            acc = K.zero()
-            for beta in iter_dominated(alpha):
-                acc = K.add(acc, K.mul(a.coeffs[beta], b.coeffs[alpha - beta]))
-            table[alpha] = acc
-        return self.from_table(table, min(a.valid, b.valid))
+        mul, x, y = self.coeff_ring.mul, a.coeffs, b.coeffs
+        rows = self.convolve(lambda beta, rest: mul(x[beta], y[rest]), weighted=False)
+        return self.from_table(dict(rows), min(a.valid, b.valid))
 
     def eq(self, a: HurwitzSeries, b: HurwitzSeries) -> bool:
         """Exact table equality over the whole truncation box.
@@ -254,20 +271,14 @@ class HurwitzRing(Ring):
         c0inv = K.try_invert(a.constant_term())
         if c0inv is None:
             raise NotUnitError("not a unit: constant term is zero")
-        table: dict[MultiIndex, Element] = {MultiIndex.zero(self.width): c0inv}
-        for alpha in self.indices:
-            if alpha.is_zero():
-                continue
-            acc = K.zero()
-            for beta in iter_dominated(alpha):
-                if beta.is_zero():
-                    continue
-                term = K.mul(a.coeffs[beta], table[alpha - beta])
-                w = alpha.binomial(beta)
-                if w != 1:
-                    term = K.mul(K.embed_int(w), term)
-                acc = K.add(acc, term)
-            table[alpha] = K.neg(K.mul(c0inv, acc))
+
+        def term(beta: MultiIndex, rest: MultiIndex) -> Element:
+            # the beta = 0 term pairs a's constant with the unknown itself
+            return K.zero() if beta.is_zero() else K.mul(a.coeffs[beta], table[rest])
+
+        table: dict[MultiIndex, Element] = {}
+        for alpha, acc in self.convolve(term):
+            table[alpha] = c0inv if alpha.is_zero() else K.neg(K.mul(c0inv, acc))
         return self.from_table(table, a.valid)
 
     def shift_derive(self, a: HurwitzSeries, slot: int) -> HurwitzSeries:
@@ -325,14 +336,18 @@ class HurwitzRing(Ring):
             )
         return inv
 
-    def to_divided(self, a: HurwitzSeries) -> HurwitzSeries:
-        """Divide coefficient alpha by alpha factorial (rational algebras only)."""
-        self._check(a)
+    def require_divided(self) -> None:
+        """Refuse unless the divided form exists: characteristic 0 only."""
         if self.characteristic != 0:
             raise DomainError(
                 "divided form needs characteristic 0 coefficients, got"
                 f" characteristic {self.characteristic}"
             )
+
+    def to_divided(self, a: HurwitzSeries) -> HurwitzSeries:
+        """Divide coefficient alpha by alpha factorial (rational algebras only)."""
+        self._check(a)
+        self.require_divided()
         K = self.coeff_ring
         cache: dict[int, Element] = {1: K.one()}
         table: dict[MultiIndex, Element] = {}
@@ -354,33 +369,26 @@ class HurwitzRing(Ring):
         return self.from_table(table, a.valid)
 
     def differential_structure(
-        self,
-        delta: Sequence[Derivation] | None = None,
-        include_shift: bool = True,
+        self, delta: Sequence[Derivation] | None = None, divided: bool = False
     ) -> DifferentialRing:
         """The series ring as a differential ring.
 
-        Slot i acts by the coefficientwise lift of ``delta[i]`` (when given)
-        plus the shift derivation (unless ``include_shift`` is False).  The
-        two pieces commute slotwise because coefficient maps ignore indices.
+        Slot i acts by the shift derivation, or by ``formal_derive`` when
+        ``divided`` (the divided reading), plus the coefficientwise lift of
+        ``delta[i]`` when given.  The two pieces commute slotwise because
+        coefficient maps ignore indices.
         """
         if delta is not None and len(delta) != self.width:
             raise ValueError(
                 f"need {self.width} coefficient derivations, got {len(delta)}"
             )
-        if delta is None and not include_shift:
-            raise ValueError("structure with no derivations at all is not useful")
+        index_derive = self.formal_derive if divided else self.shift_derive
 
         def make(slot: int) -> Derivation:
             def derive(a: HurwitzSeries) -> HurwitzSeries:
-                if delta is not None and include_shift:
-                    return self.add(
-                        self.coeff_derive(a, delta, slot),
-                        self.shift_derive(a, slot),
-                    )
-                if delta is not None:
-                    return self.coeff_derive(a, delta, slot)
-                return self.shift_derive(a, slot)
+                if delta is None:
+                    return index_derive(a, slot)
+                return self.add(self.coeff_derive(a, delta, slot), index_derive(a, slot))
 
             return derive
 
@@ -431,13 +439,9 @@ def series_from_json(doc: Any, path: str = "series") -> HurwitzSeries:
     for key in ("m", "trunc", "valid", "ring", "coeffs"):
         if key not in doc:
             raise ValueError(f"{path}.{key}: missing")
-    width, trunc, valid = doc["m"], doc["trunc"], doc["valid"]
-    if not isinstance(width, int) or width < 1:
-        raise ValueError(f"{path}.m: expected a positive integer")
-    if not isinstance(trunc, int) or trunc < 0:
-        raise ValueError(f"{path}.trunc: expected a nonnegative integer")
-    if not isinstance(valid, int) or not 0 <= valid <= trunc:
-        raise ValueError(f"{path}.valid: expected an integer in [0, trunc]")
+    width = _expect_int(doc["m"], f"{path}.m", 1, math.inf)
+    trunc = _expect_int(doc["trunc"], f"{path}.trunc", 0, math.inf)
+    valid = _expect_int(doc["valid"], f"{path}.valid", 0, trunc)
     ring = ring_from_json(doc["ring"], f"{path}.ring")
     if not isinstance(doc["coeffs"], list):
         raise ValueError(f"{path}.coeffs: expected a list")
@@ -453,9 +457,9 @@ def series_from_json(doc: Any, path: str = "series") -> HurwitzSeries:
         ):
             raise ValueError(f"{where}: expected [index list, element string]")
         idx, text = entry
-        if len(idx) != width or not all(isinstance(e, int) and e >= 0 for e in idx):
+        if len(idx) != width:
             raise ValueError(f"{where}: index must be {width} nonnegative integers")
-        alpha = MultiIndex(tuple(idx))
+        alpha = MultiIndex(tuple(_expect_int(e, f"{where}[0]", 0, math.inf) for e in idx))
         if alpha.degree > trunc:
             raise ValueError(f"{where}: index degree {alpha.degree} exceeds trunc {trunc}")
         if alpha in table:

@@ -117,12 +117,17 @@ class Ring:
         return acc
 
     def pow(self, a: Element, n: int) -> Element:
+        """Square-and-multiply: at most 2 log2(n) products, never by one."""
         if n < 0:
             raise ValueError("negative power")
-        acc = self.one()
-        for _ in range(n):
-            acc = self.mul(acc, a)
-        return acc
+        acc = None
+        while n:
+            if n & 1:
+                acc = a if acc is None else self.mul(acc, a)
+            n >>= 1
+            if n:
+                a = self.mul(a, a)
+        return self.one() if acc is None else acc
 
 
 class RationalField(Ring):
@@ -296,6 +301,10 @@ class Poly:
 
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+# Largest exponent or derivative order a wire document may ask for: element
+# strings (``u^N``), diffpoly monomial powers and orders, value-table orders.
+MAX_EXPONENT = 64
 
 
 class PolynomialRing(Ring):
@@ -516,7 +525,10 @@ def _parse_poly(ring: PolynomialRing, text: str) -> Poly:
                 exp_tok = peek()
                 if exp_tok is None or not exp_tok.isdigit():
                     raise ValueError(f"expected integer exponent in {text!r}")
-                p = ring.pow(p, int(take()))
+                n = int(take())
+                if n > MAX_EXPONENT:
+                    raise ValueError(f"exponent {n} exceeds {MAX_EXPONENT} in {text!r}")
+                p = ring.pow(p, n)
             return p
         raise ValueError(f"unexpected token {tok!r} in {text!r}")
 
@@ -717,6 +729,15 @@ def ring_from_json(doc: Any, path: str = "ring") -> Ring:
         except ValueError as exc:
             raise ValueError(f"{path}.generators: {exc}") from exc
     raise ValueError(f"{path}.kind: expected one of Q, Fp, poly, got {kind!r}")
+
+
+def _expect_int(value: Any, path: str, lo: int, hi: int | float) -> int:
+    """A JSON integer in [lo, hi]; booleans are not integers."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{path}: expected an integer")
+    if not lo <= value <= hi:
+        raise ValueError(f"{path}: must be between {lo} and {hi}")
+    return value
 
 
 def _reject_unknown(doc: Mapping[str, Any], allowed: set[str], path: str) -> None:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .hurwitz import HurwitzRing, HurwitzSeries
-from .multiindex import MultiIndex, enumerate_upto, iter_dominated
+from .multiindex import MultiIndex, enumerate_upto
 from .rings import (
     Derivation,
     DifferentialRing,
@@ -122,6 +122,7 @@ def hurwitz_morphism(spec: MorphismSpec, a: Element) -> HurwitzSeries:
 
 def classical_taylor(spec: MorphismSpec, a: Element) -> HurwitzSeries:
     """Divided coefficients: phi of the alpha-th derivative over alpha factorial."""
+    spec.target.require_divided()
     return spec.target.to_divided(hurwitz_morphism(spec, a))
 
 
@@ -132,6 +133,7 @@ def twisted_hurwitz(spec: MorphismSpec, a: Element) -> HurwitzSeries:
 
 def twisted_taylor(spec: MorphismSpec, a: Element) -> HurwitzSeries:
     """Divided form of ``twisted_hurwitz``; rational algebras only."""
+    spec.target.require_divided()
     return spec.target.to_divided(twisted_hurwitz(spec, a))
 
 
@@ -139,9 +141,11 @@ def ev_twist(a: HurwitzSeries, family: Sequence[Derivation]) -> HurwitzSeries:
     """Reshuffle a series by a commuting family acting on its coefficients.
 
     Coefficient alpha of the result is the sum over gamma <= alpha of
-    binom(alpha, gamma) applied-family^gamma of coefficient alpha - gamma.
-    The valid order is preserved: index alpha only reads indices of degree
-    <= alpha and coefficient derivations cost nothing.
+    binom(alpha, gamma) applied-family^gamma of coefficient alpha - gamma:
+    the binomial-weighted convolution of ``HurwitzRing.convolve``, with the
+    iterated family derivatives in place of a second factor.  The valid
+    order is preserved: index alpha only reads indices of degree <= alpha
+    and coefficient derivations cost nothing.
     """
     if len(family) != a.width:
         raise ValueError(
@@ -154,17 +158,8 @@ def ev_twist(a: HurwitzSeries, family: Sequence[Derivation]) -> HurwitzSeries:
         beta: derivative_table(structure, a.coeffs[beta], a.trunc - beta.degree)
         for beta in H.indices
     }
-    out: dict[MultiIndex, Element] = {}
-    for alpha in H.indices:
-        acc = K.zero()
-        for gamma in iter_dominated(alpha):
-            term = tables[alpha - gamma][gamma]
-            w = alpha.binomial(gamma)
-            if w != 1:
-                term = K.mul(K.embed_int(w), term)
-            acc = K.add(acc, term)
-        out[alpha] = acc
-    return H.from_table(out, a.valid)
+    rows = H.convolve(lambda gamma, rest: tables[rest][gamma])
+    return H.from_table(dict(rows), a.valid)
 
 
 def ev_untwist(a: HurwitzSeries, family: Sequence[Derivation]) -> HurwitzSeries:

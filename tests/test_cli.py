@@ -26,6 +26,17 @@ LINEAR_EXPECTED = (
 )
 
 
+def diffpoly_element(monomial):
+    """Mutation: a one-variable diffpoly source whose element is one monomial."""
+
+    def mutate(doc):
+        doc["source"] = {"kind": "diffpoly", "vars": ["x"]}
+        doc["phi"] = {"values": [[0, [0], "u"]]}
+        doc["element"] = [{"coeff": "1", "monomial": [monomial]}]
+
+    return mutate
+
+
 def write_spec(tmp_path, doc, name="problem.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -108,6 +119,32 @@ class TestExpand:
                 lambda d: d["ring"].__setitem__("base", {"kind": "poly", "generators": ["w"]}),
                 "problem.ring.base",
             ),
+            (lambda d: d.__setitem__("element", "u^65"), "problem.element: exponent 65"),
+            (
+                lambda d: d["ring"].__setitem__("derivations", [{"u": "u^100000"}]),
+                "problem.ring.derivations[0].u: exponent 100000",
+            ),
+            (
+                diffpoly_element([0, [0], 65]),
+                "problem.element[0].monomial[0][2] power: must be between 1 and 64",
+            ),
+            (
+                diffpoly_element([0, [65], 1]),
+                "problem.element[0].monomial[0][1] order: must be between 0 and 64",
+            ),
+            (
+                diffpoly_element([True, [True], True]),
+                "problem.element[0].monomial[0][0] variable index: expected an integer",
+            ),
+            (
+                diffpoly_element([0, [True], 1]),
+                "problem.element[0].monomial[0][1] order: expected an integer",
+            ),
+            (
+                diffpoly_element([0, [0], True]),
+                "problem.element[0].monomial[0][2] power: expected an integer",
+            ),
+            (lambda d: d.__setitem__("m", True), "problem.m: expected an integer"),
         ],
     )
     def test_validation_errors_name_paths(self, tmp_path, capsys, mutate, path_fragment):
@@ -142,16 +179,27 @@ class TestExpand:
         assert "not valid JSON" in err
 
     def test_divided_over_prime_field_is_domain_error(self, tmp_path, capsys):
-        for morphism in ("classical_taylor", "twisted_taylor"):
-            doc = {
-                "ring": {"kind": "Fp", "p": 3},
-                "m": 1,
-                "trunc": 5,
-                "source": {"kind": "self"},
-                "phi": "identity",
-                "morphism": morphism,
-                "element": "2",
-            }
+        base = {
+            "ring": {"kind": "Fp", "p": 3},
+            "m": 1,
+            "trunc": 5,
+            "source": {"kind": "self"},
+            "phi": "identity",
+            "element": "2",
+        }
+        docs = [dict(base, morphism=m) for m in ("classical_taylor", "twisted_taylor")]
+        # the refusal comes before phi runs, so a value table that covers x
+        # but not the derivatives of x is still reported out of domain
+        docs.append(
+            dict(
+                base,
+                source={"kind": "diffpoly", "vars": ["x"]},
+                phi={"values": [[0, [0], "1"]]},
+                morphism="twisted_taylor",
+                element=[{"coeff": "1", "monomial": [[0, [0], 1]]}],
+            )
+        )
+        for doc in docs:
             rc = main(["expand", "--spec", write_spec(tmp_path, doc)])
             out, err = capsys.readouterr()
             assert rc == 3

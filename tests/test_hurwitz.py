@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -85,6 +86,22 @@ class TestProduct:
         want = hurwitz_product(table_of(a), table_of(b), 2, 5, fp_ops(5))
         for idx, c in want.items():
             assert got.coeff(MultiIndex(idx)) == c
+
+    def test_convolve_of_ones_counts_weights(self):
+        # with term 1, row alpha sums binom(alpha, beta) over beta <= alpha
+        # (2^|alpha|), or counts the beta <= alpha (prod alpha_i + 1)
+        H = HurwitzRing(QQ, 3, 4)
+
+        def ones(beta, rest):
+            return Fraction(1)
+
+        weighted = list(H.convolve(ones))
+        plain = list(H.convolve(ones, weighted=False))
+        assert [alpha for alpha, _ in weighted] == list(H.indices)
+        assert [alpha for alpha, _ in plain] == list(H.indices)
+        for (alpha, w), (_, c) in zip(weighted, plain):
+            assert w == 2 ** alpha.degree
+            assert c == math.prod(e + 1 for e in alpha)
 
 
 class TestDerivations:
@@ -290,6 +307,10 @@ class TestJson:
             ({**good, "coeffs": [[[1], "1"], [[1], "2"]]}, "duplicate"),
             ({**good, "coeffs": [[[1], "x"]]}, "not a rational"),
             ({**good, "extra": 1}, "unknown field"),
+            ({**good, "m": True}, "series.m: expected an integer"),
+            ({**good, "trunc": True}, "series.trunc: expected an integer"),
+            ({**good, "valid": True}, "series.valid: expected an integer"),
+            ({**good, "coeffs": [[[True], "1"]]}, r"series\.coeffs\[0\]\[0\]: expected an integer"),
         ]
         for doc, pattern in cases:
             with pytest.raises(ValueError, match=pattern):

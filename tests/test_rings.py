@@ -111,6 +111,13 @@ class TestPolynomialRing:
         cube = R3.pow(R3.parse("u + 1"), 3)
         assert R3.eq(cube, R3.parse("u^3 + 1"))
 
+    def test_pow_agrees_with_repeated_mul(self):
+        a = self.R.parse("2*u^2*v - 1/3*u + 4")
+        acc = self.R.one()
+        for n in range(21):
+            assert self.R.eq(self.R.pow(a, n), acc)
+            acc = self.R.mul(acc, a)
+
     def test_degree(self):
         assert self.R.degree(self.R.zero()) == -1
         assert self.R.degree(self.R.parse("u^2*v + 1")) == 3

@@ -418,6 +418,21 @@ class TestGuards:
         with pytest.raises(DomainError, match="characteristic"):
             twisted_taylor(spec, A.gen("x"))
 
+    def test_divided_constructors_refuse_char_p_before_phi(self):
+        K = constant_structure(PrimeField(5), 1)
+        calls = []
+
+        def phi(a):
+            calls.append(a)
+            return a
+
+        spec = MorphismSpec(source=K, coefficients=K, phi=phi, trunc=4)
+        calls.clear()  # the construction spot-checks phi on 0 and 1
+        for constructor in (classical_taylor, twisted_taylor):
+            with pytest.raises(DomainError, match="characteristic"):
+                constructor(spec, 2)
+        assert calls == []
+
     def test_plain_constructors_need_constant_coefficients(self):
         K = rational_poly_carrier()
         spec = MorphismSpec(
