@@ -6,7 +6,12 @@ seed, the check name, and the instance ordinal, so a report is reproducible
 bit for bit from its config.  A failing instance is shrunk greedily
 (coefficient degree first, then truncation order, then width) for as long as
 it keeps failing, and is recorded with its seed, the inputs as JSON, both
-sides of the disagreement, and the order the comparison ran at.
+sides of the disagreement, and the order the comparison ran at.  An instance
+that raises fails with the exception as its ``actual`` side.
+
+Each check is a generator over its laws: it yields ``None`` for a law that
+holds and the failure detail for one that does not, and ``_law`` does the
+comparing and the rendering.
 
 The registry covers the arithmetic substrate (ring and derivation axioms on
 the generated carriers, series ring axioms, shift and lifted derivations),
@@ -26,7 +31,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from .diffpoly import DiffPolyRing
-from .hurwitz import HurwitzRing, HurwitzSeries, series_to_json
+from .hurwitz import MAX_TRUNC, MAX_WIDTH, HurwitzRing, series_to_json
 from .multiindex import enumerate_upto
 from .rings import (
     QQ,
@@ -67,10 +72,10 @@ class CheckConfig:
     def __post_init__(self) -> None:
         if self.instances < 1:
             raise ValueError("instances must be at least 1")
-        if not 1 <= self.width_max <= 3:
-            raise ValueError("width_max must be between 1 and 3")
-        if not 1 <= self.trunc <= 12:
-            raise ValueError("trunc must be between 1 and 12")
+        if not 1 <= self.width_max <= MAX_WIDTH:
+            raise ValueError(f"width_max must be between 1 and {MAX_WIDTH}")
+        if not 1 <= self.trunc <= MAX_TRUNC:
+            raise ValueError(f"trunc must be between 1 and {MAX_TRUNC}")
         if not 0 <= self.coeff_degree <= 6:
             raise ValueError("coeff_degree must be between 0 and 6")
         if self.checks is not None:
@@ -133,15 +138,23 @@ class CheckReport:
         }
 
 
+# a check's laws, in order: None for one that holds, else its failure detail
+Laws = Iterator[dict | None]
+LawsFn = Callable[[random.Random, Size, int], Laws]
 # instance builder: (rng, size, ordinal) -> None on success, detail dict on failure
 InstanceFn = Callable[[random.Random, Size, int], dict | None]
 _CHECKS: dict[str, InstanceFn] = {}
 
 
-def _register(name: str) -> Callable[[InstanceFn], InstanceFn]:
-    def deco(fn: InstanceFn) -> InstanceFn:
-        _CHECKS[name] = fn
-        return fn
+def _register(name: str) -> Callable[[LawsFn], LawsFn]:
+    # registered as a plain function, so that a wrapper around a ``_CHECKS``
+    # entry (the benchmark's tracer) times the whole instance
+    def deco(laws: LawsFn) -> LawsFn:
+        def instance(rng: random.Random, size: Size, ordinal: int) -> dict | None:
+            return next(filter(None, laws(rng, size, ordinal)), None)
+
+        _CHECKS[name] = instance
+        return laws
 
     return deco
 
@@ -159,20 +172,32 @@ def _reductions(size: Size):
         yield replace(size, width=size.width - 1)
 
 
+def _first_failure(
+    builder: InstanceFn, seed: str, size: Size, ordinal: int
+) -> dict | None:
+    """The instance's first failing law; an exception fails the instance."""
+    try:
+        return builder(random.Random(seed), size, ordinal)
+    except Exception as exc:
+        return {
+            "inputs": None,
+            "expected": None,
+            "actual": f"{type(exc).__name__}: {exc}",
+            "comparison_order": None,
+        }
+
+
 def _shrink(
     builder: InstanceFn, seed: str, size: Size, ordinal: int, detail: dict
 ) -> tuple[Size, dict]:
-    current_size, current_detail = size, detail
-    changed = True
-    while changed:
-        changed = False
-        for candidate in _reductions(current_size):
-            found = builder(random.Random(seed), candidate, ordinal)
+    while True:
+        for candidate in _reductions(size):
+            found = _first_failure(builder, seed, candidate, ordinal)
             if found is not None:
-                current_size, current_detail = candidate, found
-                changed = True
+                size, detail = candidate, found
                 break
-    return current_size, current_detail
+        else:
+            return size, detail
 
 
 def run_check(name: str, config: CheckConfig) -> CheckReport:
@@ -185,19 +210,10 @@ def run_check(name: str, config: CheckConfig) -> CheckReport:
     failures: list[Failure] = []
     for ordinal in range(config.instances):
         seed = f"{config.seed}/{name}/{ordinal}"
-        detail = builder(random.Random(seed), base_size, ordinal)
+        detail = _first_failure(builder, seed, base_size, ordinal)
         if detail is not None:
             size, detail = _shrink(builder, seed, base_size, ordinal, detail)
-            failures.append(
-                Failure(
-                    seed=seed,
-                    size=size,
-                    inputs=detail.get("inputs"),
-                    expected=detail.get("expected"),
-                    actual=detail.get("actual"),
-                    comparison_order=detail.get("comparison_order"),
-                )
-            )
+            failures.append(Failure(seed=seed, size=size, **detail))
     return CheckReport(name, config.instances, tuple(failures))
 
 
@@ -231,33 +247,22 @@ def _pick_base(rng: random.Random, char_zero_only: bool = False) -> Ring:
     return pool[rng.randrange(len(pool))]
 
 
-def _family_images(
-    ring: PolynomialRing, style: str, matrix: Sequence[Sequence[int]]
-):
-    rows = []
-    for row in matrix:
-        images = []
-        for j, c in enumerate(row):
-            if style == "constant_image":
-                images.append(ring.embed_int(c))
-            else:
-                images.append(
-                    ring.mul(ring.embed_int(c), ring.gen(ring.generators[j]))
-                )
-        rows.append(images)
-    return rows
-
-
 def _structure_from_recipe(
     base: Ring, gens: Sequence[str], style: str, matrix: Sequence[Sequence[int]]
 ) -> tuple[DifferentialRing, dict]:
     ring = PolynomialRing(base, gens)
-    width = len(matrix)
+
+    def image(c: int, gen: str) -> Element:
+        if style == "constant_image":
+            return ring.embed_int(c)
+        return ring.mul(ring.embed_int(c), ring.gen(gen))
+
     if style == "zero":
-        structure = constant_structure(ring, width)
+        structure = constant_structure(ring, len(matrix))
     else:
         family = tuple(
-            ring.derivation(row) for row in _family_images(ring, style, matrix)
+            ring.derivation([image(c, g) for c, g in zip(row, ring.generators)])
+            for row in matrix
         )
         structure = DifferentialRing(ring, family)
     desc = {
@@ -314,19 +319,9 @@ def _random_structure_pair(
         style = ("constant_image", "diagonal")[rng.randrange(2)]
         m1 = [[rng.randint(-2, 2) for _ in gens] for _ in range(size.width)]
         m2 = [[rng.randint(-2, 2) for _ in gens] for _ in range(size.width)]
-    ring = PolynomialRing(base, gens)
-    fam1 = tuple(ring.derivation(r) for r in _family_images(ring, style, m1))
-    fam2 = tuple(ring.derivation(r) for r in _family_images(ring, style, m2))
-    desc = {
-        "ring": ring.to_json(),
-        "family": {"style": style, "matrix": [list(r) for r in m1]},
-        "second_family": {"style": style, "matrix": [list(r) for r in m2]},
-    }
-    return (
-        DifferentialRing(ring, fam1),
-        DifferentialRing(ring, fam2),
-        desc,
-    )
+    first, desc = _structure_from_recipe(base, gens, style, m1)
+    second, second_desc = _structure_from_recipe(base, gens, style, m2)
+    return first, second, {**desc, "second_family": second_desc["family"]}
 
 
 def _value_table(
@@ -376,23 +371,29 @@ _CONSTRUCTORS: tuple[tuple[str, Callable, bool, bool], ...] = (
 )
 
 
-def _series_detail(
-    inputs: dict, expected: HurwitzSeries, actual: HurwitzSeries, order: int
-) -> dict:
+def _law(
+    ring: Ring, inputs: dict, expected: Any, actual: Any, order: int | None = None
+) -> dict | None:
+    """None when the two sides agree, else the failure detail.
+
+    Without an order the sides are elements of ``ring``, compared by
+    ``ring.eq`` and rendered by ``ring.render``; with one they are series of
+    the Hurwitz ring ``ring``, compared up to total degree ``order`` and
+    rendered as JSON.
+    """
+    if order is None:
+        if ring.eq(expected, actual):
+            return None
+        render = ring.render
+    else:
+        if ring.agree_up_to(expected, actual, order):
+            return None
+        render = series_to_json
     return {
         "inputs": inputs,
-        "expected": series_to_json(expected),
-        "actual": series_to_json(actual),
+        "expected": render(expected),
+        "actual": render(actual),
         "comparison_order": order,
-    }
-
-
-def _element_detail(K: Ring, inputs: dict, expected: Element, actual: Element) -> dict:
-    return {
-        "inputs": inputs,
-        "expected": K.render(expected),
-        "actual": K.render(actual),
-        "comparison_order": None,
     }
 
 
@@ -401,7 +402,7 @@ def _element_detail(K: Ring, inputs: dict, expected: Element, actual: Element) -
 
 
 @_register("ring-axioms")
-def _check_ring_axioms(rng: random.Random, size: Size, ordinal: int) -> dict | None:
+def _check_ring_axioms(rng: random.Random, size: Size, ordinal: int) -> Laws:
     base = _pick_base(rng)
     kind = ordinal % 3
     ring: Ring
@@ -413,10 +414,6 @@ def _check_ring_axioms(rng: random.Random, size: Size, ordinal: int) -> dict | N
         ring = HurwitzRing(base, rng.randint(1, size.width), size.trunc)
     a, b, c = (ring.sample(rng, size.degree) for _ in range(3))
     inputs = {"ring": ring.to_json(), "elements": [ring.render(x) for x in (a, b, c)]}
-
-    def fail(law: str, lhs: Element, rhs: Element) -> dict:
-        return _element_detail(ring, {**inputs, "law": law}, lhs, rhs)
-
     pairs = [
         ("add_comm", ring.add(a, b), ring.add(b, a)),
         ("add_assoc", ring.add(ring.add(a, b), c), ring.add(a, ring.add(b, c))),
@@ -440,48 +437,37 @@ def _check_ring_axioms(rng: random.Random, size: Size, ordinal: int) -> dict | N
             )
         )
     for law, lhs, rhs in pairs:
-        if not ring.eq(lhs, rhs):
-            return fail(law, lhs, rhs)
-    return None
+        yield _law(ring, {**inputs, "law": law}, lhs, rhs)
 
 
 @_register("derivation-axioms")
-def _check_derivation_axioms(
-    rng: random.Random, size: Size, ordinal: int
-) -> dict | None:
+def _check_derivation_axioms(rng: random.Random, size: Size, ordinal: int) -> Laws:
     structure, desc = _random_structure(rng, size)
     R = structure.ring
     a, b = R.sample(rng, size.degree), R.sample(rng, size.degree)
     inputs = {**desc, "elements": [R.render(a), R.render(b)]}
     for slot in range(structure.width):
         d = structure.derivations[slot]
-        lhs = d(R.add(a, b))
-        rhs = R.add(d(a), d(b))
-        if not R.eq(lhs, rhs):
-            return _element_detail(
-                R, {**inputs, "law": "additive", "slot": slot}, lhs, rhs
-            )
-        lhs = d(R.mul(a, b))
-        rhs = R.add(R.mul(d(a), b), R.mul(a, d(b)))
-        if not R.eq(lhs, rhs):
-            return _element_detail(
-                R, {**inputs, "law": "leibniz", "slot": slot}, lhs, rhs
-            )
+        case = {**inputs, "slot": slot}
+        yield _law(R, {**case, "law": "additive"}, d(R.add(a, b)), R.add(d(a), d(b)))
+        yield _law(
+            R,
+            {**case, "law": "leibniz"},
+            d(R.mul(a, b)),
+            R.add(R.mul(d(a), b), R.mul(a, d(b))),
+        )
     for i in range(structure.width):
         for j in range(i + 1, structure.width):
-            lhs = structure.derivations[i](structure.derivations[j](a))
-            rhs = structure.derivations[j](structure.derivations[i](a))
-            if not R.eq(lhs, rhs):
-                return _element_detail(
-                    R, {**inputs, "law": "commutation", "slots": [i, j]}, lhs, rhs
-                )
-    return None
+            yield _law(
+                R,
+                {**inputs, "law": "commutation", "slots": [i, j]},
+                structure.derivations[i](structure.derivations[j](a)),
+                structure.derivations[j](structure.derivations[i](a)),
+            )
 
 
 @_register("hurwitz-ring-axioms")
-def _check_hurwitz_ring_axioms(
-    rng: random.Random, size: Size, ordinal: int
-) -> dict | None:
+def _check_hurwitz_ring_axioms(rng: random.Random, size: Size, ordinal: int) -> Laws:
     base = _pick_base(rng)
     K: Ring = base
     if rng.random() < 0.5:
@@ -492,7 +478,6 @@ def _check_hurwitz_ring_axioms(
         "ring": H.to_json(),
         "elements": [series_to_json(x) for x in (a, b, c)],
     }
-    order = size.trunc
     laws = [
         ("mul_comm", H.mul(a, b), H.mul(b, a)),
         ("mul_assoc", H.mul(H.mul(a, b), c), H.mul(a, H.mul(b, c))),
@@ -504,31 +489,21 @@ def _check_hurwitz_ring_axioms(
         ("mul_identity", H.mul(a, H.one()), a),
     ]
     for law, lhs, rhs in laws:
-        if not H.eq(lhs, rhs):
-            return _series_detail({**inputs, "law": law}, lhs, rhs, order)
+        yield _law(H, {**inputs, "law": law}, lhs, rhs, size.trunc)
     # the constant-term map is a ring map and retracts the constant embedding
-    lhs_c = H.ev(H.mul(a, b))
-    rhs_c = K.mul(H.ev(a), H.ev(b))
-    if not K.eq(lhs_c, rhs_c):
-        return _element_detail(K, {**inputs, "law": "ev_multiplicative"}, lhs_c, rhs_c)
-    lhs_c = H.ev(H.add(a, b))
-    rhs_c = K.add(H.ev(a), H.ev(b))
-    if not K.eq(lhs_c, rhs_c):
-        return _element_detail(K, {**inputs, "law": "ev_additive"}, lhs_c, rhs_c)
+    lhs_c, rhs_c = H.ev(H.mul(a, b)), K.mul(H.ev(a), H.ev(b))
+    yield _law(K, {**inputs, "law": "ev_multiplicative"}, lhs_c, rhs_c)
+    lhs_c, rhs_c = H.ev(H.add(a, b)), K.add(H.ev(a), H.ev(b))
+    yield _law(K, {**inputs, "law": "ev_additive"}, lhs_c, rhs_c)
     k = K.sample(rng, size.degree)
-    if not K.eq(H.ev(H.embed(k)), k):
-        return _element_detail(
-            K, {**inputs, "law": "ev_embed_identity"}, k, H.ev(H.embed(k))
-        )
-    return None
+    yield _law(K, {**inputs, "law": "ev_embed_identity"}, k, H.ev(H.embed(k)))
 
 
 @_register("hurwitz-derivations")
-def _check_hurwitz_derivations(
-    rng: random.Random, size: Size, ordinal: int
-) -> dict | None:
+def _check_hurwitz_derivations(rng: random.Random, size: Size, ordinal: int) -> Laws:
     structure, desc = _random_structure(rng, size)
     K = structure.ring
+    delta = structure.derivations
     H = HurwitzRing(K, structure.width, size.trunc)
     a, b = H.sample(rng, size.degree), H.sample(rng, size.degree)
     inputs = {
@@ -537,51 +512,47 @@ def _check_hurwitz_derivations(
         "elements": [series_to_json(a), series_to_json(b)],
     }
     for slot in range(structure.width):
-        lhs = H.shift_derive(H.mul(a, b), slot)
-        rhs = H.add(
-            H.mul(H.shift_derive(a, slot), b), H.mul(a, H.shift_derive(b, slot))
+        case = {**inputs, "slot": slot}
+        yield _law(
+            H,
+            {**case, "law": "shift_leibniz"},
+            H.shift_derive(H.mul(a, b), slot),
+            H.add(
+                H.mul(H.shift_derive(a, slot), b), H.mul(a, H.shift_derive(b, slot))
+            ),
+            size.trunc - 1,
         )
-        order = size.trunc - 1
-        if not H.agree_up_to(lhs, rhs, order):
-            return _series_detail(
-                {**inputs, "law": "shift_leibniz", "slot": slot}, lhs, rhs, order
-            )
-        lifted = H.coeff_derive(a, structure.derivations, slot)
-        lhs = H.shift_derive(lifted, slot)
-        rhs = H.coeff_derive(H.shift_derive(a, slot), structure.derivations, slot)
-        order = size.trunc - 1
-        if not H.agree_up_to(lhs, rhs, order):
-            return _series_detail(
-                {**inputs, "law": "shift_lift_commute", "slot": slot}, lhs, rhs, order
-            )
-        lhs = H.coeff_derive(H.mul(a, b), structure.derivations, slot)
-        rhs = H.add(
-            H.mul(H.coeff_derive(a, structure.derivations, slot), b),
-            H.mul(a, H.coeff_derive(b, structure.derivations, slot)),
+        yield _law(
+            H,
+            {**case, "law": "shift_lift_commute"},
+            H.shift_derive(H.coeff_derive(a, delta, slot), slot),
+            H.coeff_derive(H.shift_derive(a, slot), delta, slot),
+            size.trunc - 1,
         )
-        order = size.trunc
-        if not H.agree_up_to(lhs, rhs, order):
-            return _series_detail(
-                {**inputs, "law": "lift_leibniz", "slot": slot}, lhs, rhs, order
-            )
+        yield _law(
+            H,
+            {**case, "law": "lift_leibniz"},
+            H.coeff_derive(H.mul(a, b), delta, slot),
+            H.add(
+                H.mul(H.coeff_derive(a, delta, slot), b),
+                H.mul(a, H.coeff_derive(b, delta, slot)),
+            ),
+            size.trunc,
+        )
     if size.trunc >= 2:
         for i in range(structure.width):
             for j in range(i + 1, structure.width):
-                lhs = H.shift_derive(H.shift_derive(a, i), j)
-                rhs = H.shift_derive(H.shift_derive(a, j), i)
-                order = size.trunc - 2
-                if not H.agree_up_to(lhs, rhs, order):
-                    return _series_detail(
-                        {**inputs, "law": "shift_commute", "slots": [i, j]},
-                        lhs,
-                        rhs,
-                        order,
-                    )
-    return None
+                yield _law(
+                    H,
+                    {**inputs, "law": "shift_commute", "slots": [i, j]},
+                    H.shift_derive(H.shift_derive(a, i), j),
+                    H.shift_derive(H.shift_derive(a, j), i),
+                    size.trunc - 2,
+                )
 
 
 @_register("char-p-nilpotency")
-def _check_char_p(rng: random.Random, size: Size, ordinal: int) -> dict | None:
+def _check_char_p(rng: random.Random, size: Size, ordinal: int) -> Laws:
     p = (2, 3, 5)[ordinal % 3]
     base: Ring = PrimeField(p)
     if rng.random() < 0.5:
@@ -592,27 +563,20 @@ def _check_char_p(rng: random.Random, size: Size, ordinal: int) -> dict | None:
     inputs = {"p": p, "ring": H.to_json()}
     for slot in range(width):
         t = H.indeterminate(slot)
-        power = H.pow(t, p)
-        if not H.is_zero(power):
-            return _series_detail(
-                {**inputs, "law": "variable_pth_power_vanishes", "slot": slot},
-                H.zero(),
-                power,
-                trunc,
-            )
+        case = {**inputs, "law": "variable_pth_power_vanishes", "slot": slot}
+        yield _law(H, case, H.zero(), H.pow(t, p), trunc)
         below = H.pow(t, p - 1)
         if H.is_zero(below):
-            return _series_detail(
-                {**inputs, "law": "lower_power_survives", "slot": slot},
-                H.indeterminate(slot),
-                below,
-                trunc,
-            )
-    return None
+            yield {
+                "inputs": {**inputs, "law": "lower_power_survives", "slot": slot},
+                "expected": series_to_json(t),
+                "actual": series_to_json(below),
+                "comparison_order": trunc,
+            }
 
 
 @_register("inversion")
-def _check_inversion(rng: random.Random, size: Size, ordinal: int) -> dict | None:
+def _check_inversion(rng: random.Random, size: Size, ordinal: int) -> Laws:
     field = (QQ, PrimeField(3), PrimeField(2), PrimeField(5))[ordinal % 4]
     H = HurwitzRing(field, rng.randint(1, size.width), size.trunc)
     a = H.sample(rng, size.degree)
@@ -620,22 +584,16 @@ def _check_inversion(rng: random.Random, size: Size, ordinal: int) -> dict | Non
         a = H.add(a, H.one())
     if field.is_zero(H.ev(a)):  # constant term was -1 in characteristic 2
         a = H.add(a, H.one())
-    inv = H.invert(a)
-    order = a.valid
-    prod = H.mul(a, inv)
     inputs = {"ring": H.to_json(), "element": series_to_json(a)}
-    if not H.agree_up_to(prod, H.one(), order):
-        return _series_detail(
-            {**inputs, "law": "mul_inverse"}, H.one(), prod, order
-        )
+    prod = H.mul(a, H.invert(a))
+    yield _law(H, {**inputs, "law": "mul_inverse"}, H.one(), prod, a.valid)
     if H.try_invert(H.sub(a, H.embed(H.ev(a)))) is not None:
-        return {
+        yield {
             "inputs": {**inputs, "law": "non_unit_rejected"},
             "expected": "None",
             "actual": "an inverse",
             "comparison_order": None,
         }
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -700,29 +658,21 @@ def _diffpoly_spec(
 
 
 @_register("ev1")
-def _check_ev1(rng: random.Random, size: Size, ordinal: int) -> dict | None:
+def _check_ev1(rng: random.Random, size: Size, ordinal: int) -> Laws:
     """Constant term of every expansion is phi of the argument."""
     constant_coeffs = ordinal % 2 == 0
     K, kdesc = _random_structure(rng, size, constant=constant_coeffs)
     spec, A, sdesc = _diffpoly_spec(K, size.trunc, rng, size.degree, chain=False)
     a = A.sample(rng, size.degree)
-    inputs = {
-        "coefficients": kdesc,
-        "source": sdesc,
-        "argument": A.element_to_json(a),
-    }
+    inputs = {"coefficients": kdesc, "source": sdesc, "argument": A.element_to_json(a)}
     expected = spec.phi(a)
     for name, fn, *_ in _applicable(constant_coeffs, K):
         got = spec.target.ev(fn(spec, a))
-        if not K.ring.eq(got, expected):
-            return _element_detail(
-                K.ring, {**inputs, "constructor": name}, expected, got
-            )
-    return None
+        yield _law(K.ring, {**inputs, "constructor": name}, expected, got)
 
 
 @_register("ev2")
-def _check_ev2(rng: random.Random, size: Size, ordinal: int) -> dict | None:
+def _check_ev2(rng: random.Random, size: Size, ordinal: int) -> Laws:
     """Expanding a series ring over itself by the constant-term map gives it back."""
     if ordinal % 4 == 0:
         K, kdesc = _structure_from_recipe(QQ, ["u"], "constant_image", [[1]])
@@ -737,16 +687,12 @@ def _check_ev2(rng: random.Random, size: Size, ordinal: int) -> dict | None:
         source=source, coefficients=K, phi=H.ev, trunc=size.trunc, samples=samples
     )
     a = H.sample(rng, size.degree)
-    got = twisted_hurwitz(spec, a)
-    order = size.trunc
-    if not H.agree_up_to(got, a, order):
-        inputs = {"coefficients": kdesc, "argument": series_to_json(a)}
-        return _series_detail(inputs, a, got, order)
-    return None
+    inputs = {"coefficients": kdesc, "argument": series_to_json(a)}
+    yield _law(H, inputs, a, twisted_hurwitz(spec, a), size.trunc)
 
 
 @_register("tm1")
-def _check_tm1(rng: random.Random, size: Size, ordinal: int) -> dict | None:
+def _check_tm1(rng: random.Random, size: Size, ordinal: int) -> Laws:
     """A differential phi makes every expansion collapse to the constant embedding."""
     constant_coeffs = ordinal % 2 == 0
     K, kdesc = _random_structure(rng, size, constant=constant_coeffs)
@@ -766,15 +712,11 @@ def _check_tm1(rng: random.Random, size: Size, ordinal: int) -> dict | None:
     expected = H.embed(spec.phi(a))
     for name, fn, *_ in _applicable(constant_coeffs, K):
         got = fn(spec, a)
-        if not H.eq(got, expected):
-            return _series_detail(
-                {**inputs, "constructor": name}, expected, got, size.trunc
-            )
-    return None
+        yield _law(H, {**inputs, "constructor": name}, expected, got, size.trunc)
 
 
 @_register("tm2")
-def _check_tm2(rng: random.Random, size: Size, ordinal: int) -> dict | None:
+def _check_tm2(rng: random.Random, size: Size, ordinal: int) -> Laws:
     """Expansions factor through differential inclusions of sources."""
     constant_coeffs = ordinal % 2 == 0
     K, kdesc = _random_structure(rng, size, constant=constant_coeffs)
@@ -808,53 +750,37 @@ def _check_tm2(rng: random.Random, size: Size, ordinal: int) -> dict | None:
     }
     H = spec_a.target
     for name, fn, *_ in _applicable(constant_coeffs, K):
-        via_a = fn(spec_a, a)
-        via_b = fn(spec_b, included)
-        if not H.eq(via_a, via_b):
-            return _series_detail(
-                {**inputs, "constructor": name}, via_a, via_b, size.trunc
-            )
-    return None
+        via_a, via_b = fn(spec_a, a), fn(spec_b, included)
+        yield _law(H, {**inputs, "constructor": name}, via_a, via_b, size.trunc)
 
 
 @_register("twist-composition")
-def _check_twist_composition(
-    rng: random.Random, size: Size, ordinal: int
-) -> dict | None:
+def _check_twist_composition(rng: random.Random, size: Size, ordinal: int) -> Laws:
     first, second, desc = _random_structure_pair(rng, size, ordinal)
     K = first.ring
     H = HurwitzRing(K, first.width, size.trunc)
     a = H.sample(rng, size.degree)
-    inner = ev_twist(a, second.derivations)
-    lhs = ev_twist(inner, first.derivations)
+    lhs = ev_twist(ev_twist(a, second.derivations), first.derivations)
     combined = tuple(
         (lambda x, d1=d1, d2=d2: K.add(d1(x), d2(x)))
         for d1, d2 in zip(first.derivations, second.derivations)
     )
     rhs = ev_twist(a, combined)
-    order = a.valid
-    if not H.agree_up_to(lhs, rhs, order):
-        inputs = {**desc, "argument": series_to_json(a)}
-        return _series_detail(inputs, rhs, lhs, order)
-    return None
+    yield _law(H, {**desc, "argument": series_to_json(a)}, rhs, lhs, a.valid)
 
 
 @_register("twist-inverse")
-def _check_twist_inverse(rng: random.Random, size: Size, ordinal: int) -> dict | None:
+def _check_twist_inverse(rng: random.Random, size: Size, ordinal: int) -> Laws:
     structure, desc = _random_structure(rng, size)
     K = structure.ring
     H = HurwitzRing(K, structure.width, size.trunc)
     a = H.sample(rng, size.degree)
     back = ev_untwist(ev_twist(a, structure.derivations), structure.derivations)
-    order = a.valid
-    if not H.agree_up_to(back, a, order):
-        inputs = {**desc, "argument": series_to_json(a)}
-        return _series_detail(inputs, a, back, order)
-    return None
+    yield _law(H, {**desc, "argument": series_to_json(a)}, a, back, a.valid)
 
 
 @_register("divided-bridge")
-def _check_divided_bridge(rng: random.Random, size: Size, ordinal: int) -> dict | None:
+def _check_divided_bridge(rng: random.Random, size: Size, ordinal: int) -> Laws:
     """Dividing the Hurwitz-side images by factorials gives the divided images."""
     constant_coeffs = ordinal % 2 == 0
     K, kdesc = _random_structure(rng, size, constant=constant_coeffs, char_zero_only=True)
@@ -862,61 +788,37 @@ def _check_divided_bridge(rng: random.Random, size: Size, ordinal: int) -> dict 
     a = A.sample(rng, size.degree)
     H = spec.target
     inputs = {"coefficients": kdesc, "source": sdesc, "argument": A.element_to_json(a)}
-    lhs = H.to_divided(twisted_hurwitz(spec, a))
-    rhs = twisted_taylor(spec, a)
-    if not H.eq(lhs, rhs):
-        return _series_detail(
-            {**inputs, "pair": ["twisted_hurwitz", "twisted_taylor"]},
-            rhs,
-            lhs,
-            size.trunc,
-        )
+    lhs, rhs = H.to_divided(twisted_hurwitz(spec, a)), twisted_taylor(spec, a)
+    pair = ["twisted_hurwitz", "twisted_taylor"]
+    yield _law(H, {**inputs, "pair": pair}, rhs, lhs, size.trunc)
     if constant_coeffs:
-        lhs = H.to_divided(hurwitz_morphism(spec, a))
-        rhs = classical_taylor(spec, a)
-        if not H.eq(lhs, rhs):
-            return _series_detail(
-                {**inputs, "pair": ["hurwitz_morphism", "classical_taylor"]},
-                rhs,
-                lhs,
-                size.trunc,
-            )
-    return None
+        lhs, rhs = H.to_divided(hurwitz_morphism(spec, a)), classical_taylor(spec, a)
+        pair = ["hurwitz_morphism", "classical_taylor"]
+        yield _law(H, {**inputs, "pair": pair}, rhs, lhs, size.trunc)
 
 
 @_register("divided-derivative")
-def _check_divided_derivative(
-    rng: random.Random, size: Size, ordinal: int
-) -> dict | None:
+def _check_divided_derivative(rng: random.Random, size: Size, ordinal: int) -> Laws:
     """The divided bridge turns shift derivations into formal derivatives."""
     base = _pick_base(rng, char_zero_only=True)
     K: Ring = base if rng.random() < 0.5 else PolynomialRing(base, ["u"])
     H = HurwitzRing(K, rng.randint(1, size.width), size.trunc)
     a = H.sample(rng, size.degree)
     inputs = {"ring": H.to_json(), "element": series_to_json(a)}
-    if not H.eq(H.from_divided(H.to_divided(a)), a):
-        return _series_detail(
-            {**inputs, "law": "bridge_roundtrip"},
-            a,
-            H.from_divided(H.to_divided(a)),
-            size.trunc,
-        )
+    back = H.from_divided(H.to_divided(a))
+    yield _law(H, {**inputs, "law": "bridge_roundtrip"}, a, back, size.trunc)
     for slot in range(H.width):
-        lhs = H.to_divided(H.shift_derive(a, slot))
-        rhs = H.formal_derive(H.to_divided(a), slot)
-        order = size.trunc - 1
-        if not H.agree_up_to(lhs, rhs, order):
-            return _series_detail(
-                {**inputs, "law": "derivative_intertwine", "slot": slot},
-                rhs,
-                lhs,
-                order,
-            )
-    return None
+        yield _law(
+            H,
+            {**inputs, "law": "derivative_intertwine", "slot": slot},
+            H.formal_derive(H.to_divided(a), slot),
+            H.to_divided(H.shift_derive(a, slot)),
+            size.trunc - 1,
+        )
 
 
 @_register("morphism-laws")
-def _check_morphism_laws(rng: random.Random, size: Size, ordinal: int) -> dict | None:
+def _check_morphism_laws(rng: random.Random, size: Size, ordinal: int) -> Laws:
     """Each constructor is additive, multiplicative, unital, and differential."""
     constant_coeffs = ordinal % 2 == 0
     K, kdesc = _random_structure(rng, size, constant=constant_coeffs)
@@ -933,29 +835,18 @@ def _check_morphism_laws(rng: random.Random, size: Size, ordinal: int) -> dict |
         Ta, Tb = fn(spec, a), fn(spec, b)
         case = {**inputs, "constructor": name}
         got = fn(spec, A.add(a, b))
-        want = H.add(Ta, Tb)
-        if not H.eq(got, want):
-            return _series_detail({**case, "law": "additive"}, want, got, size.trunc)
+        yield _law(H, {**case, "law": "additive"}, H.add(Ta, Tb), got, size.trunc)
         got = fn(spec, A.mul(a, b))
         # divided-reading outputs multiply by plain convolution
-        product = H.cauchy_mul if needs_rationals else H.mul
-        want = product(Ta, Tb)
-        if not H.eq(got, want):
-            return _series_detail(
-                {**case, "law": "multiplicative"}, want, got, size.trunc
-            )
+        want = (H.cauchy_mul if needs_rationals else H.mul)(Ta, Tb)
+        yield _law(H, {**case, "law": "multiplicative"}, want, got, size.trunc)
         got = fn(spec, A.one())
-        if not H.eq(got, H.one()):
-            return _series_detail({**case, "law": "unital"}, H.one(), got, size.trunc)
+        yield _law(H, {**case, "law": "unital"}, H.one(), got, size.trunc)
         structure = H.differential_structure(
             None if needs_constant else K.derivations, divided=needs_rationals
         )
         for slot in range(H.width):
-            lhs = fn(spec, A.derive(a, slot))
-            rhs = structure.derive(Ta, slot)
-            order = size.trunc - 1
-            if not H.agree_up_to(lhs, rhs, order):
-                return _series_detail(
-                    {**case, "law": "differential", "slot": slot}, rhs, lhs, order
-                )
-    return None
+            got = fn(spec, A.derive(a, slot))
+            want = structure.derive(Ta, slot)
+            slot_case = {**case, "law": "differential", "slot": slot}
+            yield _law(H, slot_case, want, got, size.trunc - 1)

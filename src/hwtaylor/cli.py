@@ -37,7 +37,7 @@ from .checks import (
     run_suite,
 )
 from .diffpoly import DiffPolyRing, UncoveredSymbolError
-from .hurwitz import HurwitzRing, HurwitzSeries, series_to_json
+from .hurwitz import MAX_TRUNC, MAX_WIDTH, HurwitzRing, HurwitzSeries, series_to_json
 from .multiindex import MultiIndex
 from .rings import (
     MAX_EXPONENT,
@@ -153,10 +153,10 @@ def load_problem(
     _reject_unknown(
         doc, {"ring", "m", "trunc", "source", "phi", "morphism", "element"}, "problem"
     )
-    width = _expect_int(_field(doc, "m", "problem"), "problem.m", 1, 3)
-    trunc = _expect_int(_field(doc, "trunc", "problem"), "problem.trunc", 0, 12)
+    width = _expect_int(_field(doc, "m", "problem"), "problem.m", 1, MAX_WIDTH)
+    trunc = _expect_int(_field(doc, "trunc", "problem"), "problem.trunc", 0, MAX_TRUNC)
     if trunc_override is not None:
-        trunc = _expect_int(trunc_override, "trunc-override", 0, 12)
+        trunc = _expect_int(trunc_override, "trunc-override", 0, MAX_TRUNC)
 
     ring_doc = _expect_object(_field(doc, "ring", "problem"), "problem.ring")
     rows = ring_doc.get("derivations")
@@ -269,9 +269,9 @@ def _load_check_config(args: argparse.Namespace) -> CheckConfig:
     if "instances" in doc:
         kwargs["instances"] = _expect_int(doc["instances"], "config.instances", 1, 10000)
     if "m_max" in doc:
-        kwargs["width_max"] = _expect_int(doc["m_max"], "config.m_max", 1, 3)
+        kwargs["width_max"] = _expect_int(doc["m_max"], "config.m_max", 1, MAX_WIDTH)
     if "trunc" in doc:
-        kwargs["trunc"] = _expect_int(doc["trunc"], "config.trunc", 1, 12)
+        kwargs["trunc"] = _expect_int(doc["trunc"], "config.trunc", 1, MAX_TRUNC)
     if "coeff_degree" in doc:
         kwargs["coeff_degree"] = _expect_int(doc["coeff_degree"], "config.coeff_degree", 0, 6)
     if "checks" in doc:

@@ -44,6 +44,12 @@ from .rings import (
 )
 
 
+# Largest width and truncation a series document or check config may ask for;
+# a series table has C(m + trunc, m) entries.
+MAX_WIDTH = 3
+MAX_TRUNC = 12
+
+
 class TruncationError(RingError):
     """A derivation was applied to a series with no valid grades left."""
 
@@ -439,8 +445,8 @@ def series_from_json(doc: Any, path: str = "series") -> HurwitzSeries:
     for key in ("m", "trunc", "valid", "ring", "coeffs"):
         if key not in doc:
             raise ValueError(f"{path}.{key}: missing")
-    width = _expect_int(doc["m"], f"{path}.m", 1, math.inf)
-    trunc = _expect_int(doc["trunc"], f"{path}.trunc", 0, math.inf)
+    width = _expect_int(doc["m"], f"{path}.m", 1, MAX_WIDTH)
+    trunc = _expect_int(doc["trunc"], f"{path}.trunc", 0, MAX_TRUNC)
     valid = _expect_int(doc["valid"], f"{path}.valid", 0, trunc)
     ring = ring_from_json(doc["ring"], f"{path}.ring")
     if not isinstance(doc["coeffs"], list):

@@ -1,5 +1,6 @@
 """The checker harness: green on the real code, red under seeded bugs."""
 
+import hashlib
 import json
 
 import pytest
@@ -15,8 +16,10 @@ from hwtaylor.checks import (
     run_check,
     run_suite,
 )
+from hwtaylor.diffpoly import DiffPolyRing
 from hwtaylor.hurwitz import HurwitzRing
 from hwtaylor.multiindex import MultiIndex, iter_dominated
+from hwtaylor.rings import Poly, PolynomialRing
 
 ALL_CHECKS = (
     "ring-axioms",
@@ -164,6 +167,184 @@ class TestMutationsAreCaught:
             "comparison_order",
         }
         assert failure["size"] == {"coeff_degree": 0, "trunc": 1, "width": 1}
+
+
+def _inflate_binomials(monkeypatch):
+    true_binomial = MultiIndex.binomial
+
+    def inflated(self, lower):
+        value = true_binomial(self, lower)
+        return value + 1 if not lower.is_zero() else value
+
+    monkeypatch.setattr(MultiIndex, "binomial", inflated)
+
+
+def _shift_slot_zero(monkeypatch):
+    true_shift = HurwitzRing.shift_derive
+
+    def shift(self, a, slot):
+        return true_shift(self, a, 0 if self.width > 1 else slot)
+
+    monkeypatch.setattr(HurwitzRing, "shift_derive", shift)
+
+
+def _derive_into_last_variable(monkeypatch):
+    def derive(self, a, slot):
+        K = self.base.ring
+        table = {}
+
+        def accumulate(mon, c):
+            table[mon] = K.add(table[mon], c) if mon in table else c
+
+        unit = MultiIndex.unit(self.width, slot)
+        last = len(self.variables) - 1
+        for mon, c in a.terms:
+            dc = self.base.derive(c, slot)
+            if not K.is_zero(dc):
+                accumulate(mon, dc)
+            for sym, power in mon:
+                counts = dict(mon)
+                counts[sym] -= 1
+                shifted = (last, sym[1] + unit)
+                counts[shifted] = counts.get(shifted, 0) + 1
+                accumulate(
+                    self._normalize_monomial(counts), K.mul(c, K.embed_int(power))
+                )
+        return self._make(table)
+
+    monkeypatch.setattr(DiffPolyRing, "derive", derive)
+
+
+def _constructors_plus_one(monkeypatch):
+    def plus_one(fn):
+        return lambda spec, a: spec.target.add(fn(spec, a), spec.target.one())
+
+    monkeypatch.setattr(
+        checks,
+        "_CONSTRUCTORS",
+        tuple((n, plus_one(fn), *flags) for n, fn, *flags in checks._CONSTRUCTORS),
+    )
+
+
+def _drop_last_product_term(monkeypatch):
+    """Products of two non-monomials lose their last term (a seeded bug)."""
+    true_mul = PolynomialRing.mul
+
+    def mul(self, a, b):
+        product = true_mul(self, a, b)
+        if len(a.terms) > 1 and len(b.terms) > 1 and product.terms:
+            return Poly(product.terms[:-1])
+        return product
+
+    monkeypatch.setattr(PolynomialRing, "mul", mul)
+
+
+SUBSTRATE = ("ring-axioms", "derivation-axioms", "hurwitz-ring-axioms", "hurwitz-derivations")
+
+# (seeded bug, checks run or None for all, failing checks, SHA-256 of the report)
+GOLDEN_FAILURES = [
+    (
+        lambda mp: mp.setattr(HurwitzRing, "mul", HurwitzRing.cauchy_mul),
+        None,
+        ("hurwitz-derivations", "char-p-nilpotency", "inversion", "morphism-laws"),
+        "d321fd32768d21b07eb0bd5c509c63c48f9d7619b79781b5ae42e640eb8f5432",
+    ),
+    (
+        _inflate_binomials,
+        None,
+        (
+            "ring-axioms",
+            "hurwitz-ring-axioms",
+            "hurwitz-derivations",
+            "char-p-nilpotency",
+            "ev2",
+            "tm1",
+            "twist-composition",
+            "twist-inverse",
+            "morphism-laws",
+        ),
+        "86318f38e75c2fe5a32f2128832670abe3f180637cc5531f12dbd056c612afd3",
+    ),
+    (
+        _shift_slot_zero,
+        None,
+        ("ev2", "divided-derivative"),
+        "0b7343bfeb3592fbd7acb8000358c8e2b2af02a2d997c08c5b4fc31571194f01",
+    ),
+    (
+        _derive_into_last_variable,
+        None,
+        ("tm2",),
+        "9c534fa7c8b0585d9b8c0f0010c4dc369f732fe46a41485f236afe78b7a7121f",
+    ),
+    (
+        lambda mp: mp.setattr(checks, "twisted_taylor", checks.twisted_hurwitz),
+        None,
+        ("divided-bridge",),
+        "ff81cfde2250ca32bde16e3857534dc2c624fa13fc43a9480d1bfff4755b9591",
+    ),
+    (
+        _constructors_plus_one,
+        None,
+        ("ev1", "tm1", "morphism-laws"),
+        "f2f8db67465b65fbb9b8d5afcb9dc68d6a6d38c36f9700702585cf15a5961e79",
+    ),
+    (
+        lambda mp: mp.setattr(checks, "ev_untwist", lambda a, family: a),
+        None,
+        ("twist-inverse",),
+        "d6b2e80668e2fc648a43e0bee33b76c797691969243248d2896db14ca430fb67",
+    ),
+    (
+        _drop_last_product_term,
+        SUBSTRATE,
+        ("derivation-axioms", "hurwitz-ring-axioms", "hurwitz-derivations"),
+        "42b03b0883a83439345af745e3b22a9b821053bdc0401fc19d0ab2e8152a6a5b",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "bug, names, failing, digest",
+    GOLDEN_FAILURES,
+    ids=[
+        "cauchy-mul",
+        "inflated-binomial",
+        "shift-slot-zero",
+        "derive-into-last-variable",
+        "twisted-taylor-is-hurwitz",
+        "constructors-plus-one",
+        "identity-untwist",
+        "polynomial-mul-drops-term",
+    ],
+)
+def test_golden_failure_reports(monkeypatch, bug, names, failing, digest):
+    """Failure reports under seeded bugs stay byte for byte the same."""
+    bug(monkeypatch)
+    cfg = CheckConfig(seed=0, checks=names, instances=4, width_max=2, trunc=4)
+    reports = run_suite(cfg)
+    jsonl = reports_to_jsonl(reports)
+    assert tuple(r.check_name for r in reports if r.status == "fail") == failing, jsonl
+    assert hashlib.sha256(jsonl.encode()).hexdigest() == digest, jsonl
+
+
+def test_raising_instance_is_a_shrunk_failure(monkeypatch):
+    def boom(rng, size, ordinal):
+        raise RuntimeError(f"boom at trunc {size.trunc}")
+
+    monkeypatch.setitem(checks._CHECKS, "tm1", boom)
+    reports = run_suite(CheckConfig(checks=("tm1", "ev2"), instances=2, trunc=3))
+    assert [r.status for r in reports] == ["fail", "pass"]
+    failure = reports[0].failures[0]
+    assert failure.size == Size(degree=0, trunc=1, width=1)
+    assert failure.to_json() == {
+        "seed": "0/tm1/0",
+        "size": {"coeff_degree": 0, "trunc": 1, "width": 1},
+        "inputs": None,
+        "expected": None,
+        "actual": "RuntimeError: boom at trunc 1",
+        "comparison_order": None,
+    }
 
 
 class TestReportShape:

@@ -333,6 +333,23 @@ class TestCheck:
         assert json.loads(target.read_text())["check_name"] == "tm1"
         assert "tm1: pass" in err
 
+    def test_raising_instance_is_reported(self, capsys, monkeypatch):
+        from test_checks import _drop_last_product_term
+
+        # the lossy product makes MorphismSpec reject phi in five checks
+        _drop_last_product_term(monkeypatch)
+        rc = main(["check", "--seed", "0", "--instances", "4"])
+        out, _ = capsys.readouterr()
+        assert rc == 1
+        docs = [json.loads(line) for line in out.strip().split("\n")]
+        assert len(docs) == 15
+        ev1 = next(d for d in docs if d["check_name"] == "ev1")
+        assert ev1["status"] == "fail"
+        failure = ev1["failures"][0]
+        assert failure["actual"].startswith("ValueError: phi fails")
+        assert failure["inputs"] is failure["expected"] is None
+        assert failure["comparison_order"] is None
+
     def test_seeded_bug_yields_exit_one(self, capsys, monkeypatch):
         from hwtaylor.multiindex import MultiIndex
 

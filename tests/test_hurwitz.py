@@ -311,6 +311,9 @@ class TestJson:
             ({**good, "trunc": True}, "series.trunc: expected an integer"),
             ({**good, "valid": True}, "series.valid: expected an integer"),
             ({**good, "coeffs": [[[True], "1"]]}, r"series\.coeffs\[0\]\[0\]: expected an integer"),
+            ({**good, "m": 4}, "series.m: must be between 1 and 3"),
+            ({**good, "m": 6, "trunc": 20}, "series.m: must be between 1 and 3"),
+            ({**good, "trunc": 13}, "series.trunc: must be between 0 and 12"),
         ]
         for doc, pattern in cases:
             with pytest.raises(ValueError, match=pattern):
