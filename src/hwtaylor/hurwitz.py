@@ -1,17 +1,22 @@
 """Truncated Hurwitz series over an exact coefficient ring.
 
 A series stores one coefficient per multi-index of total degree up to the
-truncation order.  The product weights convolution terms by componentwise
-binomials, which keeps the shift maps (drop the constant layer, pull every
-coefficient down one step in a slot) derivations in every characteristic;
-no denominators ever appear.  Over rings containing the rationals this is
-the familiar divided-power presentation of power series: ``to_divided``
-divides coefficient alpha by alpha factorial and turns the shift maps into
-the ordinary formal partial derivatives.
+truncation order, as one tuple in graded-lex order: position p holds the
+coefficient of ``HurwitzRing.indices[p]``.  The product weights convolution
+terms by componentwise binomials, which keeps the shift maps (drop the
+constant layer, pull every coefficient down one step in a slot) derivations
+in every characteristic; no denominators ever appear.  Over rings containing
+the rationals this is the familiar divided-power presentation of power
+series: ``to_divided`` divides coefficient alpha by alpha factorial and turns
+the shift maps into the ordinary formal partial derivatives.
 
-One kernel, ``HurwitzRing.convolve``, owns the summation order and the
-binomial weighting: ``mul`` and ``cauchy_mul`` are its weighted and
-unweighted forms, ``invert`` solves it grade by grade, and
+Every index-shaped loop runs on a ``Plan``, the integer tables of one
+(width, trunc) shape: for each output position the (beta, alpha - beta,
+binomial) positions of the convolution, for each slot the shift map, the
+parent of each index, and the factorials.  Operations never build or compare
+a ``MultiIndex``.  One kernel, ``HurwitzRing.convolve``, owns the summation
+order and the binomial weighting: ``mul`` and ``cauchy_mul`` are its
+weighted and unweighted forms, ``invert`` solves it grade by grade, and
 ``taylor.ev_twist`` feeds it iterated coefficient derivatives.
 
 Validity bookkeeping: each series carries ``valid <= trunc``, the order up
@@ -26,7 +31,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from functools import cached_property
+from types import MappingProxyType
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .multiindex import MultiIndex, count_upto, enumerate_upto, iter_dominated
 from .rings import (
@@ -54,32 +61,108 @@ class TruncationError(RingError):
     """A derivation was applied to a series with no valid grades left."""
 
 
+class Plan:
+    """Integer tables for every index-shaped loop at one (width, trunc).
+
+    Positions count ``indices``, the graded-lex enumeration; ``position``
+    inverts it.
+
+    * ``rows[p]``: for the index alpha at position p, one ``(i, j, w)`` per
+      beta <= alpha in ``iter_dominated`` order, where i and j are the
+      positions of beta and alpha - beta and w = ``binomial(alpha, beta)``.
+      ``weights`` is the set of those w other than 1.
+    * ``shifts[slot][p]``: ``(q, k)`` with q the position of alpha + e_slot
+      and k = alpha[slot] + 1, for every position p below the top grade.
+    * ``parents[p - 1]``: ``(q, slot)`` for every position p > 0, where slot
+      is the first nonzero slot of alpha and q the position of
+      alpha - e_slot.  A prefix of it serves every smaller truncation.
+    * ``factorials[p]``: alpha!.
+
+    Only this constructor does multi-index arithmetic.  ``binomial`` is the
+    function the weights came from; ``plan_for`` rebuilds the plan when
+    ``MultiIndex.binomial`` is no longer that function.
+    """
+
+    def __init__(self, width: int, trunc: int, binomial: Callable[[MultiIndex, MultiIndex], int]):
+        self.binomial = binomial
+        self.indices = enumerate_upto(width, trunc)
+        self.position = {alpha: p for p, alpha in enumerate(self.indices)}
+        pos = self.position
+        self.rows = tuple(
+            tuple(
+                (pos[beta], pos[alpha - beta], binomial(alpha, beta))
+                for beta in iter_dominated(alpha)
+            )
+            for alpha in self.indices
+        )
+        self.weights = frozenset(w for row in self.rows for _, _, w in row) - {1}
+        units = [MultiIndex.unit(width, slot) for slot in range(width)]
+        below_top = self.indices[: count_upto(width, trunc - 1)] if trunc else ()
+        self.shifts = tuple(
+            tuple((pos[alpha + unit], alpha[slot] + 1) for alpha in below_top)
+            for slot, unit in enumerate(units)
+        )
+        first_slots = (
+            (alpha, next(s for s, e in enumerate(alpha) if e)) for alpha in self.indices[1:]
+        )
+        self.parents = tuple((pos[alpha - units[s]], s) for alpha, s in first_slots)
+        self.factorials = tuple(alpha.factorial() for alpha in self.indices)
+
+
+# One plan per shape, replaced (not added to) when the binomial changes.
+_PLANS: dict[tuple[int, int], Plan] = {}
+
+
+def plan_for(width: int, trunc: int) -> Plan:
+    """The plan of shape (width, trunc), weighted by today's ``MultiIndex.binomial``.
+
+    A plan built under another binomial (a test or a tracer patching the
+    method) is never reused: it is rebuilt and replaces the cached one.
+    """
+    binomial = MultiIndex.binomial
+    plan = _PLANS.get((width, trunc))
+    if plan is None or plan.binomial is not binomial:
+        plan = _PLANS[width, trunc] = Plan(width, trunc, binomial)
+    return plan
+
+
 @dataclass(frozen=True, eq=False)
 class HurwitzSeries:
-    """Dense coefficient table over all indices of total degree <= trunc.
+    """Dense coefficients over all indices of total degree <= trunc.
 
-    ``valid`` bounds the grades that carry information; the table always
-    spans the full truncation box so arithmetic never branches on shape.
-    Use the owning ``HurwitzRing`` for every operation.
+    ``entries`` holds one coefficient per index, in graded-lex order (the
+    order of ``HurwitzRing.indices``); ``coeffs`` is a read-only view of it
+    keyed by multi-index.  ``valid`` bounds the grades that carry
+    information; the table always spans the full truncation box so
+    arithmetic never branches on shape.  Use the owning ``HurwitzRing`` for
+    every operation.
     """
 
     ring: Ring
     width: int
     trunc: int
     valid: int
-    coeffs: Mapping[MultiIndex, Element]
+    entries: tuple[Element, ...]
 
     def __post_init__(self) -> None:
         if not 0 <= self.valid <= self.trunc:
             raise ValueError(f"valid order {self.valid} outside [0, {self.trunc}]")
-        if len(self.coeffs) != count_upto(self.width, self.trunc):
+        if not isinstance(self.entries, tuple):
+            raise TypeError("series entries must be a tuple in graded-lex order")
+        if len(self.entries) != count_upto(self.width, self.trunc):
             raise ValueError("coefficient table does not span the truncation box")
+
+    @cached_property
+    def coeffs(self) -> Mapping[MultiIndex, Element]:
+        """Coefficients keyed by multi-index, iterating in graded-lex order."""
+        indices = enumerate_upto(self.width, self.trunc)
+        return MappingProxyType(dict(zip(indices, self.entries)))
 
     def coeff(self, alpha: MultiIndex) -> Element:
         return self.coeffs[alpha]
 
     def constant_term(self) -> Element:
-        return self.coeffs[MultiIndex.zero(self.width)]
+        return self.entries[0]
 
 
 class HurwitzRing(Ring):
@@ -115,17 +198,23 @@ class HurwitzRing(Ring):
     def indices(self) -> tuple[MultiIndex, ...]:
         return enumerate_upto(self.width, self.trunc)
 
+    @property
+    def plan(self) -> Plan:
+        return plan_for(self.width, self.trunc)
+
     def from_table(
         self, table: Mapping[MultiIndex, Element], valid: int | None = None
     ) -> HurwitzSeries:
         """Build a series, filling unmentioned indices with zero."""
-        full = {
-            alpha: table.get(alpha, self.coeff_ring.zero()) for alpha in self.indices
-        }
-        return HurwitzSeries(
-            self.coeff_ring, self.width, self.trunc,
-            self.trunc if valid is None else valid, full,
+        zero = self.coeff_ring.zero()
+        return self._from_entries(
+            [table.get(alpha, zero) for alpha in self.indices],
+            self.trunc if valid is None else valid,
         )
+
+    def _from_entries(self, entries: Iterable[Element], valid: int) -> HurwitzSeries:
+        """Build a series from its coefficients in graded-lex order."""
+        return HurwitzSeries(self.coeff_ring, self.width, self.trunc, valid, tuple(entries))
 
     def _check(self, a: HurwitzSeries) -> None:
         if a.ring != self.coeff_ring or a.width != self.width or a.trunc != self.trunc:
@@ -136,14 +225,16 @@ class HurwitzRing(Ring):
         self._check(b)
 
     def zero(self) -> HurwitzSeries:
-        return self.from_table({})
+        return self.embed(self.coeff_ring.zero())
 
     def one(self) -> HurwitzSeries:
         return self.embed(self.coeff_ring.one())
 
     def embed(self, c: Element) -> HurwitzSeries:
         """Constant series: c at the zero index, zero elsewhere."""
-        return self.from_table({MultiIndex.zero(self.width): c})
+        zero = self.coeff_ring.zero()
+        size = count_upto(self.width, self.trunc)
+        return self._from_entries((c,) + (zero,) * (size - 1), self.trunc)
 
     def indeterminate(self, slot: int) -> HurwitzSeries:
         """The series variable for ``slot``: 1 at the unit index."""
@@ -160,46 +251,46 @@ class HurwitzRing(Ring):
 
     def add(self, a: HurwitzSeries, b: HurwitzSeries) -> HurwitzSeries:
         self._check_pair(a, b)
-        K = self.coeff_ring
-        table = {alpha: K.add(a.coeffs[alpha], b.coeffs[alpha]) for alpha in self.indices}
-        return self.from_table(table, min(a.valid, b.valid))
+        return self._from_entries(
+            map(self.coeff_ring.add, a.entries, b.entries), min(a.valid, b.valid)
+        )
 
     def neg(self, a: HurwitzSeries) -> HurwitzSeries:
         self._check(a)
-        K = self.coeff_ring
-        return self.from_table(
-            {alpha: K.neg(a.coeffs[alpha]) for alpha in self.indices}, a.valid
-        )
+        return self._from_entries(map(self.coeff_ring.neg, a.entries), a.valid)
 
     def convolve(
-        self, term: Callable[[MultiIndex, MultiIndex], Element], weighted: bool = True
+        self, term: Callable[[int, int], Element], weighted: bool = True
     ) -> Iterator[tuple[MultiIndex, Element]]:
         """Rows of the convolution whose (beta, alpha - beta) entry is ``term``.
 
         Yields ``(alpha, sum over beta <= alpha of binom(alpha, beta) *
-        term(beta, alpha - beta))`` in graded-lex order; ``weighted=False``
-        drops the binomials.  Each row is computed only when it is asked for,
-        so ``term`` may read rows the caller stored from earlier yields.
-        Every product, the inverse and the evaluation twist are this loop.
+        term(i, j))`` in graded-lex order, where i and j are the positions
+        of beta and alpha - beta in ``indices`` (and in every series'
+        ``entries``); ``weighted=False`` drops the binomials.  The pairs and
+        weights come from the shape's ``Plan``.  Each row is computed only
+        when it is asked for, so ``term`` may read rows the caller stored
+        from earlier yields.  Every product, the inverse and the evaluation
+        twist are this loop.
         """
         K = self.coeff_ring
-        add, mul = K.add, K.mul
-        for alpha in self.indices:
-            acc = K.zero()
-            for beta in iter_dominated(alpha):
-                value = term(beta, alpha - beta)
-                if weighted:
-                    w = alpha.binomial(beta)
-                    if w != 1:
-                        value = mul(K.embed_int(w), value)
+        add, mul, zero = K.add, K.mul, K.zero
+        plan = self.plan
+        scale = {w: K.embed_int(w) for w in plan.weights} if weighted else {}
+        for alpha, row in zip(plan.indices, plan.rows):
+            acc = zero()
+            for i, j, w in row:
+                value = term(i, j)
+                if w in scale:
+                    value = mul(scale[w], value)
                 acc = add(acc, value)
             yield alpha, acc
 
     def mul(self, a: HurwitzSeries, b: HurwitzSeries) -> HurwitzSeries:
         self._check_pair(a, b)
-        mul, x, y = self.coeff_ring.mul, a.coeffs, b.coeffs
-        rows = self.convolve(lambda beta, rest: mul(x[beta], y[rest]))
-        return self.from_table(dict(rows), min(a.valid, b.valid))
+        mul, x, y = self.coeff_ring.mul, a.entries, b.entries
+        rows = self.convolve(lambda i, j: mul(x[i], y[j]))
+        return self._from_entries((c for _, c in rows), min(a.valid, b.valid))
 
     def cauchy_mul(self, a: HurwitzSeries, b: HurwitzSeries) -> HurwitzSeries:
         """Plain convolution, the product of the divided reading.
@@ -210,9 +301,9 @@ class HurwitzRing(Ring):
         sense over any coefficient ring.
         """
         self._check_pair(a, b)
-        mul, x, y = self.coeff_ring.mul, a.coeffs, b.coeffs
-        rows = self.convolve(lambda beta, rest: mul(x[beta], y[rest]), weighted=False)
-        return self.from_table(dict(rows), min(a.valid, b.valid))
+        mul, x, y = self.coeff_ring.mul, a.entries, b.entries
+        rows = self.convolve(lambda i, j: mul(x[i], y[j]), weighted=False)
+        return self._from_entries((c for _, c in rows), min(a.valid, b.valid))
 
     def eq(self, a: HurwitzSeries, b: HurwitzSeries) -> bool:
         """Exact table equality over the whole truncation box.
@@ -221,8 +312,7 @@ class HurwitzRing(Ring):
         use ``agree`` for the comparison that respects it.
         """
         self._check_pair(a, b)
-        K = self.coeff_ring
-        return all(K.eq(a.coeffs[alpha], b.coeffs[alpha]) for alpha in self.indices)
+        return all(map(self.coeff_ring.eq, a.entries, b.entries))
 
     def agree(self, a: HurwitzSeries, b: HurwitzSeries) -> bool:
         return self.agree_up_to(a, b, min(a.valid, b.valid))
@@ -234,11 +324,10 @@ class HurwitzRing(Ring):
             raise ValueError(
                 f"comparison order {order} exceeds valid orders {a.valid}, {b.valid}"
             )
-        K = self.coeff_ring
-        return all(
-            K.eq(a.coeffs[alpha], b.coeffs[alpha])
-            for alpha in enumerate_upto(self.width, order)
-        )
+        if order < 0:
+            raise ValueError(f"comparison order {order} is negative")
+        n = count_upto(self.width, order)
+        return all(map(self.coeff_ring.eq, a.entries[:n], b.entries[:n]))
 
     def embed_int(self, n: int) -> HurwitzSeries:
         return self.embed(self.coeff_ring.embed_int(n))
@@ -277,30 +366,37 @@ class HurwitzRing(Ring):
         c0inv = K.try_invert(a.constant_term())
         if c0inv is None:
             raise NotUnitError("not a unit: constant term is zero")
+        x = a.entries
 
-        def term(beta: MultiIndex, rest: MultiIndex) -> Element:
-            # the beta = 0 term pairs a's constant with the unknown itself
-            return K.zero() if beta.is_zero() else K.mul(a.coeffs[beta], table[rest])
+        def term(i: int, j: int) -> Element:
+            # the beta = 0 term (position 0) pairs a's constant with the unknown itself
+            return K.zero() if i == 0 else K.mul(x[i], table[j])
 
-        table: dict[MultiIndex, Element] = {}
-        for alpha, acc in self.convolve(term):
-            table[alpha] = c0inv if alpha.is_zero() else K.neg(K.mul(c0inv, acc))
-        return self.from_table(table, a.valid)
+        table: list[Element] = []
+        for _, acc in self.convolve(term):
+            table.append(K.neg(K.mul(c0inv, acc)) if table else c0inv)
+        return self._from_entries(table, a.valid)
+
+    def _shift(self, a: HurwitzSeries, slot: int, what: str) -> tuple[tuple[int, int], ...]:
+        """The shift map of ``slot``, after the checks every index derivation makes."""
+        self._check(a)
+        if a.valid <= 0:
+            raise TruncationError(f"{what} exhausts truncation: no valid grades left")
+        if not 0 <= slot < self.width:
+            raise ValueError(f"slot {slot} out of range for width {self.width}")
+        return self.plan.shifts[slot]
+
+    def _pad(self, entries: list[Element], valid: int) -> HurwitzSeries:
+        """Complete a shifted table, which stops below the top grade, with zeros."""
+        zero = self.coeff_ring.zero()
+        missing = count_upto(self.width, self.trunc) - len(entries)
+        return self._from_entries(entries + [zero] * missing, valid)
 
     def shift_derive(self, a: HurwitzSeries, slot: int) -> HurwitzSeries:
         """Pull every coefficient down one step in ``slot``; costs one grade."""
-        self._check(a)
-        if a.valid <= 0:
-            raise TruncationError(
-                "shift derivation exhausts truncation: no valid grades left"
-            )
-        unit = MultiIndex.unit(self.width, slot)
-        K = self.coeff_ring
-        table = {
-            alpha: a.coeffs[alpha + unit] if alpha.degree < self.trunc else K.zero()
-            for alpha in self.indices
-        }
-        return self.from_table(table, a.valid - 1)
+        shift = self._shift(a, slot, "shift derivation")
+        x = a.entries
+        return self._pad([x[q] for q, _ in shift], a.valid - 1)
 
     def coeff_derive(
         self, a: HurwitzSeries, delta: Sequence[Derivation], slot: int
@@ -309,29 +405,13 @@ class HurwitzRing(Ring):
         self._check(a)
         if not 0 <= slot < len(delta):
             raise ValueError(f"slot {slot} out of range for {len(delta)} derivations")
-        d = delta[slot]
-        return self.from_table(
-            {alpha: d(a.coeffs[alpha]) for alpha in self.indices}, a.valid
-        )
+        return self._from_entries(map(delta[slot], a.entries), a.valid)
 
     def formal_derive(self, a: HurwitzSeries, slot: int) -> HurwitzSeries:
         """Ordinary partial derivative in the divided-power reading."""
-        self._check(a)
-        if a.valid <= 0:
-            raise TruncationError(
-                "formal derivative exhausts truncation: no valid grades left"
-            )
-        unit = MultiIndex.unit(self.width, slot)
-        K = self.coeff_ring
-        table = {
-            alpha: (
-                K.mul(K.embed_int(alpha[slot] + 1), a.coeffs[alpha + unit])
-                if alpha.degree < self.trunc
-                else K.zero()
-            )
-            for alpha in self.indices
-        }
-        return self.from_table(table, a.valid - 1)
+        shift = self._shift(a, slot, "formal derivative")
+        K, x = self.coeff_ring, a.entries
+        return self._pad([K.mul(K.embed_int(k), x[q]) for q, k in shift], a.valid - 1)
 
     def _factorial_inverse(self, n: int) -> Element:
         inv = self.coeff_ring.try_invert(self.coeff_ring.embed_int(n))
@@ -356,24 +436,21 @@ class HurwitzRing(Ring):
         self.require_divided()
         K = self.coeff_ring
         cache: dict[int, Element] = {1: K.one()}
-        table: dict[MultiIndex, Element] = {}
-        for alpha in self.indices:
-            f = alpha.factorial()
+        entries = []
+        for f, c in zip(self.plan.factorials, a.entries):
             if f not in cache:
                 cache[f] = self._factorial_inverse(f)
-            table[alpha] = K.mul(cache[f], a.coeffs[alpha])
-        return self.from_table(table, a.valid)
+            entries.append(K.mul(cache[f], c))
+        return self._from_entries(entries, a.valid)
 
     def from_divided(self, a: HurwitzSeries) -> HurwitzSeries:
         """Multiply coefficient alpha by alpha factorial; inverse of to_divided."""
         self._check(a)
         K = self.coeff_ring
-        table = {
-            alpha: K.mul(K.embed_int(alpha.factorial()), a.coeffs[alpha])
-            for alpha in self.indices
-        }
-        return self.from_table(table, a.valid)
-
+        return self._from_entries(
+            (K.mul(K.embed_int(f), c) for f, c in zip(self.plan.factorials, a.entries)),
+            a.valid,
+        )
     def differential_structure(
         self, delta: Sequence[Derivation] | None = None, divided: bool = False
     ) -> DifferentialRing:
@@ -409,8 +486,9 @@ class HurwitzRing(Ring):
         return a
 
     def sample(self, rng, degree: int = 2) -> HurwitzSeries:
-        return self.from_table(
-            {alpha: self.coeff_ring.sample(rng, degree) for alpha in self.indices}
+        K = self.coeff_ring
+        return self._from_entries(
+            [K.sample(rng, degree) for _ in self.indices], self.trunc
         )
 
     def to_json(self) -> dict:
@@ -425,8 +503,7 @@ class HurwitzRing(Ring):
 def series_to_json(a: HurwitzSeries) -> dict:
     """Wire form: graded-lex coefficient list, zero coefficients omitted."""
     coeffs = []
-    for alpha in enumerate_upto(a.width, a.trunc):
-        c = a.coeffs[alpha]
+    for alpha, c in zip(enumerate_upto(a.width, a.trunc), a.entries):
         if not a.ring.is_zero(c):
             coeffs.append([list(alpha.entries), a.ring.render(c)])
     return {

@@ -29,8 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .hurwitz import HurwitzRing, HurwitzSeries
-from .multiindex import MultiIndex, enumerate_upto
+from .hurwitz import HurwitzRing, HurwitzSeries, plan_for
+from .multiindex import MultiIndex, count_upto
 from .rings import (
     Derivation,
     DifferentialRing,
@@ -79,26 +79,31 @@ class MorphismSpec:
 def derivative_table(
     structure: DifferentialRing, a: Element, upto: int
 ) -> dict[MultiIndex, Element]:
-    """All iterated derivatives of ``a`` with order degree <= upto.
+    """All iterated derivatives of ``a`` with order degree <= upto."""
+    plan = plan_for(structure.width, upto)
+    return dict(zip(plan.indices, _derivatives(structure, a, plan.parents)))
 
-    Graded-lex enumeration guarantees each index extends an already computed
-    one by a single slot, so every value is derived exactly once.
+
+def _derivatives(
+    structure: DifferentialRing, a: Element, parents: Sequence[tuple[int, int]]
+) -> list[Element]:
+    """Iterated derivatives of ``a`` by position: ``a``, then one per parent.
+
+    Graded-lex order puts each index after its parent (the index with one
+    step less in its first nonzero slot), so every value is derived exactly
+    once, from an already computed one.
     """
-    table = {MultiIndex.zero(structure.width): a}
-    for alpha in enumerate_upto(structure.width, upto):
-        if alpha.is_zero():
-            continue
-        slot = next(i for i, e in enumerate(alpha) if e)
-        table[alpha] = structure.derive(table[alpha - MultiIndex.unit(alpha.width, slot)], slot)
-    return table
+    values = [a]
+    for q, slot in parents:
+        values.append(structure.derive(values[q], slot))
+    return values
 
 
 def _raw_series(spec: MorphismSpec, a: Element) -> HurwitzSeries:
     """Coefficient beta is phi of the beta-th source derivative of ``a``."""
-    table = derivative_table(spec.source, a, spec.trunc)
-    return spec.target.from_table(
-        {beta: spec.phi(v) for beta, v in table.items()}, spec.trunc
-    )
+    H = spec.target
+    derived = _derivatives(spec.source, a, H.plan.parents)
+    return H._from_entries(map(spec.phi, derived), spec.trunc)
 
 
 def _require_constant_coefficients(spec: MorphismSpec, raw: HurwitzSeries) -> None:
@@ -154,12 +159,16 @@ def ev_twist(a: HurwitzSeries, family: Sequence[Derivation]) -> HurwitzSeries:
     K = a.ring
     H = HurwitzRing(K, a.width, a.trunc)
     structure = DifferentialRing(K, tuple(family))
-    tables = {
-        beta: derivative_table(structure, a.coeffs[beta], a.trunc - beta.degree)
-        for beta in H.indices
-    }
-    rows = H.convolve(lambda gamma, rest: tables[rest][gamma])
-    return H.from_table(dict(rows), a.valid)
+    plan = H.plan
+    # position j needs family^gamma of its coefficient for |gamma| <= trunc - |alpha_j|
+    tables = [
+        _derivatives(
+            structure, c, plan.parents[: count_upto(a.width, a.trunc - alpha.degree) - 1]
+        )
+        for alpha, c in zip(plan.indices, a.entries)
+    ]
+    rows = H.convolve(lambda i, j: tables[j][i])
+    return H._from_entries((c for _, c in rows), a.valid)
 
 
 def ev_untwist(a: HurwitzSeries, family: Sequence[Derivation]) -> HurwitzSeries:

@@ -149,6 +149,18 @@ class TestMutationsAreCaught:
         report = run_check("twist-composition", cfg)
         assert report.status == "fail"
 
+    def test_binomial_swaps_never_reuse_a_stale_plan(self, monkeypatch):
+        # convolution plans are cached per shape with the binomial they were
+        # weighted by: neither the true nor the inflated weights may outlive
+        # a swap, whatever ran before
+        cfg = CheckConfig(seed=0, instances=8, width_max=2, trunc=4)
+        statuses = [run_check("twist-composition", cfg).status]
+        with monkeypatch.context() as patch:
+            _inflate_binomials(patch)
+            statuses.append(run_check("twist-composition", cfg).status)
+        statuses.append(run_check("twist-composition", cfg).status)
+        assert statuses == ["pass", "fail", "pass"]
+
     def test_failure_reports_serialize_and_stay_deterministic(self, monkeypatch):
         monkeypatch.setattr(HurwitzRing, "mul", _unweighted_mul)
         cfg = CheckConfig(checks=("char-p-nilpotency",), instances=3, trunc=4)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections.abc import Mapping
 from fractions import Fraction
 
 import pytest
@@ -11,11 +12,12 @@ from hypothesis import strategies as st
 
 from hwtaylor.hurwitz import (
     HurwitzRing,
+    HurwitzSeries,
     TruncationError,
     series_from_json,
     series_to_json,
 )
-from hwtaylor.multiindex import MultiIndex, iter_dominated
+from hwtaylor.multiindex import MultiIndex, count_upto, iter_dominated
 from hwtaylor.rings import (
     QQ,
     DomainError,
@@ -23,7 +25,10 @@ from hwtaylor.rings import (
     NotUnitError,
     PolynomialRing,
     PrimeField,
+    constant_structure,
+    differential_polynomial_carrier,
 )
+from hwtaylor.taylor import MorphismSpec, ev_twist, ev_untwist, twisted_hurwitz
 
 from oracles import FRACTION_OPS, fp_ops, hurwitz_product, tuples_upto
 
@@ -45,6 +50,18 @@ class TestConstruction:
         assert t1.coeff(MultiIndex.of(0, 1)) == Fraction(1)
         assert t1.coeff(MultiIndex.of(0, 0)) == Fraction(0)
         assert H.ev(H.embed(Fraction(5))) == Fraction(5)
+
+    def test_storage_contract(self):
+        H = HurwitzRing(PrimeField(5), 3, 4)
+        a = H.sample(random.Random(19))
+        assert isinstance(a.coeffs, Mapping)
+        assert list(a.coeffs) == list(H.indices)
+        assert list(a.coeffs.values()) == list(a.entries)
+        assert len(a.coeffs) == count_upto(3, 4)
+        with pytest.raises(TypeError):
+            a.coeffs[MultiIndex.of(0, 0, 0)] = 1
+        with pytest.raises(ValueError, match="does not span the truncation box"):
+            HurwitzSeries(H.coeff_ring, 3, 4, 4, a.entries[:-1])
 
     def test_mixed_carrier_rejected(self):
         H1 = HurwitzRing(QQ, 1, 3)
@@ -323,6 +340,87 @@ class TestJson:
         doc = {"m": 1, "trunc": 3, "valid": 3, "ring": {"kind": "Q"}, "coeffs": []}
         a = series_from_json(doc)
         assert a.coeff(MultiIndex.of(2)) == Fraction(0)
+
+
+def _redraw_above_valid(H, a, rng):
+    """``a`` with every coefficient above its valid order drawn afresh."""
+    K = H.coeff_ring
+    return H.from_table(
+        {
+            alpha: c if alpha.degree <= a.valid else K.sample(rng)
+            for alpha, c in a.coeffs.items()
+        },
+        a.valid,
+    )
+
+
+def _valid_order_operations(H, family):
+    """Every series operation with a validity rule, as functions of (a, b)."""
+    ops = {
+        "mul": H.mul,
+        "cauchy_mul": H.cauchy_mul,
+        "ev_twist": lambda a, b: ev_twist(a, family),
+        "ev_untwist": lambda a, b: ev_untwist(a, family),
+    }
+    for slot in range(H.width):
+        ops[f"shift_derive({slot})"] = lambda a, b, s=slot: H.shift_derive(a, s)
+        ops[f"formal_derive({slot})"] = lambda a, b, s=slot: H.formal_derive(a, s)
+    if H.coeff_ring.is_field:
+        ops["invert"] = lambda a, b: H.invert(a)
+    if H.characteristic == 0:
+        ops["to_divided"] = lambda a, b: H.to_divided(a)
+    return ops
+
+
+class TestValidOrder:
+    """What lies above a valid order must not reach the valid grades of a result."""
+
+    def test_redrawn_high_grades_leave_valid_grades_alone(self):
+        R, F3 = PolynomialRing(QQ, ["u", "v"]), PrimeField(3)
+        cases = [
+            # fields carry no nonzero derivation; doubling stands in for the
+            # twisting family, whose action on coefficients validity ignores
+            (HurwitzRing(QQ, 3, 4), [lambda x: QQ.add(x, x)] * 3),
+            (HurwitzRing(F3, 2, 5), [lambda x: F3.add(x, x)] * 2),
+            (HurwitzRing(R, 2, 4), [R.derivation(["1", "0"]), R.derivation(["0", "v"])]),
+        ]
+        rng = random.Random(20)
+        for H, family in cases:
+            ops = _valid_order_operations(H, family)
+            for trial in range(6):
+                a, b = (
+                    H.from_table(H.sample(rng).coeffs, rng.randint(1, H.trunc - 1))
+                    for _ in range(2)
+                )
+                if H.coeff_ring.is_field and H.coeff_ring.is_zero(H.ev(a)):
+                    a = H.add(a, H.one())
+                a2, b2 = _redraw_above_valid(H, a, rng), _redraw_above_valid(H, b, rng)
+                for name, op in ops.items():
+                    got, again = op(a, b), op(a2, b2)
+                    where = f"{H!r} {name} trial {trial}"
+                    assert got.valid == again.valid, where
+                    assert H.agree_up_to(got, again, got.valid), where
+
+    def test_twisted_hurwitz_agrees_with_a_wider_truncation(self):
+        # a constructor's input has no grades above its valid order; the
+        # grades a wider truncation adds must not reach the valid ones either
+        rng = random.Random(21)
+        for base in (QQ, PrimeField(3)):
+            K = differential_polynomial_carrier(base, ["u", "v"], [["1", "0"], ["0", "v"]])
+            R = K.ring
+            for _ in range(3):
+                element = R.sample(rng, 3)
+
+                def expand(trunc, element=element):
+                    spec = MorphismSpec(
+                        source=constant_structure(R, 2), coefficients=K,
+                        phi=lambda x: x, trunc=trunc, samples=(R.one(), element),
+                    )
+                    return spec.target, twisted_hurwitz(spec, element)
+
+                H, got = expand(3)
+                _, wider = expand(5)
+                assert H.agree_up_to(got, H.from_table(wider.coeffs), got.valid)
 
 
 @st.composite
