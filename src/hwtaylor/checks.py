@@ -438,6 +438,25 @@ def _check_ring_axioms(rng: random.Random, size: Size, ordinal: int) -> Laws:
         )
     for law, lhs, rhs in pairs:
         yield _law(ring, {**inputs, "law": law}, lhs, rhs)
+    if kind == 1:
+        # a product is the sum of the products with the right factor's terms;
+        # its operands come after every other draw, so the laws above see the
+        # same instances as without it
+        x, y = _several_terms(ring, rng, size.degree), _several_terms(ring, rng, size.degree)
+        yield _law(
+            ring,
+            {**inputs, "elements": [ring.render(x), ring.render(y)], "law": "mul_term_split"},
+            ring.mul(x, y),
+            ring.sum(ring.mul(x, ring.monomial(e, c)) for e, c in y.terms),
+        )
+
+
+def _several_terms(ring: PolynomialRing, rng: random.Random, degree: int) -> Element:
+    """A sample of ``ring`` with at least two terms, redrawn until it has them."""
+    while True:
+        x = ring.sample(rng, max(degree, 1))
+        if len(x.terms) > 1:
+            return x
 
 
 @_register("derivation-axioms")

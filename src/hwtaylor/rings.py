@@ -1,11 +1,12 @@
 """Commutative ring and differential ring descriptors with exact elements.
 
 Elements are plain immutable values (``fractions.Fraction`` for rationals,
-canonical residues for prime fields, normalized term tuples for polynomials)
-and all arithmetic goes through the descriptor that owns them.  Descriptors
-never coerce between carriers: mixing elements of different rings is a caller
-bug.  Equality of elements is exact and decidable; there are no floats
-anywhere and no tolerance parameters.
+canonical residues for prime fields, and for polynomials a table of terms in
+insertion order: over ``Q`` integer numerators over one shared denominator,
+over ``F_p`` residues) and all arithmetic goes through the descriptor that
+owns them.  Descriptors never coerce between carriers: mixing elements of
+different rings is a caller bug.  Equality of elements is exact and
+decidable; there are no floats anywhere and no tolerance parameters.
 
 A ``DifferentialRing`` pairs a carrier descriptor with a tuple of commuting
 derivations.  Commutation of user-supplied polynomial derivation families is
@@ -18,6 +19,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add as _add
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .multiindex import MultiIndex
@@ -289,15 +292,50 @@ class PrimeField(Ring):
         return {"kind": "Fp", "p": self.p}
 
 
-@dataclass(frozen=True)
 class Poly:
-    """Normalized polynomial value: grlex-sorted terms, no zero coefficients.
+    """Polynomial value: a table from exponent tuples to nonzero coefficients.
 
-    Each term is (exponent tuple, coefficient).  Normalization makes the
-    dataclass equality structural equality of polynomials.
+    The table keeps its terms in the order they were inserted; no operation
+    sorts them, and graded-lex order is applied only by
+    ``PolynomialRing.render``.  Equality and hashing ignore the order.  What
+    the table holds is fixed by the ring that built the value:
+
+    * over ``Q``, integer numerators over the one positive shared
+      denominator ``den``, with no common factor among them and ``den``;
+    * over ``F_p``, residues in [1, p), and ``den`` is None;
+    * over any other base, base elements, and ``den`` is None.
+
+    Values are immutable by convention: no operation changes a table after
+    building the value around it, and callers must not either.  ``terms`` is the public view, ``(exponent tuple, base
+    element)`` pairs with ``Fraction`` coefficients over ``Q``.
     """
 
-    terms: tuple[tuple[tuple[int, ...], Element], ...]
+    __slots__ = ("table", "den", "_hash")
+
+    def __init__(self, table: dict[tuple[int, ...], Any], den: int | None = None):
+        self.table = table
+        self.den = den
+        self._hash: int | None = None
+
+    @property
+    def terms(self) -> tuple[tuple[tuple[int, ...], Element], ...]:
+        den = self.den
+        if den is None:
+            return tuple(self.table.items())
+        return tuple((e, Fraction(n, den)) for e, n in self.table.items())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Poly):
+            return NotImplemented
+        return self.den == other.den and self.table == other.table
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self.den, frozenset(self.table.items())))
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"Poly(terms={self.terms!r})"
 
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -308,7 +346,13 @@ MAX_EXPONENT = 64
 
 
 class PolynomialRing(Ring):
-    """Multivariate polynomials over an exact base ring, named generators."""
+    """Multivariate polynomials over an exact base ring, named generators.
+
+    The coefficient kernel is chosen once, from the base.  Over ``Q`` and
+    ``F_p`` every operation accumulates plain integers and normalises once
+    per result: one gcd pass over ``Q``, one reduction mod p per term over
+    ``F_p``.  Any other base goes through the base ring's own operations.
+    """
 
     is_field = False
 
@@ -324,6 +368,10 @@ class PolynomialRing(Ring):
         self.base = base
         self.generators = names
         self.characteristic = base.characteristic
+        self._rational = isinstance(base, RationalField)
+        self._modulus = base.p if isinstance(base, PrimeField) else None
+        self._integral = self._rational or self._modulus is not None
+        self._unit_den = 1 if self._rational else None
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -338,73 +386,132 @@ class PolynomialRing(Ring):
     def __repr__(self) -> str:
         return f"{self.base!r}[{', '.join(self.generators)}]"
 
+    def _reduce(self, table: Mapping[tuple[int, ...], int], den: int | None) -> Poly:
+        """The value of integers accumulated over ``den`` (``Q``) or mod p."""
+        p = self._modulus
+        if p is not None:
+            return Poly({e: r for e, n in table.items() if (r := n % p)})
+        if 0 in table.values():
+            table = {e: n for e, n in table.items() if n}
+        if den != 1:
+            g = gcd(den, *table.values())
+            if g != 1:
+                table = {e: n // g for e, n in table.items()}
+                den //= g
+        return Poly(table, den)
+
     def _make(self, table: Mapping[tuple[int, ...], Element]) -> Poly:
-        items = [(e, c) for e, c in table.items() if not self.base.is_zero(c)]
-        # Graded-lex on the bare exponent tuples; same order as grlex_key.
-        if len(items) > 1:
-            items.sort(key=lambda t: (sum(t[0]), tuple(-e for e in t[0])))
-        return Poly(tuple(items))
+        """The value of a table of base elements; zero entries are dropped."""
+        if self._rational:
+            den = lcm(*(c.denominator for c in table.values()))
+            return self._reduce(
+                {e: c.numerator * (den // c.denominator) for e, c in table.items()}, den
+            )
+        if self._integral:
+            return self._reduce(table, None)
+        return Poly({e: c for e, c in table.items() if not self.base.is_zero(c)})
+
+    def monomial(self, exps: tuple[int, ...], c: Element) -> Poly:
+        """The single term ``c * u^exps`` for a base element ``c``."""
+        if len(exps) != len(self.generators):
+            raise ValueError(f"need {len(self.generators)} exponents, got {len(exps)}")
+        return self._make({tuple(exps): c})
 
     def constant(self, c: Element) -> Poly:
-        if self.base.is_zero(c):
-            return Poly(())
-        return Poly((((0,) * len(self.generators), c),))
+        return self.monomial((0,) * len(self.generators), c)
 
     def gen(self, name: str) -> Poly:
         slot = self.generators.index(name)
         exps = tuple(1 if i == slot else 0 for i in range(len(self.generators)))
-        return Poly(((exps, self.base.one()),))
+        return self.monomial(exps, self.base.one())
 
     def zero(self) -> Poly:
-        return Poly(())
+        return Poly({}, self._unit_den)
 
     def one(self) -> Poly:
         return self.constant(self.base.one())
 
     def add(self, a: Poly, b: Poly) -> Poly:
-        table: dict[tuple[int, ...], Element] = dict(a.terms)
-        for exps, c in b.terms:
-            table[exps] = self.base.add(table[exps], c) if exps in table else c
-        return self._make(table)
+        if not b.table:
+            return a
+        if not a.table:
+            return b
+        if not self._integral:
+            base_add = self.base.add
+            table = dict(a.table)
+            for e, c in b.table.items():
+                table[e] = base_add(table[e], c) if e in table else c
+            return self._make(table)
+        da, db = a.den, b.den
+        if da == db:
+            table = dict(a.table)
+            get = table.get
+            for e, n in b.table.items():
+                table[e] = get(e, 0) + n
+            return self._reduce(table, da)
+        g = gcd(da, db)
+        sa, sb = db // g, da // g
+        table = {e: n * sa for e, n in a.table.items()}
+        get = table.get
+        for e, n in b.table.items():
+            table[e] = get(e, 0) + n * sb
+        return self._reduce(table, da * sa)
 
     def neg(self, a: Poly) -> Poly:
-        return Poly(tuple((e, self.base.neg(c)) for e, c in a.terms))
+        if self._rational:
+            return Poly({e: -n for e, n in a.table.items()}, a.den)
+        p = self._modulus
+        if p is not None:
+            return Poly({e: p - n for e, n in a.table.items()})
+        return Poly({e: self.base.neg(c) for e, c in a.table.items()})
 
     def mul(self, a: Poly, b: Poly) -> Poly:
-        table: dict[tuple[int, ...], Element] = {}
-        for ea, ca in a.terms:
-            for eb, cb in b.terms:
-                key = tuple(x + y for x, y in zip(ea, eb))
-                prod = self.base.mul(ca, cb)
-                table[key] = self.base.add(table[key], prod) if key in table else prod
-        return self._make(table)
+        if not self._integral:
+            base_add, base_mul = self.base.add, self.base.mul
+            table: dict[tuple[int, ...], Element] = {}
+            for ea, ca in a.table.items():
+                for eb, cb in b.table.items():
+                    key = tuple(map(_add, ea, eb))
+                    prod = base_mul(ca, cb)
+                    table[key] = base_add(table[key], prod) if key in table else prod
+            return self._make(table)
+        table = {}
+        get = table.get
+        right = b.table.items()
+        for ea, ca in a.table.items():
+            for eb, cb in right:
+                key = tuple(map(_add, ea, eb))
+                table[key] = get(key, 0) + ca * cb
+        return self._reduce(table, a.den * b.den if self._rational else None)
 
     def eq(self, a: Poly, b: Poly) -> bool:
         return a == b
 
     def is_zero(self, a: Poly) -> bool:
-        return not a.terms
+        return not a.table
 
     def embed_int(self, n: int) -> Poly:
+        if self._integral:
+            return self._reduce({(0,) * len(self.generators): n}, self._unit_den)
         return self.constant(self.base.embed_int(n))
 
     def try_invert(self, a: Poly) -> Poly | None:
-        if not a.terms:
+        terms = a.terms
+        if len(terms) != 1 or any(terms[0][0]):
             return None
-        if len(a.terms) > 1 or any(a.terms[0][0]):
-            return None
-        inv = self.base.try_invert(a.terms[0][1])
+        inv = self.base.try_invert(terms[0][1])
         return None if inv is None else self.constant(inv)
 
     def degree(self, a: Poly) -> int:
         """Total degree; -1 for the zero polynomial."""
-        return max((sum(e) for e, _ in a.terms), default=-1)
+        return max(map(sum, a.table), default=-1)
 
     def render(self, a: Poly) -> str:
-        if not a.terms:
+        """Terms by descending degree, and within a degree ascending exponents."""
+        if not a.table:
             return "0"
         parts: list[str] = []
-        for exps, coeff in reversed(a.terms):
+        for exps, coeff in sorted(a.terms, key=lambda t: (-sum(t[0]), t[0])):
             factors = [
                 name if e == 1 else f"{name}^{e}"
                 for name, e in zip(self.generators, exps)
@@ -467,33 +574,74 @@ class PolynomialRing(Ring):
                 f"need {len(self.generators)} generator images, got {len(gen_images)}"
             )
         images = tuple(self.parse(g) if isinstance(g, str) else g for g in gen_images)
+        if base_derivation is not None or not self._integral:
+            return self._base_derivation(images, base_derivation)
+
+        # d(c * u^e) = sum over j of c * e_j * u^(e - unit_j) * images[j]: per
+        # generator, the exponent steps (image exponents minus unit_j) and
+        # numerators over the images' common denominator
+        common = lcm(*(g.den for g in images)) if self._rational else None
+        steps = tuple(
+            tuple(
+                (
+                    tuple(x - 1 if i == j else x for i, x in enumerate(e)),
+                    n * (common // g.den) if self._rational else n,
+                )
+                for e, n in g.table.items()
+            )
+            for j, g in enumerate(images)
+        )
+
+        def derive(a: Poly) -> Poly:
+            table: dict[tuple[int, ...], int] = {}
+            get = table.get
+            for exps, n in a.table.items():
+                for j, e in enumerate(exps):
+                    if e:
+                        f = n * e
+                        for step, m in steps[j]:
+                            key = tuple(map(_add, exps, step))
+                            table[key] = get(key, 0) + f * m
+            return self._reduce(table, a.den * common if self._rational else None)
+
+        return derive
+
+    def _base_derivation(
+        self, images: tuple[Poly, ...], base_derivation: Derivation | None
+    ) -> Derivation:
+        """``derivation`` through the base ring's operations."""
+        base = self.base
 
         def derive(a: Poly) -> Poly:
             table: dict[tuple[int, ...], Element] = {}
 
             def accumulate(exps: tuple[int, ...], c: Element) -> None:
-                table[exps] = self.base.add(table[exps], c) if exps in table else c
+                table[exps] = base.add(table[exps], c) if exps in table else c
 
             for exps, coeff in a.terms:
                 if base_derivation is not None:
                     dc = base_derivation(coeff)
-                    if not self.base.is_zero(dc):
+                    if not base.is_zero(dc):
                         accumulate(exps, dc)
                 for j, e in enumerate(exps):
                     if e == 0:
                         continue
                     lowered = tuple(x - 1 if i == j else x for i, x in enumerate(exps))
-                    factor = self.base.mul(coeff, self.base.embed_int(e))
+                    factor = base.mul(coeff, base.embed_int(e))
                     for iexps, icoeff in images[j].terms:
                         key = tuple(x + y for x, y in zip(lowered, iexps))
-                        accumulate(key, self.base.mul(factor, icoeff))
+                        accumulate(key, base.mul(factor, icoeff))
             return self._make(table)
 
         return derive
 
 
 def _parse_poly(ring: PolynomialRing, text: str) -> Poly:
-    """Parse ``2*u^2*v - 1/3*u + 4`` style strings into normalized polynomials."""
+    """Parse ``2*u^2*v - 1/3*u + 4`` style strings into normalized polynomials.
+
+    Without parentheses every term is a monomial, so each is folded into one
+    coefficient and one exponent tuple and the polynomial is built once.
+    """
     tokens = re.findall(r"\d+/\d+|\d+|[A-Za-z_][A-Za-z0-9_]*|[-+*^]|\S", text)
     bad = [t for t in tokens if not re.fullmatch(r"\d+/\d+|\d+|[A-Za-z_][A-Za-z0-9_]*|[-+*^]", t)]
     if bad:
@@ -509,17 +657,21 @@ def _parse_poly(ring: PolynomialRing, text: str) -> Poly:
         pos += 1
         return tok
 
-    def parse_factor() -> Poly:
+    base, width = ring.base, len(ring.generators)
+    table: dict[tuple[int, ...], Element] = {}
+
+    def parse_factor(coeff: Element, exps: list[int]) -> Element:
+        """Fold one factor into a term's coefficient and exponents."""
         tok = peek()
         if tok is None:
             raise ValueError(f"unexpected end of input in {text!r}")
         if re.fullmatch(r"\d+/\d+|\d+", tok):
-            return ring.constant(ring.base.parse(take()))
+            return base.mul(coeff, base.parse(take()))
         if _NAME_RE.fullmatch(tok):
             name = take()
             if name not in ring.generators:
                 raise ValueError(f"unknown generator {name!r} in {text!r}")
-            p = ring.gen(name)
+            n = 1
             if peek() == "^":
                 take()
                 exp_tok = peek()
@@ -528,30 +680,32 @@ def _parse_poly(ring: PolynomialRing, text: str) -> Poly:
                 n = int(take())
                 if n > MAX_EXPONENT:
                     raise ValueError(f"exponent {n} exceeds {MAX_EXPONENT} in {text!r}")
-                p = ring.pow(p, n)
-            return p
+            exps[ring.generators.index(name)] += n
+            return coeff
         raise ValueError(f"unexpected token {tok!r} in {text!r}")
 
-    def parse_term() -> Poly:
-        acc = parse_factor()
+    def parse_term(negative: bool) -> None:
+        """Add one ``factor * factor * ...`` monomial to the table."""
+        exps = [0] * width
+        coeff = parse_factor(base.one(), exps)
         while peek() == "*":
             take()
-            acc = ring.mul(acc, parse_factor())
-        return acc
+            coeff = parse_factor(coeff, exps)
+        if negative:
+            coeff = base.neg(coeff)
+        key = tuple(exps)
+        table[key] = base.add(table[key], coeff) if key in table else coeff
 
-    acc = ring.zero()
-    sign = 1
+    negative = False
     if peek() in {"+", "-"}:
-        sign = -1 if take() == "-" else 1
-    term = parse_term()
-    acc = ring.add(acc, ring.neg(term) if sign < 0 else term)
+        negative = take() == "-"
+    parse_term(negative)
     while peek() is not None:
         op = take()
         if op not in {"+", "-"}:
             raise ValueError(f"expected + or - but found {op!r} in {text!r}")
-        term = parse_term()
-        acc = ring.add(acc, ring.neg(term) if op == "-" else term)
-    return acc
+        parse_term(op == "-")
+    return ring._make(table)
 
 
 @dataclass(frozen=True, eq=False)

@@ -169,3 +169,65 @@ def twisted_divided_coeff(
             t = ops.neg(t)
         acc = ops.add(acc, t)
     return divide(acc, tuple_factorial(alpha))
+
+
+# Polynomials as plain dicts from exponent tuples to coefficients (Fraction or
+# residue, per ``ops``), zero coefficients dropped.
+
+
+def _nonzero(table: Mapping[tuple[int, ...], Any], ops: Ops) -> dict[tuple[int, ...], Any]:
+    return {e: c for e, c in table.items() if c != ops.zero}
+
+
+def poly_add(a: Mapping, b: Mapping, ops: Ops) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = ops.add(out.get(e, ops.zero), c)
+    return _nonzero(out, ops)
+
+
+def poly_neg(a: Mapping, ops: Ops) -> dict:
+    return {e: ops.neg(c) for e, c in a.items()}
+
+
+def poly_mul(a: Mapping, b: Mapping, ops: Ops) -> dict:
+    out: dict = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = ops.add(out.get(e, ops.zero), ops.mul(ca, cb))
+    return _nonzero(out, ops)
+
+
+def poly_pow(a: Mapping, n: int, width: int, ops: Ops) -> dict:
+    out = _nonzero({(0,) * width: ops.embed(1)}, ops)
+    for _ in range(n):
+        out = poly_mul(out, a, ops)
+    return out
+
+
+def poly_derive(a: Mapping, images: Sequence[Mapping], ops: Ops) -> dict:
+    """The derivation sending generator j to ``images[j]``, term by term.
+
+    Each monomial u^e is written as a product of single generators and
+    differentiated one factor at a time, without the power rule.
+    """
+    out: dict = {}
+    for e, c in a.items():
+        factors = [j for j, k in enumerate(e) for _ in range(k)]
+        for pos, j in enumerate(factors):
+            rest = [0] * len(e)
+            for other in factors[:pos] + factors[pos + 1 :]:
+                rest[other] += 1
+            for ie, ic in images[j].items():
+                key = tuple(x + y for x, y in zip(rest, ie))
+                out[key] = ops.add(out.get(key, ops.zero), ops.mul(c, ic))
+    return _nonzero(out, ops)
+
+
+def poly_invert(a: Mapping, width: int, inverse: Callable[[Any], Any]) -> dict | None:
+    """Units of a polynomial ring over a field are the nonzero constants."""
+    zero_exps = (0,) * width
+    if list(a) != [zero_exps]:
+        return None
+    return {zero_exps: inverse(a[zero_exps])}

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hwtaylor
 from hwtaylor.cli import main
 from hwtaylor.hurwitz import HurwitzRing
 from hwtaylor.multiindex import iter_dominated
@@ -425,3 +430,46 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             entry()
         assert exc.value.code == 0
+
+
+def qpoly_diffpoly_doc(trunc=4):
+    """A Q[u,v] diffpoly problem with the family d/du, v*d/dv and mixed denominators."""
+    values = [
+        [var, [i, j], f"{i + 1}/{j + 2}*u^{var + 1} - {j}*u*v + 1/{i + j + 1}*v^2"]
+        for var in range(2)
+        for i in range(trunc + 2)
+        for j in range(trunc + 2 - i)
+    ]
+    return {
+        "ring": {"kind": "poly", "generators": ["u", "v"], "derivations": [{"u": "1"}, {"v": "v"}]},
+        "m": 2,
+        "trunc": trunc,
+        "source": {"kind": "diffpoly", "vars": ["x", "y"]},
+        "phi": {"values": values},
+        "morphism": "twisted_hurwitz",
+        "element": [
+            {"coeff": "-1/2", "monomial": [[0, [0, 0], 1], [1, [0, 1], 1]]},
+            {"coeff": "u", "monomial": [[0, [1, 0], 2]]},
+            {"coeff": "2/3*v", "monomial": [[1, [0, 0], 1]]},
+        ],
+    }
+
+
+class TestHashSeed:
+    """Output bytes do not depend on hash order: polynomial terms are stored
+    in insertion order and put in graded-lex order only when rendered."""
+
+    def run(self, args, hash_seed):
+        src = str(Path(hwtaylor.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONHASHSEED": str(hash_seed), "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-m", "hwtaylor", *args],
+            env=env, capture_output=True, text=True, timeout=300, check=True,
+        )
+        return done.stdout
+
+    def test_check_and_expand_stdout_do_not_depend_on_the_hash_seed(self, tmp_path):
+        spec = write_spec(tmp_path, qpoly_diffpoly_doc())
+        for args in (["check", "--seed", "0", "--instances", "4"], ["expand", "--spec", spec]):
+            outputs = [self.run(args, seed) for seed in (0, 1)]
+            assert outputs[0] and outputs[0] == outputs[1], args
