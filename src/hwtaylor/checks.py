@@ -58,6 +58,10 @@ class UnknownCheckError(ValueError):
     """A config named a check that is not registered."""
 
 
+# Largest polynomial coefficient degree a check configuration may ask for.
+MAX_COEFF_DEGREE = 6
+
+
 @dataclass(frozen=True)
 class CheckConfig:
     """Knobs for a suite run; every field has a deterministic effect."""
@@ -76,8 +80,8 @@ class CheckConfig:
             raise ValueError(f"width_max must be between 1 and {MAX_WIDTH}")
         if not 1 <= self.trunc <= MAX_TRUNC:
             raise ValueError(f"trunc must be between 1 and {MAX_TRUNC}")
-        if not 0 <= self.coeff_degree <= 6:
-            raise ValueError("coeff_degree must be between 0 and 6")
+        if not 0 <= self.coeff_degree <= MAX_COEFF_DEGREE:
+            raise ValueError(f"coeff_degree must be between 0 and {MAX_COEFF_DEGREE}")
         if self.checks is not None:
             unknown = [name for name in self.checks if name not in _CHECKS]
             if unknown:

@@ -31,6 +31,7 @@ from functools import partial
 from typing import Any, Callable
 
 from .checks import (
+    MAX_COEFF_DEGREE,
     CheckConfig,
     UnknownCheckError,
     reports_to_jsonl,
@@ -48,6 +49,9 @@ from .rings import (
     PrimeField,
     Ring,
     _expect_int,
+    _expect_object,
+    _expect_string,
+    _field,
     _reject_unknown,
     constant_structure,
     ring_from_json,
@@ -75,24 +79,6 @@ def _canonical(doc: Any) -> str:
 
 # ---------------------------------------------------------------------------
 # problem documents
-
-
-def _expect_object(doc: Any, path: str) -> dict:
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: expected an object")
-    return doc
-
-
-def _field(doc: dict, key: str, path: str) -> Any:
-    if key not in doc:
-        raise ValueError(f"{path}.{key}: missing")
-    return doc[key]
-
-
-def _expect_string(value: Any, path: str) -> str:
-    if not isinstance(value, str):
-        raise ValueError(f"{path}: expected a string")
-    return value
 
 
 def _parse_family(ring: Ring, rows: Any, width: int, path: str) -> DifferentialRing:
@@ -223,34 +209,45 @@ def load_problem(
 # subcommands
 
 
-def _write_output(text: str, out: str | None) -> None:
+def _read_json(path: str) -> Any:
+    """The JSON document in ``path``; every failure is a ValueError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8: {exc}") from exc
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
+def _write_output(text: str, out: str | None) -> int:
+    """Write ``text`` to ``out`` (stdout when None); 2 when it cannot be written."""
     if out is None:
         sys.stdout.write(text)
-    else:
+        return 0
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
+        return 2
+    return 0
 
 
 def cmd_expand(args: argparse.Namespace) -> int:
     try:
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        print(f"error: cannot read {args.spec}: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: {args.spec}: not valid JSON: {exc}", file=sys.stderr)
-        return 2
-    try:
-        series = load_problem(doc, trunc_override=args.trunc_override)()
+        series = load_problem(_read_json(args.spec), trunc_override=args.trunc_override)()
     except DomainError as exc:
         print(f"error: out of domain: {exc}", file=sys.stderr)
         return 3
     except (UncoveredSymbolError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _write_output(_canonical(series_to_json(series)) + "\n", args.out)
-    return 0
+    return _write_output(_canonical(series_to_json(series)) + "\n", args.out)
 
 
 _CONFIG_FIELDS = {"seed", "checks", "instances", "m_max", "trunc", "coeff_degree"}
@@ -259,9 +256,7 @@ _CONFIG_FIELDS = {"seed", "checks", "instances", "m_max", "trunc", "coeff_degree
 def _load_check_config(args: argparse.Namespace) -> CheckConfig:
     doc: dict = {}
     if args.config is not None:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        _expect_object(doc, "config")
+        doc = _expect_object(_read_json(args.config), "config")
         _reject_unknown(doc, _CONFIG_FIELDS, "config")
     kwargs: dict = {}
     if "seed" in doc:
@@ -273,7 +268,9 @@ def _load_check_config(args: argparse.Namespace) -> CheckConfig:
     if "trunc" in doc:
         kwargs["trunc"] = _expect_int(doc["trunc"], "config.trunc", 1, MAX_TRUNC)
     if "coeff_degree" in doc:
-        kwargs["coeff_degree"] = _expect_int(doc["coeff_degree"], "config.coeff_degree", 0, 6)
+        kwargs["coeff_degree"] = _expect_int(
+            doc["coeff_degree"], "config.coeff_degree", 0, MAX_COEFF_DEGREE
+        )
     if "checks" in doc:
         names = doc["checks"]
         if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
@@ -291,17 +288,12 @@ def _load_check_config(args: argparse.Namespace) -> CheckConfig:
 def cmd_check(args: argparse.Namespace) -> int:
     try:
         config = _load_check_config(args)
-    except OSError as exc:
-        print(f"error: cannot read {args.config}: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: {args.config}: not valid JSON: {exc}", file=sys.stderr)
-        return 2
     except (UnknownCheckError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     reports = run_suite(config)
-    _write_output(reports_to_jsonl(reports), args.out)
+    if _write_output(reports_to_jsonl(reports), args.out):
+        return 2
     for report in reports:
         print(
             f"{report.check_name}: {report.status} "

@@ -26,6 +26,8 @@ from .rings import (
     Ring,
     RingError,
     _expect_int,
+    _expect_object,
+    _expect_string,
     _reject_unknown,
 )
 
@@ -335,15 +337,13 @@ class DiffPolyRing(Ring):
         table: dict[Monomial, Element] = {}
         for pos, item in enumerate(doc):
             where = f"{path}[{pos}]"
-            if not isinstance(item, dict):
-                raise ValueError(f"{where}: expected an object")
+            _expect_object(item, where)
             _reject_unknown(item, {"coeff", "monomial"}, where)
             if "coeff" not in item or "monomial" not in item:
                 raise ValueError(f"{where}: needs coeff and monomial")
-            if not isinstance(item["coeff"], str):
-                raise ValueError(f"{where}.coeff: expected a string")
+            text = _expect_string(item["coeff"], f"{where}.coeff")
             try:
-                c = K.parse(item["coeff"])
+                c = K.parse(text)
             except ValueError as exc:
                 raise ValueError(f"{where}.coeff: {exc}") from exc
             if not isinstance(item["monomial"], list):

@@ -46,6 +46,8 @@ from .rings import (
     Ring,
     RingError,
     _expect_int,
+    _expect_object,
+    _field,
     _reject_unknown,
     ring_from_json,
 )
@@ -451,6 +453,7 @@ class HurwitzRing(Ring):
             (K.mul(K.embed_int(f), c) for f, c in zip(self.plan.factorials, a.entries)),
             a.valid,
         )
+
     def differential_structure(
         self, delta: Sequence[Derivation] | None = None, divided: bool = False
     ) -> DifferentialRing:
@@ -516,12 +519,10 @@ def series_to_json(a: HurwitzSeries) -> dict:
 
 
 def series_from_json(doc: Any, path: str = "series") -> HurwitzSeries:
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: expected an object")
+    _expect_object(doc, path)
     _reject_unknown(doc, {"m", "trunc", "valid", "ring", "coeffs"}, path)
     for key in ("m", "trunc", "valid", "ring", "coeffs"):
-        if key not in doc:
-            raise ValueError(f"{path}.{key}: missing")
+        _field(doc, key, path)
     width = _expect_int(doc["m"], f"{path}.m", 1, MAX_WIDTH)
     trunc = _expect_int(doc["trunc"], f"{path}.trunc", 0, MAX_TRUNC)
     valid = _expect_int(doc["valid"], f"{path}.valid", 0, trunc)

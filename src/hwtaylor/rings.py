@@ -302,12 +302,12 @@ class Poly:
 
     * over ``Q``, integer numerators over the one positive shared
       denominator ``den``, with no common factor among them and ``den``;
-    * over ``F_p``, residues in [1, p), and ``den`` is None;
-    * over any other base, base elements, and ``den`` is None.
+    * over ``F_p``, residues in [1, p), and ``den`` is None.
 
     Values are immutable by convention: no operation changes a table after
-    building the value around it, and callers must not either.  ``terms`` is the public view, ``(exponent tuple, base
-    element)`` pairs with ``Fraction`` coefficients over ``Q``.
+    building the value around it, and callers must not either.  ``terms`` is
+    the public view, ``(exponent tuple, base element)`` pairs with
+    ``Fraction`` coefficients over ``Q``.
     """
 
     __slots__ = ("table", "den", "_hash")
@@ -346,17 +346,18 @@ MAX_EXPONENT = 64
 
 
 class PolynomialRing(Ring):
-    """Multivariate polynomials over an exact base ring, named generators.
+    """Multivariate polynomials over ``Q`` or ``F_p``, named generators.
 
-    The coefficient kernel is chosen once, from the base.  Over ``Q`` and
-    ``F_p`` every operation accumulates plain integers and normalises once
-    per result: one gcd pass over ``Q``, one reduction mod p per term over
-    ``F_p``.  Any other base goes through the base ring's own operations.
+    Every operation accumulates plain integers and normalises once per
+    result: one gcd pass over ``Q``, one reduction mod p per term over
+    ``F_p``.
     """
 
     is_field = False
 
     def __init__(self, base: Ring, generators: Sequence[str]):
+        if not isinstance(base, (RationalField, PrimeField)):
+            raise DomainError(f"polynomial coefficients must be Q or Fp, got {base!r}")
         names = tuple(generators)
         if not names:
             raise ValueError("polynomial ring needs at least one generator")
@@ -370,7 +371,6 @@ class PolynomialRing(Ring):
         self.characteristic = base.characteristic
         self._rational = isinstance(base, RationalField)
         self._modulus = base.p if isinstance(base, PrimeField) else None
-        self._integral = self._rational or self._modulus is not None
         self._unit_den = 1 if self._rational else None
 
     def __eq__(self, other: object) -> bool:
@@ -407,9 +407,7 @@ class PolynomialRing(Ring):
             return self._reduce(
                 {e: c.numerator * (den // c.denominator) for e, c in table.items()}, den
             )
-        if self._integral:
-            return self._reduce(table, None)
-        return Poly({e: c for e, c in table.items() if not self.base.is_zero(c)})
+        return self._reduce(table, None)
 
     def monomial(self, exps: tuple[int, ...], c: Element) -> Poly:
         """The single term ``c * u^exps`` for a base element ``c``."""
@@ -436,12 +434,6 @@ class PolynomialRing(Ring):
             return a
         if not a.table:
             return b
-        if not self._integral:
-            base_add = self.base.add
-            table = dict(a.table)
-            for e, c in b.table.items():
-                table[e] = base_add(table[e], c) if e in table else c
-            return self._make(table)
         da, db = a.den, b.den
         if da == db:
             table = dict(a.table)
@@ -461,21 +453,10 @@ class PolynomialRing(Ring):
         if self._rational:
             return Poly({e: -n for e, n in a.table.items()}, a.den)
         p = self._modulus
-        if p is not None:
-            return Poly({e: p - n for e, n in a.table.items()})
-        return Poly({e: self.base.neg(c) for e, c in a.table.items()})
+        return Poly({e: p - n for e, n in a.table.items()})
 
     def mul(self, a: Poly, b: Poly) -> Poly:
-        if not self._integral:
-            base_add, base_mul = self.base.add, self.base.mul
-            table: dict[tuple[int, ...], Element] = {}
-            for ea, ca in a.table.items():
-                for eb, cb in b.table.items():
-                    key = tuple(map(_add, ea, eb))
-                    prod = base_mul(ca, cb)
-                    table[key] = base_add(table[key], prod) if key in table else prod
-            return self._make(table)
-        table = {}
+        table: dict[tuple[int, ...], int] = {}
         get = table.get
         right = b.table.items()
         for ea, ca in a.table.items():
@@ -491,9 +472,7 @@ class PolynomialRing(Ring):
         return not a.table
 
     def embed_int(self, n: int) -> Poly:
-        if self._integral:
-            return self._reduce({(0,) * len(self.generators): n}, self._unit_den)
-        return self.constant(self.base.embed_int(n))
+        return self._reduce({(0,) * len(self.generators): n}, self._unit_den)
 
     def try_invert(self, a: Poly) -> Poly | None:
         terms = a.terms
@@ -551,31 +530,22 @@ class PolynomialRing(Ring):
 
     def to_json(self) -> dict:
         doc: dict = {"kind": "poly", "generators": list(self.generators)}
-        if isinstance(self.base, PrimeField):
-            doc["p"] = self.base.p
-        elif not isinstance(self.base, RationalField):
-            # element strings cannot spell base generators, so a nested
-            # base would write documents that cannot be read back
-            raise DomainError(f"{self!r} has no JSON descriptor: the base must be Q or Fp")
+        if self._modulus is not None:
+            doc["p"] = self._modulus
         return doc
 
-    def derivation(
-        self,
-        gen_images: Sequence[Poly | str],
-        base_derivation: Derivation | None = None,
-    ) -> Derivation:
+    def derivation(self, gen_images: Sequence[Poly | str]) -> Derivation:
         """Derivation sending generator j to ``gen_images[j]``, by Leibniz.
 
-        ``base_derivation`` acts on coefficients (defaults to zero), so the
-        result extends a derivation of the base ring.
+        Coefficients are constants: every derivation of ``Q`` or ``F_p`` is
+        zero, since ``d(1) = d(1 * 1) = 2 d(1)`` gives ``d(1) = 0`` and every
+        element is built from 1 by sums, negation and inverses.
         """
         if len(gen_images) != len(self.generators):
             raise ValueError(
                 f"need {len(self.generators)} generator images, got {len(gen_images)}"
             )
         images = tuple(self.parse(g) if isinstance(g, str) else g for g in gen_images)
-        if base_derivation is not None or not self._integral:
-            return self._base_derivation(images, base_derivation)
 
         # d(c * u^e) = sum over j of c * e_j * u^(e - unit_j) * images[j]: per
         # generator, the exponent steps (image exponents minus unit_j) and
@@ -603,35 +573,6 @@ class PolynomialRing(Ring):
                             key = tuple(map(_add, exps, step))
                             table[key] = get(key, 0) + f * m
             return self._reduce(table, a.den * common if self._rational else None)
-
-        return derive
-
-    def _base_derivation(
-        self, images: tuple[Poly, ...], base_derivation: Derivation | None
-    ) -> Derivation:
-        """``derivation`` through the base ring's operations."""
-        base = self.base
-
-        def derive(a: Poly) -> Poly:
-            table: dict[tuple[int, ...], Element] = {}
-
-            def accumulate(exps: tuple[int, ...], c: Element) -> None:
-                table[exps] = base.add(table[exps], c) if exps in table else c
-
-            for exps, coeff in a.terms:
-                if base_derivation is not None:
-                    dc = base_derivation(coeff)
-                    if not base.is_zero(dc):
-                        accumulate(exps, dc)
-                for j, e in enumerate(exps):
-                    if e == 0:
-                        continue
-                    lowered = tuple(x - 1 if i == j else x for i, x in enumerate(exps))
-                    factor = base.mul(coeff, base.embed_int(e))
-                    for iexps, icoeff in images[j].terms:
-                        key = tuple(x + y for x, y in zip(lowered, iexps))
-                        accumulate(key, base.mul(factor, icoeff))
-            return self._make(table)
 
         return derive
 
@@ -748,8 +689,6 @@ def differential_polynomial_carrier(
     base: Ring,
     generators: Sequence[str],
     images: Sequence[Sequence[Poly | str]],
-    base_derivations: Sequence[Derivation] | None = None,
-    check: bool = True,
 ) -> DifferentialRing:
     """Polynomial carrier with one derivation per row of ``images``.
 
@@ -759,26 +698,16 @@ def differential_polynomial_carrier(
     constant base, a sufficient one.
     """
     ring = PolynomialRing(base, generators)
-    if base_derivations is None:
-        base_derivations = [None] * len(images)
-    if len(base_derivations) != len(images):
-        raise ValueError("need one base derivation (or None) per image row")
-    family = tuple(
-        ring.derivation(row, bd) for row, bd in zip(images, base_derivations)
-    )
-    structure = DifferentialRing(ring, family)
-    if check:
-        for i in range(len(family)):
-            for j in range(i + 1, len(family)):
-                for name in generators:
-                    g = ring.gen(name)
-                    lhs = family[i](family[j](g))
-                    rhs = family[j](family[i](g))
-                    if not ring.eq(lhs, rhs):
-                        raise ValueError(
-                            f"derivations {i} and {j} do not commute on generator {name!r}"
-                        )
-    return structure
+    family = tuple(ring.derivation(row) for row in images)
+    for i in range(len(family)):
+        for j in range(i + 1, len(family)):
+            for name in generators:
+                g = ring.gen(name)
+                if not ring.eq(family[i](family[j](g)), family[j](family[i](g))):
+                    raise ValueError(
+                        f"derivations {i} and {j} do not commute on generator {name!r}"
+                    )
+    return DifferentialRing(ring, family)
 
 
 @dataclass(frozen=True, eq=False)
@@ -849,8 +778,7 @@ def is_differential_hom(hom: RingHom, samples: Sequence[Element]) -> bool:
 
 def ring_from_json(doc: Any, path: str = "ring") -> Ring:
     """Rebuild a coefficient ring descriptor from its JSON form."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: expected an object")
+    _expect_object(doc, path)
     kind = doc.get("kind")
     if kind == "Q":
         _reject_unknown(doc, {"kind"}, path)
@@ -883,6 +811,24 @@ def ring_from_json(doc: Any, path: str = "ring") -> Ring:
         except ValueError as exc:
             raise ValueError(f"{path}.generators: {exc}") from exc
     raise ValueError(f"{path}.kind: expected one of Q, Fp, poly, got {kind!r}")
+
+
+def _expect_object(doc: Any, path: str) -> dict:
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: expected an object")
+    return doc
+
+
+def _field(doc: dict, key: str, path: str) -> Any:
+    if key not in doc:
+        raise ValueError(f"{path}.{key}: missing")
+    return doc[key]
+
+
+def _expect_string(value: Any, path: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{path}: expected a string")
+    return value
 
 
 def _expect_int(value: Any, path: str, lo: int, hi: int | float) -> int:

@@ -168,20 +168,32 @@ class TestExpand:
         assert rc == 2
         assert "problem.phi" in err
 
-    def test_missing_file_is_validation_error(self, capsys):
-        rc = main(["expand", "--spec", "/nonexistent/problem.json"])
-        out, err = capsys.readouterr()
-        assert rc == 2
-        assert out == ""
-        assert "cannot read" in err
+    def test_missing_file_is_validation_error(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, LINEAR_DOC)
+        cases = [
+            (["--spec", "/nonexistent/problem.json"], "cannot read /nonexistent/problem.json"),
+            (["--spec", spec, "--out", "/nonexistent/x.json"], "cannot write /nonexistent/x.json"),
+        ]
+        for flags, message in cases:
+            rc = main(["expand", *flags])
+            out, err = capsys.readouterr()
+            assert rc == 2, flags
+            assert out == ""
+            assert err.startswith(f"error: {message}: "), err
 
     def test_unparseable_json_is_validation_error(self, tmp_path, capsys):
-        path = tmp_path / "broken.json"
-        path.write_text("{not json")
-        rc = main(["expand", "--spec", str(path)])
-        _, err = capsys.readouterr()
-        assert rc == 2
-        assert "not valid JSON" in err
+        cases = [
+            (b"{not json", "not valid JSON"),
+            (b'\xff\xfe{"m": 1}', "not UTF-8"),
+            (b"[" * 100000 + b"]" * 100000, "JSON nested too deeply"),
+        ]
+        for content, message in cases:
+            path = tmp_path / "broken.json"
+            path.write_bytes(content)
+            rc = main(["expand", "--spec", str(path)])
+            _, err = capsys.readouterr()
+            assert rc == 2, message
+            assert err.startswith(f"error: {path}: {message}"), err
 
     def test_divided_over_prime_field_is_domain_error(self, tmp_path, capsys):
         base = {
@@ -312,6 +324,16 @@ class TestCheck:
         _, err = capsys.readouterr()
         assert rc == 2
         assert "config.tolerance" in err
+        # a config file that cannot be decoded is an error naming the file
+        for content, message in [
+            (b'\xff\xfe{"seed": 1}', "not UTF-8"),
+            (b"[" * 100000 + b"]" * 100000, "JSON nested too deeply"),
+        ]:
+            cfg.write_bytes(content)
+            rc = main(["check", "--config", str(cfg)])
+            _, err = capsys.readouterr()
+            assert rc == 2, message
+            assert err.startswith(f"error: {cfg}: {message}"), err
 
     def test_flag_overrides_config(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"
@@ -337,6 +359,13 @@ class TestCheck:
         assert out == ""
         assert json.loads(target.read_text())["check_name"] == "tm1"
         assert "tm1: pass" in err
+        rc = main(
+            ["check", "--instances", "1", "--checks", "tm1", "--out", "/nonexistent/x.json"]
+        )
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: cannot write /nonexistent/x.json: "), err
 
     def test_raising_instance_is_reported(self, capsys, monkeypatch):
         from test_checks import _drop_last_product_term

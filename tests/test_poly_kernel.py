@@ -123,12 +123,9 @@ def test_derivations_match_the_oracle(field, ops, inverse):
         images = [random_table(rng, field, terms=3, degree=2) for _ in GENERATORS]
         a = random_table(rng, field, terms=5, degree=4)
         want = poly_derive(a, images, ops)
-        # a base derivation, even the zero one, takes the base-operation path
-        for base_derivation in (None, lambda c: field.zero()):
-            d = R.derivation([build(R, g) for g in images], base_derivation)
-            got = d(build(R, a))
-            assert as_table(got) == want, (trial, base_derivation)
-            assert_normal(R, got)
+        got = R.derivation([build(R, g) for g in images])(build(R, a))
+        assert as_table(got) == want, trial
+        assert_normal(R, got)
 
 
 @pytest.mark.parametrize("field, ops, inverse", FIELDS)
