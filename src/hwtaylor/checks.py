@@ -43,6 +43,7 @@ from .rings import (
     constant_structure,
 )
 from .taylor import (
+    CONSTRUCTIONS,
     MorphismSpec,
     classical_taylor,
     derivative_table,
@@ -366,13 +367,7 @@ def _values_to_json(A: DiffPolyRing, values: Mapping) -> list:
     ]
 
 
-_CONSTRUCTORS: tuple[tuple[str, Callable, bool, bool], ...] = (
-    # (name, fn, needs constant coefficients, needs rationals)
-    ("classical_taylor", classical_taylor, True, True),
-    ("hurwitz_morphism", hurwitz_morphism, True, False),
-    ("twisted_taylor", twisted_taylor, False, True),
-    ("twisted_hurwitz", twisted_hurwitz, False, False),
-)
+_CONSTRUCTORS = CONSTRUCTIONS
 
 
 def _law(
@@ -626,17 +621,13 @@ def _check_inversion(rng: random.Random, size: Size, ordinal: int) -> Laws:
 def _applicable(
     constant_coeffs: bool, K: DifferentialRing
 ) -> Iterator[tuple[str, Callable, bool, bool]]:
-    """Each constructor defined over K, with its two requirement flags.
-
-    Yields (name, fn, needs constant coefficients, needs rationals).  Reads
-    ``_CONSTRUCTORS`` on every call, so a replaced table takes effect.
-    """
-    for name, fn, needs_constant, needs_rationals in _CONSTRUCTORS:
+    """The rows of ``_CONSTRUCTORS``, read at call time, defined over K."""
+    for name, fn, needs_constant, divided in _CONSTRUCTORS:
         if needs_constant and not constant_coeffs:
             continue
-        if needs_rationals and K.ring.characteristic != 0:
+        if divided and K.ring.characteristic != 0:
             continue
-        yield name, fn, needs_constant, needs_rationals
+        yield name, fn, needs_constant, divided
 
 
 def _self_spec(
@@ -854,19 +845,18 @@ def _check_morphism_laws(rng: random.Random, size: Size, ordinal: int) -> Laws:
         "arguments": [A.element_to_json(a), A.element_to_json(b)],
     }
 
-    for name, fn, needs_constant, needs_rationals in _applicable(constant_coeffs, K):
+    for name, fn, needs_constant, divided in _applicable(constant_coeffs, K):
         Ta, Tb = fn(spec, a), fn(spec, b)
         case = {**inputs, "constructor": name}
         got = fn(spec, A.add(a, b))
         yield _law(H, {**case, "law": "additive"}, H.add(Ta, Tb), got, size.trunc)
         got = fn(spec, A.mul(a, b))
-        # divided-reading outputs multiply by plain convolution
-        want = (H.cauchy_mul if needs_rationals else H.mul)(Ta, Tb)
+        want = (H.cauchy_mul if divided else H.mul)(Ta, Tb)
         yield _law(H, {**case, "law": "multiplicative"}, want, got, size.trunc)
         got = fn(spec, A.one())
         yield _law(H, {**case, "law": "unital"}, H.one(), got, size.trunc)
         structure = H.differential_structure(
-            None if needs_constant else K.derivations, divided=needs_rationals
+            None if needs_constant else K.derivations, divided
         )
         for slot in range(H.width):
             got = fn(spec, A.derive(a, slot))

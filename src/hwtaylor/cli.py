@@ -54,23 +54,12 @@ from .rings import (
     _field,
     _reject_unknown,
     constant_structure,
+    differential_polynomial_carrier,
     ring_from_json,
 )
-from .taylor import (
-    MorphismSpec,
-    classical_taylor,
-    ev_twist,
-    hurwitz_morphism,
-    twisted_hurwitz,
-    twisted_taylor,
-)
+from .taylor import CONSTRUCTIONS, MorphismSpec, classical_taylor, ev_twist, twisted_hurwitz
 
-_CONSTRUCTORS: dict[str, Callable] = {
-    "hurwitz_morphism": hurwitz_morphism,
-    "classical_taylor": classical_taylor,
-    "twisted_hurwitz": twisted_hurwitz,
-    "twisted_taylor": twisted_taylor,
-}
+_CONSTRUCTORS = {name: fn for name, fn, *_ in CONSTRUCTIONS}
 
 
 def _canonical(doc: Any) -> str:
@@ -89,21 +78,22 @@ def _parse_family(ring: Ring, rows: Any, width: int, path: str) -> DifferentialR
         raise ValueError(f"{path}: only polynomial rings carry derivation tables")
     if not isinstance(rows, list) or len(rows) != width:
         raise ValueError(f"{path}: expected a list of m objects")
-    family = []
+    images: list[list] = [[] for _ in rows]
     for i, row in enumerate(rows):
         _expect_object(row, f"{path}[{i}]")
         for name in row:
             if name not in ring.generators:
                 raise ValueError(f"{path}[{i}].{name}: unknown generator")
-        images = []
         for name in ring.generators:
             text = _expect_string(row.get(name, "0"), f"{path}[{i}].{name}")
             try:
-                images.append(ring.parse(text))
+                images[i].append(ring.parse(text))
             except ValueError as exc:
                 raise ValueError(f"{path}[{i}].{name}: {exc}") from exc
-        family.append(ring.derivation(images))
-    return DifferentialRing(ring, tuple(family))
+    try:
+        return differential_polynomial_carrier(ring.base, ring.generators, images)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _parse_values(A: DiffPolyRing, doc: Any, path: str) -> dict:
@@ -120,8 +110,9 @@ def _parse_values(A: DiffPolyRing, doc: Any, path: str) -> dict:
         if not isinstance(order, list) or len(order) != A.width:
             raise ValueError(f"{here}[1]: expected {A.width} order entries")
         entries = [_expect_int(e, f"{here}[1]", 0, MAX_EXPONENT) for e in order]
+        text = _expect_string(text, f"{here}[2]")
         try:
-            value = K.parse(_expect_string(text, f"{here}[2]"))
+            value = K.parse(text)
         except ValueError as exc:
             raise ValueError(f"{here}[2]: {exc}") from exc
         key = (var, MultiIndex(tuple(entries)))
@@ -171,8 +162,9 @@ def load_problem(
         if phi_doc != "identity":
             raise ValueError('problem.phi: a "self" source supports only "identity"')
         phi = lambda a: a  # noqa: E731
+        text = _expect_string(_field(doc, "element", "problem"), "problem.element")
         try:
-            element = ring.parse(_expect_string(_field(doc, "element", "problem"), "problem.element"))
+            element = ring.parse(text)
         except ValueError as exc:
             raise ValueError(f"problem.element: {exc}") from exc
         samples: tuple = (ring.one(), element)
@@ -250,27 +242,27 @@ def cmd_expand(args: argparse.Namespace) -> int:
     return _write_output(_canonical(series_to_json(series)) + "\n", args.out)
 
 
-_CONFIG_FIELDS = {"seed", "checks", "instances", "m_max", "trunc", "coeff_degree"}
+MAX_INSTANCES = 10000
+
+# wire name: (CheckConfig field, lo, hi), read in this order
+_CONFIG_INTS = {
+    "seed": ("seed", -(2**63), 2**63),
+    "instances": ("instances", 1, MAX_INSTANCES),
+    "m_max": ("width_max", 1, MAX_WIDTH),
+    "trunc": ("trunc", 1, MAX_TRUNC),
+    "coeff_degree": ("coeff_degree", 0, MAX_COEFF_DEGREE),
+}
 
 
 def _load_check_config(args: argparse.Namespace) -> CheckConfig:
     doc: dict = {}
     if args.config is not None:
         doc = _expect_object(_read_json(args.config), "config")
-        _reject_unknown(doc, _CONFIG_FIELDS, "config")
+        _reject_unknown(doc, {*_CONFIG_INTS, "checks"}, "config")
     kwargs: dict = {}
-    if "seed" in doc:
-        kwargs["seed"] = _expect_int(doc["seed"], "config.seed", -(2**63), 2**63)
-    if "instances" in doc:
-        kwargs["instances"] = _expect_int(doc["instances"], "config.instances", 1, 10000)
-    if "m_max" in doc:
-        kwargs["width_max"] = _expect_int(doc["m_max"], "config.m_max", 1, MAX_WIDTH)
-    if "trunc" in doc:
-        kwargs["trunc"] = _expect_int(doc["trunc"], "config.trunc", 1, MAX_TRUNC)
-    if "coeff_degree" in doc:
-        kwargs["coeff_degree"] = _expect_int(
-            doc["coeff_degree"], "config.coeff_degree", 0, MAX_COEFF_DEGREE
-        )
+    for wire, (field, lo, hi) in _CONFIG_INTS.items():
+        if wire in doc:
+            kwargs[field] = _expect_int(doc[wire], f"config.{wire}", lo, hi)
     if "checks" in doc:
         names = doc["checks"]
         if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
@@ -279,7 +271,7 @@ def _load_check_config(args: argparse.Namespace) -> CheckConfig:
     if args.seed is not None:
         kwargs["seed"] = args.seed
     if args.instances is not None:
-        kwargs["instances"] = _expect_int(args.instances, "instances", 1, 10000)
+        kwargs["instances"] = _expect_int(args.instances, "instances", 1, MAX_INSTANCES)
     if args.checks is not None:
         kwargs["checks"] = tuple(n for n in args.checks.split(",") if n)
     return CheckConfig(**kwargs)
@@ -290,6 +282,9 @@ def cmd_check(args: argparse.Namespace) -> int:
         config = _load_check_config(args)
     except (UnknownCheckError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    # refuse an unwritable --out before the suite runs
+    if _write_output("", args.out):
         return 2
     reports = run_suite(config)
     if _write_output(reports_to_jsonl(reports), args.out):

@@ -263,11 +263,11 @@ class HurwitzRing(Ring):
 
     def convolve(
         self, term: Callable[[int, int], Element], weighted: bool = True
-    ) -> Iterator[tuple[MultiIndex, Element]]:
+    ) -> Iterator[Element]:
         """Rows of the convolution whose (beta, alpha - beta) entry is ``term``.
 
-        Yields ``(alpha, sum over beta <= alpha of binom(alpha, beta) *
-        term(i, j))`` in graded-lex order, where i and j are the positions
+        Yields row alpha, ``sum over beta <= alpha of binom(alpha, beta) *
+        term(i, j)``, in graded-lex order, where i and j are the positions
         of beta and alpha - beta in ``indices`` (and in every series'
         ``entries``); ``weighted=False`` drops the binomials.  The pairs and
         weights come from the shape's ``Plan``.  Each row is computed only
@@ -279,20 +279,20 @@ class HurwitzRing(Ring):
         add, mul, zero = K.add, K.mul, K.zero
         plan = self.plan
         scale = {w: K.embed_int(w) for w in plan.weights} if weighted else {}
-        for alpha, row in zip(plan.indices, plan.rows):
+        for row in plan.rows:
             acc = zero()
             for i, j, w in row:
                 value = term(i, j)
                 if w in scale:
                     value = mul(scale[w], value)
                 acc = add(acc, value)
-            yield alpha, acc
+            yield acc
 
     def mul(self, a: HurwitzSeries, b: HurwitzSeries) -> HurwitzSeries:
         self._check_pair(a, b)
         mul, x, y = self.coeff_ring.mul, a.entries, b.entries
         rows = self.convolve(lambda i, j: mul(x[i], y[j]))
-        return self._from_entries((c for _, c in rows), min(a.valid, b.valid))
+        return self._from_entries(rows, min(a.valid, b.valid))
 
     def cauchy_mul(self, a: HurwitzSeries, b: HurwitzSeries) -> HurwitzSeries:
         """Plain convolution, the product of the divided reading.
@@ -305,7 +305,7 @@ class HurwitzRing(Ring):
         self._check_pair(a, b)
         mul, x, y = self.coeff_ring.mul, a.entries, b.entries
         rows = self.convolve(lambda i, j: mul(x[i], y[j]), weighted=False)
-        return self._from_entries((c for _, c in rows), min(a.valid, b.valid))
+        return self._from_entries(rows, min(a.valid, b.valid))
 
     def eq(self, a: HurwitzSeries, b: HurwitzSeries) -> bool:
         """Exact table equality over the whole truncation box.
@@ -375,7 +375,7 @@ class HurwitzRing(Ring):
             return K.zero() if i == 0 else K.mul(x[i], table[j])
 
         table: list[Element] = []
-        for _, acc in self.convolve(term):
+        for acc in self.convolve(term):
             table.append(K.neg(K.mul(c0inv, acc)) if table else c0inv)
         return self._from_entries(table, a.valid)
 

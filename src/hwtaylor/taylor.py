@@ -142,6 +142,18 @@ def twisted_taylor(spec: MorphismSpec, a: Element) -> HurwitzSeries:
     return spec.target.to_divided(twisted_hurwitz(spec, a))
 
 
+# (name, fn, needs constant coefficients, divided): the one table of the four
+# constructors.  A divided entry is a ring map for ``cauchy_mul`` rather than
+# ``mul``, and is defined over rational algebras only.  The order is the
+# check order: a failing check instance reports its first failing constructor.
+CONSTRUCTIONS: tuple[tuple[str, Callable, bool, bool], ...] = (
+    ("classical_taylor", classical_taylor, True, True),
+    ("hurwitz_morphism", hurwitz_morphism, True, False),
+    ("twisted_taylor", twisted_taylor, False, True),
+    ("twisted_hurwitz", twisted_hurwitz, False, False),
+)
+
+
 def ev_twist(a: HurwitzSeries, family: Sequence[Derivation]) -> HurwitzSeries:
     """Reshuffle a series by a commuting family acting on its coefficients.
 
@@ -167,8 +179,7 @@ def ev_twist(a: HurwitzSeries, family: Sequence[Derivation]) -> HurwitzSeries:
         )
         for alpha, c in zip(plan.indices, a.entries)
     ]
-    rows = H.convolve(lambda i, j: tables[j][i])
-    return H._from_entries((c for _, c in rows), a.valid)
+    return H._from_entries(H.convolve(lambda i, j: tables[j][i]), a.valid)
 
 
 def ev_untwist(a: HurwitzSeries, family: Sequence[Derivation]) -> HurwitzSeries:

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import hwtaylor
+from hwtaylor import cli, taylor
 from hwtaylor.cli import main
 from hwtaylor.hurwitz import HurwitzRing
 from hwtaylor.multiindex import iter_dominated
@@ -40,6 +41,26 @@ def diffpoly_element(monomial):
         doc["element"] = [{"coeff": "1", "monomial": [monomial]}]
 
     return mutate
+
+
+def value_row(row):
+    """Mutation: a one-variable diffpoly source whose value table is one row."""
+
+    def mutate(doc):
+        diffpoly_element([0, [0], 1])(doc)
+        doc["phi"] = {"values": [row]}
+
+    return mutate
+
+
+def non_commuting_family(doc):
+    """Mutation: d0(u) = v and d1(v) = 1 over Q[u, v], so d1 d0 u = 1 but d0 d1 u = 0."""
+    doc["ring"] = {
+        "kind": "poly",
+        "generators": ["u", "v"],
+        "derivations": [{"u": "v"}, {"v": "1"}],
+    }
+    doc["m"] = 2
 
 
 def write_spec(tmp_path, doc, name="problem.json"):
@@ -150,6 +171,18 @@ class TestExpand:
                 "problem.element[0].monomial[0][2] power: expected an integer",
             ),
             (lambda d: d.__setitem__("m", True), "problem.m: expected an integer"),
+            (
+                non_commuting_family,
+                "error: problem.ring.derivations: derivations 0 and 1 do not commute"
+                " on generator 'u'",
+            ),
+            # each path is printed once
+            (lambda d: d.__setitem__("element", 5), "error: problem.element: expected a string"),
+            (lambda d: d.pop("element"), "error: problem.element: missing"),
+            (
+                value_row([0, [0], 7]),
+                "error: problem.phi.values[0][2]: expected a string",
+            ),
         ],
     )
     def test_validation_errors_name_paths(self, tmp_path, capsys, mutate, path_fragment):
@@ -160,6 +193,18 @@ class TestExpand:
         assert rc == 2
         assert out == ""
         assert path_fragment in err
+
+    def test_construction_table(self, tmp_path, capsys):
+        from test_acceptance import CONSTRUCTORS
+
+        flags = {name: tuple(rest) for name, _, *rest in CONSTRUCTORS}
+        assert {name: tuple(rest) for name, _, *rest in taylor.CONSTRUCTIONS} == flags
+        assert set(cli._CONSTRUCTORS) == set(flags)
+        rc = main(["expand", "--spec", write_spec(tmp_path, dict(LINEAR_DOC, morphism="nope"))])
+        _, err = capsys.readouterr()
+        assert rc == 2
+        assert "problem.morphism: unknown construction 'nope'" in err
+        assert all(name in err.split("known: ")[1] for name in flags)
 
     def test_identity_phi_required_for_self_source(self, tmp_path, capsys):
         doc = dict(LINEAR_DOC, phi={"values": []})
@@ -349,7 +394,7 @@ class TestCheck:
         assert rc == 2
         assert "instances" in err
 
-    def test_out_file(self, tmp_path, capsys):
+    def test_out_file(self, tmp_path, capsys, monkeypatch):
         target = tmp_path / "report.jsonl"
         rc = main(
             ["check", "--instances", "2", "--checks", "tm1", "--out", str(target)]
@@ -359,6 +404,9 @@ class TestCheck:
         assert out == ""
         assert json.loads(target.read_text())["check_name"] == "tm1"
         assert "tm1: pass" in err
+        # an unwritable --out is refused before the suite runs
+        runs = []
+        monkeypatch.setattr(cli, "run_suite", lambda config: runs.append(config) or [])
         rc = main(
             ["check", "--instances", "1", "--checks", "tm1", "--out", "/nonexistent/x.json"]
         )
@@ -366,6 +414,7 @@ class TestCheck:
         assert rc == 2
         assert out == ""
         assert err.startswith("error: cannot write /nonexistent/x.json: "), err
+        assert runs == []
 
     def test_raising_instance_is_reported(self, capsys, monkeypatch):
         from test_checks import _drop_last_product_term
