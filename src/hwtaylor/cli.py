@@ -42,6 +42,7 @@ from .hurwitz import MAX_TRUNC, MAX_WIDTH, HurwitzRing, HurwitzSeries, series_to
 from .multiindex import MultiIndex
 from .rings import (
     MAX_EXPONENT,
+    MAX_TERMS,
     QQ,
     DifferentialRing,
     DomainError,
@@ -99,6 +100,8 @@ def _parse_family(ring: Ring, rows: Any, width: int, path: str) -> DifferentialR
 def _parse_values(A: DiffPolyRing, doc: Any, path: str) -> dict:
     if not isinstance(doc, list):
         raise ValueError(f"{path}: expected a list of [variable, order, value] rows")
+    if len(doc) > MAX_TERMS:
+        raise ValueError(f"{path}: more than {MAX_TERMS} rows")
     K = A.base.ring
     table: dict = {}
     for i, row in enumerate(doc):

@@ -20,6 +20,7 @@ from typing import Any, Callable, Mapping, Sequence
 from .multiindex import MultiIndex, grlex_key
 from .rings import (
     MAX_EXPONENT,
+    MAX_TERMS,
     DifferentialRing,
     DomainError,
     Element,
@@ -72,6 +73,8 @@ class DiffPolyRing(Ring):
         self.base = base
         self.variables = names
         self.characteristic = base.ring.characteristic
+        # per slot, symbol -> the symbol one order step up in that slot
+        self._shifts: tuple[dict[Symbol, Symbol], ...] = tuple({} for _ in range(base.width))
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -170,25 +173,23 @@ class DiffPolyRing(Ring):
         if not 0 <= slot < self.width:
             raise ValueError(f"slot {slot} out of range for width {self.width}")
         K = self.base.ring
+        shift = self._shifts[slot]
         table: dict[Monomial, Element] = {}
-
-        def accumulate(mon: Monomial, c: Element) -> None:
-            table[mon] = K.add(table[mon], c) if mon in table else c
-
-        unit = MultiIndex.unit(self.width, slot)
         for mon, c in a.terms:
             dc = self.base.derive(c, slot)
             if not K.is_zero(dc):
-                accumulate(mon, dc)
+                table[mon] = K.add(table[mon], dc) if mon in table else dc
             for sym, power in mon:
-                var, order = sym
+                shifted = shift.get(sym)
+                if shifted is None:
+                    var, order = sym
+                    shifted = shift[sym] = (var, order + MultiIndex.unit(self.width, slot))
                 counts = dict(mon)
                 counts[sym] -= 1
-                shifted = (var, order + unit)
                 counts[shifted] = counts.get(shifted, 0) + 1
-                accumulate(
-                    self._normalize_monomial(counts), K.mul(c, K.embed_int(power))
-                )
+                key = self._normalize_monomial(counts)
+                term = K.mul(c, K.embed_int(power)) if power > 1 else c
+                table[key] = K.add(table[key], term) if key in table else term
         return self._make(table)
 
     def differential_ring(self) -> DifferentialRing:
@@ -333,6 +334,8 @@ class DiffPolyRing(Ring):
     def element_from_json(self, doc: Any, path: str = "element") -> DiffPolynomial:
         if not isinstance(doc, list):
             raise ValueError(f"{path}: expected a list of terms")
+        if len(doc) > MAX_TERMS:
+            raise ValueError(f"{path}: more than {MAX_TERMS} terms")
         K = self.base.ring
         table: dict[Monomial, Element] = {}
         for pos, item in enumerate(doc):

@@ -15,7 +15,7 @@ from itertools import product
 from typing import Iterator
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultiIndex:
     """Exponent tuple driving binomial weights and truncation bookkeeping."""
 
@@ -26,6 +26,20 @@ class MultiIndex:
             raise ValueError("multi-index needs at least one slot")
         if any(not isinstance(e, int) or e < 0 for e in self.entries):
             raise ValueError(f"multi-index entries must be nonnegative ints: {self.entries!r}")
+        # the value a generated dataclass hash would give, computed once:
+        # symbols keyed by a MultiIndex are hashed on every dict lookup of
+        # the diffpoly kernel
+        object.__setattr__(self, "_hash", hash((self.entries,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is self.__class__:
+            return self.entries == other.entries
+        return NotImplemented
 
     @classmethod
     def of(cls, *entries: int) -> MultiIndex:

@@ -343,6 +343,9 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 # Largest exponent or derivative order a wire document may ask for: element
 # strings (``u^N``), diffpoly monomial powers and orders, value-table orders.
 MAX_EXPONENT = 64
+# Most terms of one polynomial element string or diffpoly element, and most
+# rows of a value table, that a wire document may hold.
+MAX_TERMS = 10000
 
 
 class PolynomialRing(Ring):
@@ -641,10 +644,14 @@ def _parse_poly(ring: PolynomialRing, text: str) -> Poly:
     if peek() in {"+", "-"}:
         negative = take() == "-"
     parse_term(negative)
+    terms = 1
     while peek() is not None:
         op = take()
         if op not in {"+", "-"}:
             raise ValueError(f"expected + or - but found {op!r} in {text!r}")
+        terms += 1
+        if terms > MAX_TERMS:
+            raise ValueError(f"more than {MAX_TERMS} terms")
         parse_term(op == "-")
     return ring._make(table)
 

@@ -26,7 +26,7 @@ index it writes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .hurwitz import HurwitzRing, HurwitzSeries, plan_for
@@ -47,6 +47,10 @@ class MorphismSpec:
     ``phi`` is spot-checked on ``samples`` (plus 0 and 1) at construction;
     a full proof of the hom property is the caller's business.  Both
     structures must have the same number of derivation slots.
+
+    ``_raw`` memoises the raw series per argument, so the four constructors
+    applied to one argument derive it once; ``dataclasses.replace`` starts
+    a fresh memo.
     """
 
     source: DifferentialRing
@@ -54,6 +58,7 @@ class MorphismSpec:
     phi: Callable[[Element], Element]
     trunc: int
     samples: tuple = ()
+    _raw: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.source.width != self.coefficients.width:
@@ -101,9 +106,12 @@ def _derivatives(
 
 def _raw_series(spec: MorphismSpec, a: Element) -> HurwitzSeries:
     """Coefficient beta is phi of the beta-th source derivative of ``a``."""
-    H = spec.target
-    derived = _derivatives(spec.source, a, H.plan.parents)
-    return H._from_entries(map(spec.phi, derived), spec.trunc)
+    raw = spec._raw.get(a)
+    if raw is None:
+        H = spec.target
+        derived = _derivatives(spec.source, a, H.plan.parents)
+        raw = spec._raw[a] = H._from_entries(map(spec.phi, derived), spec.trunc)
+    return raw
 
 
 def _require_constant_coefficients(spec: MorphismSpec, raw: HurwitzSeries) -> None:

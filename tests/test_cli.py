@@ -183,6 +183,25 @@ class TestExpand:
                 value_row([0, [0], 7]),
                 "error: problem.phi.values[0][2]: expected a string",
             ),
+            # term-count caps
+            (
+                lambda d: d.__setitem__("element", " + ".join(["u"] * 10001)),
+                "error: problem.element: more than 10000 terms",
+            ),
+            (
+                lambda d: (
+                    diffpoly_element([0, [0], 1])(d),
+                    d.__setitem__("element", [{"coeff": "1", "monomial": []}] * 10001),
+                ),
+                "error: problem.element: more than 10000 terms",
+            ),
+            (
+                lambda d: (
+                    diffpoly_element([0, [0], 1])(d),
+                    d["phi"].__setitem__("values", [[0, [0], "u"]] * 10001),
+                ),
+                "error: problem.phi.values: more than 10000 rows",
+            ),
         ],
     )
     def test_validation_errors_name_paths(self, tmp_path, capsys, mutate, path_fragment):

@@ -41,6 +41,19 @@ class TestBasics:
         with pytest.raises(ValueError):
             MultiIndex.unit(2, 2)
 
+    @given(multiindices())
+    def test_hash_and_equality_follow_the_entries(self, alpha):
+        # the cached hash keeps the dataclass value, so set and dict order do not move
+        twin = MultiIndex(tuple(alpha.entries))
+        assert twin is not alpha
+        assert twin == alpha and not twin != alpha
+        assert hash(twin) == hash(alpha) == hash((alpha.entries,))
+
+    def test_not_equal_to_other_types_or_entries(self):
+        assert MultiIndex((1, 2)) != (1, 2)
+        assert MultiIndex.of(1, 2) != MultiIndex.of(2, 1)
+        assert MultiIndex.of(1, 2) != MultiIndex.of(1, 2, 0)
+
     def test_width_mismatch(self):
         with pytest.raises(ValueError):
             MultiIndex.of(1, 2) + MultiIndex.of(1)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -401,6 +402,68 @@ class TestAxioms:
             lhs = twisted_hurwitz(spec, K.derive(a, 0))
             rhs = structure.derive(twisted_hurwitz(spec, a), 0)
             assert H.agree_up_to(lhs, rhs, 4)
+
+
+class TestRawSeriesMemo:
+    """The four constructors share one derivative table per spec and argument."""
+
+    CONSTRUCTORS = (classical_taylor, hurwitz_morphism, twisted_taylor, twisted_hurwitz)
+
+    @staticmethod
+    def _spec(trunc=5):
+        """x*x' + u*x over constant Q[u], every symbol up to order 6 valued."""
+        R = rational_poly_carrier().ring
+        K = constant_structure(R, 1)
+        A = DiffPolyRing(K, ["x"])
+        rng = random.Random(20)
+        values = {(0, alpha): R.sample(rng) for alpha in enumerate_upto(1, 6)}
+        spec = MorphismSpec(
+            source=A.differential_ring(),
+            coefficients=K,
+            phi=A.value_hom(values),
+            trunc=trunc,
+        )
+        x = A.gen("x")
+        a = A.add(A.mul(x, A.symbol("x", (1,))), A.mul(A.constant(R.gen("u")), x))
+        return spec, a
+
+    @pytest.fixture
+    def derive_calls(self, monkeypatch):
+        calls = []
+        derive = DiffPolyRing.derive
+
+        def counting(self, a, slot):
+            calls.append(slot)
+            return derive(self, a, slot)
+
+        monkeypatch.setattr(DiffPolyRing, "derive", counting)
+        return calls
+
+    def test_four_constructors_derive_once(self, derive_calls):
+        spec, a = self._spec()
+        hurwitz_morphism(spec, a)
+        once = len(derive_calls)
+        assert once > 0
+
+        spec, a = self._spec()
+        derive_calls.clear()
+        results = [fn(spec, a) for fn in self.CONSTRUCTORS]
+        assert len(derive_calls) == once
+        for fn, got in zip(self.CONSTRUCTORS, results):
+            fresh, b = self._spec()
+            assert spec.target.eq(got, fn(fresh, b))
+
+    def test_replace_starts_an_empty_memo(self, derive_calls):
+        spec, a = self._spec()
+        twisted_hurwitz(spec, a)
+        shorter = dataclasses.replace(spec, trunc=3)
+        assert shorter._raw == {}
+        derive_calls.clear()
+        got = twisted_hurwitz(shorter, a)
+        assert derive_calls
+        fresh, b = self._spec(trunc=3)
+        assert got.trunc == 3
+        assert shorter.target.eq(got, twisted_hurwitz(fresh, b))
 
 
 class TestGuards:
