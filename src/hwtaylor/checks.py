@@ -17,10 +17,10 @@ The registry covers the arithmetic substrate (ring and derivation axioms on
 the generated carriers, series ring axioms, shift and lifted derivations),
 the characteristic-p structure, series inversion, the divided-power bridge,
 and the expansion identities: constant-embedding collapse for differential
-maps (tm1), stability under differential factorizations (tm2), constant-term
-recovery (ev1), expansion of a series ring over itself (ev2), twist
-composition and inversion, and the homomorphism laws of all four
-constructors.
+maps and the differential value maps behind it (tm1), stability under
+differential factorizations (tm2), constant-term recovery (ev1), expansion
+of a series ring over itself (ev2), twist composition and inversion, and
+the homomorphism laws of all four constructors.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, replace
+from functools import reduce
+from itertools import repeat
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from .diffpoly import DiffPolyRing
@@ -431,7 +433,7 @@ def _check_ring_axioms(rng: random.Random, size: Size, ordinal: int) -> Laws:
         pairs.append(
             (
                 "characteristic",
-                ring.sum(ring.one() for _ in range(ring.characteristic)),
+                reduce(ring.add, repeat(ring.one(), ring.characteristic), ring.zero()),
                 ring.zero(),
             )
         )
@@ -707,7 +709,11 @@ def _check_ev2(rng: random.Random, size: Size, ordinal: int) -> Laws:
 
 @_register("tm1")
 def _check_tm1(rng: random.Random, size: Size, ordinal: int) -> Laws:
-    """A differential phi makes every expansion collapse to the constant embedding."""
+    """A differential phi makes every expansion collapse to the constant embedding.
+
+    The last laws check the premise itself: a value map along derivation
+    chains on ``K{x, y}`` commutes with every slot.
+    """
     constant_coeffs = ordinal % 2 == 0
     K, kdesc = _random_structure(rng, size, constant=constant_coeffs)
     route = ordinal % 4
@@ -727,6 +733,21 @@ def _check_tm1(rng: random.Random, size: Size, ordinal: int) -> Laws:
     for name, fn, *_ in _applicable(constant_coeffs, K):
         got = fn(spec, a)
         yield _law(H, {**inputs, "constructor": name}, expected, got, size.trunc)
+    # a value map along derivation chains on two indeterminates commutes with
+    # every slot, which sees DiffPolyRing.derive on its own; its draws come
+    # after every other draw, so the laws above see the same instances
+    B = DiffPolyRing(K, ["x", "y"])
+    values = _chain_value_table(K, [K.ring.sample(rng, size.degree) for _ in range(2)], 2)
+    phi = B.value_hom(values)
+    e = B.sample(rng, size.degree)
+    case = {
+        "coefficients": kdesc,
+        "law": "value_map_differential",
+        "values": _values_to_json(B, values),
+        "element": B.element_to_json(e),
+    }
+    for slot in range(K.width):
+        yield _law(K.ring, {**case, "slot": slot}, phi(B.derive(e, slot)), K.derive(phi(e), slot))
 
 
 @_register("tm2")

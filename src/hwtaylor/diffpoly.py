@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import starmap
 from typing import Any, Callable, Mapping, Sequence
 
 from .multiindex import MultiIndex, grlex_key
@@ -229,13 +230,13 @@ class DiffPolyRing(Ring):
                 cache[sym] = target.derive_iter(point[var], order)
             return cache[sym]
 
-        acc = T.zero()
-        for mon, c in a.terms:
+        def image(mon: Monomial, c: Element) -> Element:
             v = embed(c)
             for sym, power in mon:
                 v = T.mul(v, T.pow(symbol_value(sym), power))
-            acc = T.add(acc, v)
-        return acc
+            return v
+
+        return T.sum(starmap(image, a.terms))
 
     def value_hom(
         self,
@@ -260,14 +261,13 @@ class DiffPolyRing(Ring):
                 powers[key] = K.pow(sv, power)
             return powers[key]
 
+        def image(mon: Monomial, c: Element) -> Element:
+            for sym, power in mon:
+                c = K.mul(c, symbol_power(sym, power))
+            return c
+
         def apply(a: DiffPolynomial) -> Element:
-            acc = K.zero()
-            for mon, c in a.terms:
-                v = c
-                for sym, power in mon:
-                    v = K.mul(v, symbol_power(sym, power))
-                acc = K.add(acc, v)
-            return acc
+            return K.sum(starmap(image, a.terms))
 
         return apply
 

@@ -17,7 +17,10 @@ parent of each index, and the factorials.  Operations never build or compare
 a ``MultiIndex``.  One kernel, ``HurwitzRing.convolve``, owns the summation
 order and the binomial weighting: ``mul`` and ``cauchy_mul`` are its
 weighted and unweighted forms, ``invert`` solves it grade by grade, and
-``taylor.ev_twist`` feeds it iterated coefficient derivatives.
+``taylor.ev_twist`` feeds it iterated coefficient derivatives.  Each row is
+one ``combine`` of the coefficient ring with the row's binomials as
+weights, so a row is normalised once; the products inside it still go
+through the coefficient ring's ``mul``.
 
 Validity bookkeeping: each series carries ``valid <= trunc``, the order up
 to which its coefficients are trustworthy.  A shift derivation consumes one
@@ -32,6 +35,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -69,10 +73,9 @@ class Plan:
     Positions count ``indices``, the graded-lex enumeration; ``position``
     inverts it.
 
-    * ``rows[p]``: for the index alpha at position p, one ``(i, j, w)`` per
-      beta <= alpha in ``iter_dominated`` order, where i and j are the
-      positions of beta and alpha - beta and w = ``binomial(alpha, beta)``.
-      ``weights`` is the set of those w other than 1.
+    * ``rows[p]``: for the index alpha at position p, three parallel tuples
+      over beta <= alpha in ``iter_dominated`` order: the positions of
+      beta, the positions of alpha - beta, and ``binomial(alpha, beta)``.
     * ``shifts[slot][p]``: ``(q, k)`` with q the position of alpha + e_slot
       and k = alpha[slot] + 1, for every position p below the top grade.
     * ``parents[p - 1]``: ``(q, slot)`` for every position p > 0, where slot
@@ -92,12 +95,15 @@ class Plan:
         pos = self.position
         self.rows = tuple(
             tuple(
-                (pos[beta], pos[alpha - beta], binomial(alpha, beta))
-                for beta in iter_dominated(alpha)
+                zip(
+                    *(
+                        (pos[beta], pos[alpha - beta], binomial(alpha, beta))
+                        for beta in iter_dominated(alpha)
+                    )
+                )
             )
             for alpha in self.indices
         )
-        self.weights = frozenset(w for row in self.rows for _, _, w in row) - {1}
         units = [MultiIndex.unit(width, slot) for slot in range(width)]
         below_top = self.indices[: count_upto(width, trunc - 1)] if trunc else ()
         self.shifts = tuple(
@@ -270,23 +276,16 @@ class HurwitzRing(Ring):
         term(i, j)``, in graded-lex order, where i and j are the positions
         of beta and alpha - beta in ``indices`` (and in every series'
         ``entries``); ``weighted=False`` drops the binomials.  The pairs and
-        weights come from the shape's ``Plan``.  Each row is computed only
-        when it is asked for, so ``term`` may read rows the caller stored
-        from earlier yields.  Every product, the inverse and the evaluation
-        twist are this loop.
+        weights come from the shape's ``Plan``, and each row is one
+        ``combine`` of the coefficient ring, so it is normalised once.  Each
+        row is computed only when it is asked for, so ``term`` may read rows
+        the caller stored from earlier yields.  Every product, the inverse
+        and the evaluation twist are this loop.
         """
-        K = self.coeff_ring
-        add, mul, zero = K.add, K.mul, K.zero
-        plan = self.plan
-        scale = {w: K.embed_int(w) for w in plan.weights} if weighted else {}
-        for row in plan.rows:
-            acc = zero()
-            for i, j, w in row:
-                value = term(i, j)
-                if w in scale:
-                    value = mul(scale[w], value)
-                acc = add(acc, value)
-            yield acc
+        combine = self.coeff_ring.combine
+        ones = repeat(1)
+        for left, right, binomials in self.plan.rows:
+            yield combine(binomials if weighted else ones, map(term, left, right))
 
     def mul(self, a: HurwitzSeries, b: HurwitzSeries) -> HurwitzSeries:
         self._check_pair(a, b)

@@ -8,6 +8,12 @@ owns them.  Descriptors never coerce between carriers: mixing elements of
 different rings is a caller bug.  Equality of elements is exact and
 decidable; there are no floats anywhere and no tolerance parameters.
 
+Sums of many terms go through ``Ring.combine(weights, values)``, the sum of
+``w * v`` for integer weights: the generic form adds term by term, and
+``F_p`` and the polynomial rings accumulate the whole sum and normalise
+once (one ``% p``, one polynomial ``_reduce``).  ``sum``, every convolution
+row of the series layer and every value-table image are such sums.
+
 A ``DifferentialRing`` pairs a carrier descriptor with a tuple of commuting
 derivations.  Commutation of user-supplied polynomial derivation families is
 validated on the generators at construction time; the checker module
@@ -19,8 +25,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
 from operator import add as _add
+from operator import mul as _mul
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .multiindex import MultiIndex
@@ -113,11 +121,23 @@ class Ring:
     def is_one(self, a: Element) -> bool:
         return self.eq(a, self.one())
 
-    def sum(self, items: Iterable[Element]) -> Element:
+    def combine(self, weights: Iterable[int], values: Iterable[Element]) -> Element:
+        """``sum of w * v`` over the pairs of integer ``weights`` and ``values``.
+
+        The pairs are zipped, so ``weights`` may be longer than ``values``.
+        This generic form adds one term at a time and scales by
+        ``embed_int(w)`` when w is not 1; ``F_p`` and the polynomial rings
+        override it to accumulate the whole sum and normalise once.
+        """
         acc = self.zero()
-        for x in items:
-            acc = self.add(acc, x)
+        for w, v in zip(weights, values):
+            if w != 1:
+                v = self.mul(self.embed_int(w), v)
+            acc = self.add(acc, v)
         return acc
+
+    def sum(self, items: Iterable[Element]) -> Element:
+        return self.combine(repeat(1), items)
 
     def pow(self, a: Element, n: int) -> Element:
         """Square-and-multiply: at most 2 log2(n) products, never by one."""
@@ -269,6 +289,9 @@ class PrimeField(Ring):
     def is_zero(self, a: int) -> bool:
         return a % self.p == 0
 
+    def combine(self, weights: Iterable[int], values: Iterable[int]) -> int:
+        return sum(map(_mul, weights, values)) % self.p
+
     def embed_int(self, n: int) -> int:
         return n % self.p
 
@@ -353,7 +376,8 @@ class PolynomialRing(Ring):
 
     Every operation accumulates plain integers and normalises once per
     result: one gcd pass over ``Q``, one reduction mod p per term over
-    ``F_p``.
+    ``F_p``; ``combine`` does the same for a whole weighted sum.  ``mul``
+    returns at once for a zero factor.
     """
 
     is_field = False
@@ -458,7 +482,26 @@ class PolynomialRing(Ring):
         p = self._modulus
         return Poly({e: p - n for e, n in a.table.items()})
 
+    def combine(self, weights: Iterable[int], values: Iterable[Poly]) -> Poly:
+        """One integer table over the lcm of the denominators, reduced once."""
+        pairs = [(w, v) for w, v in zip(weights, values) if v.table]
+        if len(pairs) == 1 and pairs[0][0] == 1:
+            return pairs[0][1]
+        table: dict[tuple[int, ...], int] = {}
+        get = table.get
+        if self._rational:
+            den = lcm(*(v.den for _, v in pairs))
+            pairs = [(w * (den // v.den), v) for w, v in pairs]
+        else:
+            den = None
+        for w, v in pairs:
+            for e, n in v.table.items():
+                table[e] = get(e, 0) + w * n
+        return self._reduce(table, den)
+
     def mul(self, a: Poly, b: Poly) -> Poly:
+        if not a.table or not b.table:
+            return self.zero()
         table: dict[tuple[int, ...], int] = {}
         get = table.get
         right = b.table.items()
@@ -741,17 +784,29 @@ class RingHom:
         return carrier(self.codomain)
 
     def is_ring_hom(self, samples: Sequence[Element]) -> bool:
-        """Check unit/zero preservation and +,* compatibility on sample pairs."""
+        """Check unit/zero preservation and +,* compatibility on sample pairs.
+
+        Each sample's image is computed once, when a law first needs it, so
+        the maps run in the order the laws are written and a map that raises
+        raises at the same call as without the memo.
+        """
         dom, cod = self.domain_ring, self.codomain_ring
         if not cod.agree(self.apply(dom.zero()), cod.zero()):
             return False
         if not cod.agree(self.apply(dom.one()), cod.one()):
             return False
-        for a in samples:
-            for b in samples:
-                if not cod.agree(self.apply(dom.add(a, b)), cod.add(self.apply(a), self.apply(b))):
+        images: dict[int, Element] = {}
+
+        def image(k: int) -> Element:
+            if k not in images:
+                images[k] = self.apply(samples[k])
+            return images[k]
+
+        for i, a in enumerate(samples):
+            for j, b in enumerate(samples):
+                if not cod.agree(self.apply(dom.add(a, b)), cod.add(image(i), image(j))):
                     return False
-                if not cod.agree(self.apply(dom.mul(a, b)), cod.mul(self.apply(a), self.apply(b))):
+                if not cod.agree(self.apply(dom.mul(a, b)), cod.mul(image(i), image(j))):
                     return False
         return True
 

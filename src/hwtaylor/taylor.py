@@ -49,8 +49,9 @@ class MorphismSpec:
     structures must have the same number of derivation slots.
 
     ``_raw`` memoises the raw series per argument, so the four constructors
-    applied to one argument derive it once; ``dataclasses.replace`` starts
-    a fresh memo.
+    applied to one argument derive it once; each entry also records whether
+    the series passed the constant-coefficient guard, so that is checked
+    once too.  ``dataclasses.replace`` starts a fresh memo.
     """
 
     source: DifferentialRing
@@ -104,14 +105,19 @@ def _derivatives(
     return values
 
 
-def _raw_series(spec: MorphismSpec, a: Element) -> HurwitzSeries:
-    """Coefficient beta is phi of the beta-th source derivative of ``a``."""
-    raw = spec._raw.get(a)
-    if raw is None:
+def _raw_entry(spec: MorphismSpec, a: Element) -> list:
+    """``[raw series of a, whether it passed the constant-coefficient guard]``."""
+    entry = spec._raw.get(a)
+    if entry is None:
         H = spec.target
         derived = _derivatives(spec.source, a, H.plan.parents)
-        raw = spec._raw[a] = H._from_entries(map(spec.phi, derived), spec.trunc)
-    return raw
+        entry = spec._raw[a] = [H._from_entries(map(spec.phi, derived), spec.trunc), False]
+    return entry
+
+
+def _raw_series(spec: MorphismSpec, a: Element) -> HurwitzSeries:
+    """Coefficient beta is phi of the beta-th source derivative of ``a``."""
+    return _raw_entry(spec, a)[0]
 
 
 def _require_constant_coefficients(spec: MorphismSpec, raw: HurwitzSeries) -> None:
@@ -128,9 +134,11 @@ def _require_constant_coefficients(spec: MorphismSpec, raw: HurwitzSeries) -> No
 
 def hurwitz_morphism(spec: MorphismSpec, a: Element) -> HurwitzSeries:
     """Coefficient alpha is phi of the alpha-th source derivative of ``a``."""
-    raw = _raw_series(spec, a)
-    _require_constant_coefficients(spec, raw)
-    return raw
+    entry = _raw_entry(spec, a)
+    if not entry[1]:
+        _require_constant_coefficients(spec, entry[0])
+        entry[1] = True
+    return entry[0]
 
 
 def classical_taylor(spec: MorphismSpec, a: Element) -> HurwitzSeries:

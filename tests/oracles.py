@@ -199,6 +199,14 @@ def poly_mul(a: Mapping, b: Mapping, ops: Ops) -> dict:
     return _nonzero(out, ops)
 
 
+def poly_combine(weights: Sequence[int], values: Sequence[Mapping], width: int, ops: Ops) -> dict:
+    """Sum of w * v, each value scaled by the constant w and added in turn."""
+    out: dict = {}
+    for w, v in zip(weights, values):
+        out = poly_add(out, poly_mul(_nonzero({(0,) * width: ops.embed(w)}, ops), v, ops), ops)
+    return out
+
+
 def poly_pow(a: Mapping, n: int, width: int, ops: Ops) -> dict:
     out = _nonzero({(0,) * width: ops.embed(1)}, ops)
     for _ in range(n):

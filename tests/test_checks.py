@@ -287,8 +287,8 @@ GOLDEN_FAILURES = [
     (
         _derive_into_last_variable,
         None,
-        ("tm2",),
-        "9c534fa7c8b0585d9b8c0f0010c4dc369f732fe46a41485f236afe78b7a7121f",
+        ("tm1", "tm2"),
+        "02c4d514ff2758ec7572f3c1f4519533db9f539b91ab5187b10a38e269081048",
     ),
     (
         lambda mp: mp.setattr(checks, "twisted_taylor", checks.twisted_hurwitz),

@@ -3,7 +3,8 @@
 Over ``Q`` a polynomial holds integer numerators over one shared
 denominator, over ``F_p`` residues; both are compared here, operation by
 operation, with ``tests/oracles.py`` on seeded inputs that mix denominators
-and cancel terms.
+and cancel terms.  ``combine`` (weighted sums, reduced once) and products
+with a zero, constant or one-term operand are compared the same way.
 """
 
 from __future__ import annotations
@@ -14,11 +15,12 @@ from math import gcd
 
 import pytest
 
-from hwtaylor.rings import QQ, PolynomialRing, PrimeField
+from hwtaylor.rings import QQ, PolynomialRing, PrimeField, Ring
 from oracles import (
     FRACTION_OPS,
     fp_ops,
     poly_add,
+    poly_combine,
     poly_derive,
     poly_invert,
     poly_mul,
@@ -148,3 +150,88 @@ def test_render_is_graded_lex():
     R = PolynomialRing(QQ, GENERATORS)
     p = build(R, {(0, 0): Fraction(1, 2), (1, 4): 1, (5, 0): -2, (3, 2): Fraction(-6, 4), (0, 1): 3})
     assert R.render(p) == "u*v^4 - 3/2*u^3*v^2 - 2*u^5 + 3*v + 1/2"
+
+
+def weighted_row(rng, field, ops, cancel):
+    """Weights (some at least p) and dict values (some zero); ``cancel`` appends
+    the negated sum, so the row sums to zero."""
+    p = field.characteristic or 7
+    n = rng.randint(1 if cancel else 0, 5)
+    values = [random_table(rng, field, terms=rng.choice((0, 2, 4))) for _ in range(n)]
+    weights = [rng.choice((1, 1, 2, 3, p - 1, p, p + 1, 2 * p, 6 * p + 5)) for _ in values]
+    if cancel:
+        values.append(poly_neg(poly_combine(weights, values, len(GENERATORS), ops), ops))
+        weights.append(1)
+    return weights, values
+
+
+@pytest.mark.parametrize("field, ops, inverse", FIELDS)
+def test_combine_matches_the_oracle(field, ops, inverse):
+    R = PolynomialRing(field, GENERATORS)
+    rng = random.Random(1118)
+    seen_zero = seen_cancelled = 0
+    for trial in range(TRIALS):
+        cancel = trial % 3 == 0
+        weights, values = weighted_row(rng, field, ops, cancel)
+        seen_zero += any(not v for v in values)
+        want = poly_combine(weights, values, len(GENERATORS), ops)
+        built = [build(R, v) for v in values]
+        got = R.combine(weights, built)
+        assert as_table(got) == want, trial
+        assert_normal(R, got)
+        # the generic add-and-scale loop is the same sum
+        assert got == Ring.combine(R, weights, built), trial
+        if cancel:
+            seen_cancelled += 1
+            assert R.is_zero(got) and got == R.zero(), trial
+        ones = [1] * len(values)
+        assert as_table(R.sum(built)) == poly_combine(ones, values, len(GENERATORS), ops)
+    assert seen_zero and seen_cancelled
+
+
+@pytest.mark.parametrize("field, ops, inverse", FIELDS)
+def test_scalar_combine_matches_the_oracle(field, ops, inverse):
+    rng = random.Random(1119)
+    p = field.characteristic or 7
+    for trial in range(TRIALS):
+        values = [random_coeff(rng, field) for _ in range(rng.randint(0, 6))]
+        if trial % 2 and values:
+            values[0] = ops.zero
+        weights = [rng.choice((1, 2, p - 1, p, p + 1, 5 * p + 3)) for _ in values]
+        if trial % 3 == 0 and values:
+            # the last term cancels the others
+            head = field.combine(weights[:-1], values[:-1])
+            weights[-1], values[-1] = 1, ops.neg(head)
+        want = ops.zero
+        for w, v in zip(weights, values):
+            want = ops.add(want, ops.mul(ops.embed(w), v))
+        got = field.combine(weights, values)
+        assert got == want and type(got) is type(want), trial
+        assert field is QQ or 0 <= got < p
+        assert got == Ring.combine(field, weights, values), trial
+
+
+@pytest.mark.parametrize("field, ops, inverse", FIELDS)
+def test_mul_by_zero_constant_or_monomial_matches_the_oracle(field, ops, inverse):
+    """A zero, constant or one-term operand on either side, against the oracle."""
+    R = PolynomialRing(field, GENERATORS)
+    rng = random.Random(1120)
+
+    def nonzero_coeff():
+        while True:
+            c = random_coeff(rng, field)
+            if c != ops.zero:
+                return c
+
+    for trial in range(TRIALS):
+        a = random_table(rng, field, terms=5)
+        specials = {
+            "zero": {},
+            "constant": {(0, 0): nonzero_coeff()},
+            "monomial": {(rng.randint(0, 3), rng.randint(1, 3)): nonzero_coeff()},
+        }
+        for name, s in specials.items():
+            for x, y in ((a, s), (s, a), (s, s)):
+                got = R.mul(build(R, x), build(R, y))
+                assert as_table(got) == poly_mul(x, y, ops), (trial, name)
+                assert_normal(R, got)

@@ -182,6 +182,41 @@ class TestHoms:
         not_hom = RingHom(R, QQ, lambda p: Fraction(len(p.terms)))
         assert not not_hom.is_ring_hom(samples)
 
+    def test_is_ring_hom_maps_each_sample_once(self):
+        R = PolynomialRing(QQ, ["u"])
+        rng = random.Random(4)
+        samples = [R.sample(rng) for _ in range(4)]
+        # the laws' order: 0, 1, then per pair a + b, each sample the first
+        # time a law reads it, and a * b
+        want, mapped = [R.zero(), R.one()], set()
+        for i, a in enumerate(samples):
+            for j, b in enumerate(samples):
+                want.append(R.add(a, b))
+                for k in (i, j):
+                    if k not in mapped:
+                        mapped.add(k)
+                        want.append(samples[k])
+                want.append(R.mul(a, b))
+        seen = []
+
+        def ev_at_2(p):
+            seen.append(p)
+            if p is samples[2] and raising:
+                raise ZeroDivisionError("sample 2")
+            return sum((c * Fraction(2) ** e[0] for e, c in p.terms), Fraction(0))
+
+        raising = False
+        assert RingHom(R, QQ, ev_at_2).is_ring_hom(samples)
+        n = len(samples)
+        assert len(seen) == 2 + 2 * n * n + n
+        assert seen == want
+        # a map that raises on a sample raises at the same call as without the memo
+        seen.clear()
+        raising = True
+        with pytest.raises(ZeroDivisionError, match="sample 2"):
+            RingHom(R, QQ, ev_at_2).is_ring_hom(samples)
+        assert seen == want[: len(seen)] and seen[-1] is samples[2]
+
     def test_is_differential_hom(self):
         D = differential_polynomial_carrier(QQ, ["u"], [["1"]])
         ident = RingHom(D, D, lambda a: a)

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import hwtaylor.taylor as taylor
 from hwtaylor.diffpoly import DiffPolyRing
 from hwtaylor.hurwitz import HurwitzRing
 from hwtaylor.multiindex import MultiIndex, enumerate_upto
@@ -452,6 +453,24 @@ class TestRawSeriesMemo:
         for fn, got in zip(self.CONSTRUCTORS, results):
             fresh, b = self._spec()
             assert spec.target.eq(got, fn(fresh, b))
+
+    def test_constant_guard_runs_once_per_argument(self, monkeypatch):
+        guard = taylor._require_constant_coefficients
+        calls = []
+
+        def counting(spec, raw):
+            calls.append(raw)
+            return guard(spec, raw)
+
+        monkeypatch.setattr(taylor, "_require_constant_coefficients", counting)
+        spec, a = self._spec()
+        divided = classical_taylor(spec, a)
+        raw = hurwitz_morphism(spec, a)
+        assert len(calls) == 1 and calls[0] is raw
+        assert spec.target.eq(divided, spec.target.to_divided(raw))
+        fresh, b = self._spec()
+        assert spec.target.eq(raw, hurwitz_morphism(fresh, b))
+        assert len(calls) == 2
 
     def test_replace_starts_an_empty_memo(self, derive_calls):
         spec, a = self._spec()
