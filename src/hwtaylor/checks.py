@@ -30,7 +30,7 @@ import random
 from dataclasses import dataclass, replace
 from functools import reduce
 from itertools import repeat
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from .diffpoly import DiffPolyRing
 from .hurwitz import MAX_TRUNC, MAX_WIDTH, HurwitzRing, series_to_json
@@ -42,6 +42,9 @@ from .rings import (
     PolynomialRing,
     PrimeField,
     Ring,
+    _expect_int,
+    _expect_object,
+    _reject_unknown,
     constant_structure,
 )
 from .taylor import (
@@ -63,6 +66,17 @@ class UnknownCheckError(ValueError):
 
 # Largest polynomial coefficient degree a check configuration may ask for.
 MAX_COEFF_DEGREE = 6
+# Largest number of instances per check a check configuration may ask for.
+MAX_INSTANCES = 10000
+
+# wire name: (CheckConfig field, lo, hi), checked in this order
+_CONFIG_INTS = {
+    "seed": ("seed", -(2**63), 2**63),
+    "instances": ("instances", 1, MAX_INSTANCES),
+    "m_max": ("width_max", 1, MAX_WIDTH),
+    "trunc": ("trunc", 1, MAX_TRUNC),
+    "coeff_degree": ("coeff_degree", 0, MAX_COEFF_DEGREE),
+}
 
 
 @dataclass(frozen=True)
@@ -77,20 +91,31 @@ class CheckConfig:
     coeff_degree: int = 2
 
     def __post_init__(self) -> None:
-        if self.instances < 1:
-            raise ValueError("instances must be at least 1")
-        if not 1 <= self.width_max <= MAX_WIDTH:
-            raise ValueError(f"width_max must be between 1 and {MAX_WIDTH}")
-        if not 1 <= self.trunc <= MAX_TRUNC:
-            raise ValueError(f"trunc must be between 1 and {MAX_TRUNC}")
-        if not 0 <= self.coeff_degree <= MAX_COEFF_DEGREE:
-            raise ValueError(f"coeff_degree must be between 0 and {MAX_COEFF_DEGREE}")
+        for field, lo, hi in _CONFIG_INTS.values():
+            _expect_int(getattr(self, field), field, lo, hi)
         if self.checks is not None:
             unknown = [name for name in self.checks if name not in _CHECKS]
             if unknown:
                 raise UnknownCheckError(
                     f"unknown check {unknown[0]!r}; known: {', '.join(_CHECKS)}"
                 )
+
+    @classmethod
+    def from_json(cls, doc: Any, path: str = "config") -> CheckConfig:
+        """The configuration a JSON document describes; wire errors name ``path``."""
+        _expect_object(doc, path)
+        _reject_unknown(doc, {*_CONFIG_INTS, "checks"}, path)
+        kwargs: dict = {
+            field: _expect_int(doc[wire], f"{path}.{wire}", lo, hi)
+            for wire, (field, lo, hi) in _CONFIG_INTS.items()
+            if wire in doc
+        }
+        if "checks" in doc:
+            names = doc["checks"]
+            if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+                raise ValueError(f"{path}.checks: expected a list of check names")
+            kwargs["checks"] = tuple(names)
+        return cls(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -359,14 +384,6 @@ def _chain_value_table(
         for alpha, v in derived.items():
             table[(var, alpha)] = v
     return table
-
-
-def _values_to_json(A: DiffPolyRing, values: Mapping) -> list:
-    K = A.base.ring
-    items = sorted(values.items(), key=lambda kv: (kv[0][0], kv[0][1].entries))
-    return [
-        [var, list(alpha.entries), K.render(v)] for (var, alpha), v in items
-    ]
 
 
 _CONSTRUCTORS = CONSTRUCTIONS
@@ -667,7 +684,7 @@ def _diffpoly_spec(
     )
     desc = {
         "kind": "diffpoly",
-        "values": _values_to_json(A, values),
+        "values": A.values_to_json(values),
         "chain": chain,
     }
     return spec, A, desc
@@ -743,7 +760,7 @@ def _check_tm1(rng: random.Random, size: Size, ordinal: int) -> Laws:
     case = {
         "coefficients": kdesc,
         "law": "value_map_differential",
-        "values": _values_to_json(B, values),
+        "values": B.values_to_json(values),
         "element": B.element_to_json(e),
     }
     for slot in range(K.width):
@@ -780,7 +797,7 @@ def _check_tm2(rng: random.Random, size: Size, ordinal: int) -> Laws:
     included = type(a)(a.terms)  # symbols of A are symbols of B verbatim
     inputs = {
         "coefficients": kdesc,
-        "values": _values_to_json(B, values),
+        "values": B.values_to_json(values),
         "argument": A.element_to_json(a),
     }
     H = spec_a.target

@@ -27,22 +27,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from functools import partial
 from typing import Any, Callable
 
-from .checks import (
-    MAX_COEFF_DEGREE,
-    CheckConfig,
-    UnknownCheckError,
-    reports_to_jsonl,
-    run_suite,
-)
+from .checks import CheckConfig, reports_to_jsonl, run_suite
 from .diffpoly import DiffPolyRing, UncoveredSymbolError
 from .hurwitz import MAX_TRUNC, MAX_WIDTH, HurwitzRing, HurwitzSeries, series_to_json
 from .multiindex import MultiIndex
 from .rings import (
-    MAX_EXPONENT,
-    MAX_TERMS,
     QQ,
     DifferentialRing,
     DomainError,
@@ -95,34 +88,6 @@ def _parse_family(ring: Ring, rows: Any, width: int, path: str) -> DifferentialR
         return differential_polynomial_carrier(ring.base, ring.generators, images)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-
-
-def _parse_values(A: DiffPolyRing, doc: Any, path: str) -> dict:
-    if not isinstance(doc, list):
-        raise ValueError(f"{path}: expected a list of [variable, order, value] rows")
-    if len(doc) > MAX_TERMS:
-        raise ValueError(f"{path}: more than {MAX_TERMS} rows")
-    K = A.base.ring
-    table: dict = {}
-    for i, row in enumerate(doc):
-        here = f"{path}[{i}]"
-        if not isinstance(row, list) or len(row) != 3:
-            raise ValueError(f"{here}: expected [variable, order, value]")
-        var, order, text = row
-        var = _expect_int(var, f"{here}[0]", 0, len(A.variables) - 1)
-        if not isinstance(order, list) or len(order) != A.width:
-            raise ValueError(f"{here}[1]: expected {A.width} order entries")
-        entries = [_expect_int(e, f"{here}[1]", 0, MAX_EXPONENT) for e in order]
-        text = _expect_string(text, f"{here}[2]")
-        try:
-            value = K.parse(text)
-        except ValueError as exc:
-            raise ValueError(f"{here}[2]: {exc}") from exc
-        key = (var, MultiIndex(tuple(entries)))
-        if key in table:
-            raise ValueError(f"{here}: duplicate symbol")
-        table[key] = value
-    return table
 
 
 def load_problem(
@@ -186,7 +151,7 @@ def load_problem(
         default_zero = phi_obj.get("default_zero", False)
         if not isinstance(default_zero, bool):
             raise ValueError("problem.phi.default_zero: expected a boolean")
-        table = _parse_values(A, _field(phi_obj, "values", "problem.phi"), "problem.phi.values")
+        table = A.values_from_json(_field(phi_obj, "values", "problem.phi"), "problem.phi.values")
         phi = A.value_hom(table, default_zero=default_zero)
         element = A.element_from_json(_field(doc, "element", "problem"), "problem.element")
         source = A.differential_ring()
@@ -245,45 +210,21 @@ def cmd_expand(args: argparse.Namespace) -> int:
     return _write_output(_canonical(series_to_json(series)) + "\n", args.out)
 
 
-MAX_INSTANCES = 10000
-
-# wire name: (CheckConfig field, lo, hi), read in this order
-_CONFIG_INTS = {
-    "seed": ("seed", -(2**63), 2**63),
-    "instances": ("instances", 1, MAX_INSTANCES),
-    "m_max": ("width_max", 1, MAX_WIDTH),
-    "trunc": ("trunc", 1, MAX_TRUNC),
-    "coeff_degree": ("coeff_degree", 0, MAX_COEFF_DEGREE),
-}
-
-
 def _load_check_config(args: argparse.Namespace) -> CheckConfig:
-    doc: dict = {}
-    if args.config is not None:
-        doc = _expect_object(_read_json(args.config), "config")
-        _reject_unknown(doc, {*_CONFIG_INTS, "checks"}, "config")
-    kwargs: dict = {}
-    for wire, (field, lo, hi) in _CONFIG_INTS.items():
-        if wire in doc:
-            kwargs[field] = _expect_int(doc[wire], f"config.{wire}", lo, hi)
-    if "checks" in doc:
-        names = doc["checks"]
-        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-            raise ValueError("config.checks: expected a list of check names")
-        kwargs["checks"] = tuple(names)
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    if args.instances is not None:
-        kwargs["instances"] = _expect_int(args.instances, "instances", 1, MAX_INSTANCES)
+    doc = {} if args.config is None else _read_json(args.config)
+    flags = {"seed": args.seed, "instances": args.instances}
     if args.checks is not None:
-        kwargs["checks"] = tuple(n for n in args.checks.split(",") if n)
-    return CheckConfig(**kwargs)
+        flags["checks"] = tuple(n for n in args.checks.split(",") if n)
+    return replace(
+        CheckConfig.from_json(doc),
+        **{field: value for field, value in flags.items() if value is not None},
+    )
 
 
 def cmd_check(args: argparse.Namespace) -> int:
     try:
         config = _load_check_config(args)
-    except (UnknownCheckError, ValueError, TypeError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     # refuse an unwritable --out before the suite runs

@@ -319,6 +319,42 @@ class DiffPolyRing(Ring):
             table[mon] = K.add(table[mon], c) if mon in table else c
         return self._make(table)
 
+    def values_to_json(self, values: Mapping[Symbol, Element]) -> list:
+        """A value table as sorted ``[variable, order, value]`` rows."""
+        K = self.base.ring
+        items = sorted(values.items(), key=lambda kv: (kv[0][0], kv[0][1].entries))
+        return [
+            [var, list(alpha.entries), K.render(v)] for (var, alpha), v in items
+        ]
+
+    def values_from_json(self, doc: Any, path: str = "values") -> dict[Symbol, Element]:
+        """The value table that ``values_to_json`` rows describe; errors name ``path``."""
+        if not isinstance(doc, list):
+            raise ValueError(f"{path}: expected a list of [variable, order, value] rows")
+        if len(doc) > MAX_TERMS:
+            raise ValueError(f"{path}: more than {MAX_TERMS} rows")
+        K = self.base.ring
+        table: dict = {}
+        for i, row in enumerate(doc):
+            here = f"{path}[{i}]"
+            if not isinstance(row, list) or len(row) != 3:
+                raise ValueError(f"{here}: expected [variable, order, value]")
+            var, order, text = row
+            var = _expect_int(var, f"{here}[0]", 0, len(self.variables) - 1)
+            if not isinstance(order, list) or len(order) != self.width:
+                raise ValueError(f"{here}[1]: expected {self.width} order entries")
+            entries = [_expect_int(e, f"{here}[1]", 0, MAX_EXPONENT) for e in order]
+            text = _expect_string(text, f"{here}[2]")
+            try:
+                value = K.parse(text)
+            except ValueError as exc:
+                raise ValueError(f"{here}[2]: {exc}") from exc
+            key = (var, MultiIndex(tuple(entries)))
+            if key in table:
+                raise ValueError(f"{here}: duplicate symbol")
+            table[key] = value
+        return table
+
     def element_to_json(self, a: DiffPolynomial) -> list:
         K = self.base.ring
         return [

@@ -118,9 +118,6 @@ class Ring:
     def is_zero(self, a: Element) -> bool:
         return self.eq(a, self.zero())
 
-    def is_one(self, a: Element) -> bool:
-        return self.eq(a, self.one())
-
     def combine(self, weights: Iterable[int], values: Iterable[Element]) -> Element:
         """``sum of w * v`` over the pairs of integer ``weights`` and ``values``.
 
@@ -188,9 +185,6 @@ class RationalField(Ring):
 
     def is_zero(self, a: Fraction) -> bool:
         return a == 0
-
-    def is_one(self, a: Fraction) -> bool:
-        return a == 1
 
     def embed_int(self, n: int) -> Fraction:
         return Fraction(n)
@@ -848,9 +842,12 @@ def ring_from_json(doc: Any, path: str = "ring") -> Ring:
     if kind == "Fp":
         _reject_unknown(doc, {"kind", "p"}, path)
         p = doc.get("p")
-        if not isinstance(p, int) or p >= _PRIME_BOUND or not _is_prime(p):
-            raise ValueError(f"{path}.p: expected a prime integer below {_PRIME_BOUND}")
-        return PrimeField(p)
+        if isinstance(p, int):
+            try:
+                return PrimeField(p)
+            except ValueError:
+                pass
+        raise ValueError(f"{path}.p: expected a prime integer below {_PRIME_BOUND}")
     if kind == "poly":
         _reject_unknown(doc, {"kind", "p", "base", "generators"}, path)
         gens = doc.get("generators")

@@ -66,6 +66,11 @@ class TestRegistry:
         with pytest.raises(ValueError, match="coeff_degree"):
             CheckConfig(coeff_degree=7)
 
+    def test_config_bounds_are_the_wire_bounds(self):
+        for kwargs in ({"seed": 2**64}, {"instances": True}, {"instances": 10001}):
+            with pytest.raises(ValueError, match=next(iter(kwargs))):
+                CheckConfig(**kwargs)
+
     def test_selection_preserves_requested_order(self):
         cfg = CheckConfig(checks=("tm1", "ev1"), instances=2, trunc=3)
         reports = run_suite(cfg)

@@ -407,11 +407,30 @@ class TestCheck:
         assert rc == 0
         assert json.loads(out.strip())["check_name"] == "ev1"
 
+    def test_config_file_validated_before_flags_apply(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        for doc, message in [
+            ({"instances": 0}, "error: config.instances: must be between 1 and 10000"),
+            ({"checks": ["nope"]}, "error: unknown check 'nope'"),
+        ]:
+            cfg.write_text(json.dumps(doc))
+            rc = main(["check", "--config", str(cfg), "--instances", "1", "--checks", "tm1"])
+            out, err = capsys.readouterr()
+            assert rc == 2 and out == ""
+            assert err.startswith(message), err
+
     def test_invalid_instances(self, capsys):
         rc = main(["check", "--instances", "0"])
         _, err = capsys.readouterr()
         assert rc == 2
         assert "instances" in err
+
+    def test_out_of_range_seed(self, capsys):
+        rc = main(["check", "--seed", "9223372036854775809"])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: seed: must be between "), err
 
     def test_out_file(self, tmp_path, capsys, monkeypatch):
         target = tmp_path / "report.jsonl"

@@ -4,12 +4,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hwtaylor.diffpoly import DiffPolyRing, UncoveredSymbolError
 from hwtaylor.multiindex import MultiIndex
 from hwtaylor.rings import (
     QQ,
     DomainError,
+    PolynomialRing,
     PrimeField,
     constant_structure,
     differential_polynomial_carrier,
@@ -170,7 +173,46 @@ class TestJson:
             with pytest.raises(ValueError, match=pattern):
                 A.element_from_json(doc)
 
+    def test_values_errors_name_paths(self, ring_one_var):
+        A = ring_one_var
+        cases = [
+            ({}, r"phi: expected a list of \[variable, order, value\] rows"),
+            ([[0, [0]]], r"phi\[0\]: expected \[variable, order, value\]"),
+            ([[1, [0], "1"]], r"phi\[0\]\[0\]: must be between 0 and 0"),
+            ([[0, [0, 0], "1"]], r"phi\[0\]\[1\]: expected 1 order entries"),
+            ([[0, [0], 1]], r"phi\[0\]\[2\]: expected a string"),
+            ([[0, [0], "1"], [0, [0], "2"]], r"phi\[1\]: duplicate symbol"),
+        ]
+        for doc, pattern in cases:
+            with pytest.raises(ValueError, match=pattern):
+                A.values_from_json(doc, "phi")
+
     def test_render(self, ring_one_var):
         A = ring_one_var
         f = A.add(A.mul(A.gen("x"), A.symbol("x", [2])), A.constant(Fraction(-1, 2)))
         assert A.render(f) == "(-1/2) + x*x''"
+
+
+@st.composite
+def value_table(draw):
+    """A value table over Q, F_5 or Q[u] on one or two variables of width 1-3."""
+    K = draw(st.sampled_from([QQ, PrimeField(5), PolynomialRing(QQ, ["u"])]))
+    width = draw(st.integers(min_value=1, max_value=3))
+    A = DiffPolyRing(constant_structure(K, width), ["x", "y"][: draw(st.integers(1, 2))])
+    symbol = st.tuples(
+        st.integers(0, len(A.variables) - 1),
+        st.lists(st.integers(0, 4), min_size=width, max_size=width).map(tuple),
+    )
+    rng = random.Random(draw(st.integers(min_value=0, max_value=10**6)))
+    table = {
+        (var, MultiIndex(order)): K.sample(rng)
+        for var, order in draw(st.lists(symbol, max_size=8, unique=True))
+    }
+    return A, table
+
+
+@settings(max_examples=60, deadline=None)
+@given(value_table())
+def test_values_json_roundtrip_hypothesis(data):
+    A, table = data
+    assert A.values_from_json(A.values_to_json(table)) == table
