@@ -76,6 +76,11 @@ class DiffPolyRing(Ring):
         self.characteristic = base.ring.characteristic
         # per slot, symbol -> the symbol one order step up in that slot
         self._shifts: tuple[dict[Symbol, Symbol], ...] = tuple({} for _ in range(base.width))
+        # one structure per ring, so that ``taylor`` can recognise it by identity;
+        # each slot looks ``derive`` up at call time
+        self._structure = DifferentialRing(
+            self, tuple((lambda a, s=slot: self.derive(a, s)) for slot in range(base.width))
+        )
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -194,9 +199,8 @@ class DiffPolyRing(Ring):
         return self._make(table)
 
     def differential_ring(self) -> DifferentialRing:
-        return DifferentialRing(
-            self, tuple((lambda a, s=slot: self.derive(a, s)) for slot in range(self.width))
-        )
+        """The ring with its slot derivations; the same object on every call."""
+        return self._structure
 
     def evaluate(
         self,

@@ -17,6 +17,17 @@ constructors are that series read in four ways:
 * ``twisted_taylor``: ``to_divided`` of ``twisted_hurwitz``; rational
   algebras only.
 
+The raw series is computed one of two ways.  When the source is a
+``DiffPolyRing``'s own ``differential_ring()``, it is evaluated (Taylor
+mode): the raw series is a ring map into ``(H(K), mul)``, since Hurwitz
+series are cofree, so it sends the argument to the sum over its terms of
+the coefficient's series times products of symbol series, computed with
+``HurwitzRing.mul`` and no source derivation.  Every other source (``self``,
+a series ring, a twin structure with the same derivations) and every
+argument whose evaluation meets a symbol the value table does not cover
+derive the argument once per multi-index and apply phi to each derivative.
+Both give the same series; the check suite compares them.
+
 ``ev_twist`` reshuffles an existing series by a commuting family acting on
 its coefficients; composing twists adds the families, and twisting by the
 negated family inverts.  All of this is exact; validity orders pass through
@@ -27,8 +38,10 @@ index it writes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Callable, Sequence
 
+from .diffpoly import DiffPolyRing, UncoveredSymbolError
 from .hurwitz import HurwitzRing, HurwitzSeries, plan_for
 from .multiindex import MultiIndex, count_upto
 from .rings import (
@@ -49,7 +62,7 @@ class MorphismSpec:
     structures must have the same number of derivation slots.
 
     ``_raw`` memoises the raw series per argument, so the four constructors
-    applied to one argument derive it once; each entry also records whether
+    applied to one argument compute it once; each entry also records whether
     the series passed the constant-coefficient guard, so that is checked
     once too.  ``dataclasses.replace`` starts a fresh memo.
     """
@@ -109,10 +122,59 @@ def _raw_entry(spec: MorphismSpec, a: Element) -> list:
     """``[raw series of a, whether it passed the constant-coefficient guard]``."""
     entry = spec._raw.get(a)
     if entry is None:
-        H = spec.target
-        derived = _derivatives(spec.source, a, H.plan.parents)
-        entry = spec._raw[a] = [H._from_entries(map(spec.phi, derived), spec.trunc), False]
+        raw = _taylor_raw(spec, a)
+        if raw is None:
+            H = spec.target
+            derived = _derivatives(spec.source, a, H.plan.parents)
+            raw = H._from_entries(map(spec.phi, derived), spec.trunc)
+        entry = spec._raw[a] = [raw, False]
     return entry
+
+
+def _taylor_raw(spec: MorphismSpec, a: Element) -> HurwitzSeries | None:
+    """The raw series of a differential polynomial, evaluated instead of derived.
+
+    The raw series is a ring map into ``(H(K), mul)`` (Hurwitz series are
+    cofree), so it is fixed by its values on symbols and coefficients:
+    symbol (x, o) goes to ``beta -> phi(x at order o + beta)`` and a
+    coefficient c to ``beta -> phi(delta^beta c)``, and ``a`` is evaluated
+    there with series products.  Only the source ``differential_ring()`` of
+    a ``DiffPolyRing`` is taken.  ``None`` means the derived path must run:
+    another source, or a ``phi`` that raised ``UncoveredSymbolError``.  Over
+    ``F_p`` the derived path can skip a symbol this one reads
+    (``D(x^p) = 0``), so it decides whether the table covers the argument
+    and which error to raise.
+    """
+    A = spec.source.ring
+    if not isinstance(A, DiffPolyRing) or spec.source is not A.differential_ring():
+        return None
+    H, K = spec.target, spec.coefficients.ring
+    plan, phi, trunc = H.plan, spec.phi, spec.trunc
+    is_zero = A.base.ring.is_zero
+    symbols: dict = {}
+
+    def symbol_series(sym) -> HurwitzSeries:
+        if sym not in symbols:
+            var, order = sym
+            symbols[sym] = H._from_entries(
+                [phi(A.symbol(var, order + beta)) for beta in plan.indices], trunc
+            )
+        return symbols[sym]
+
+    def term_series(mon, c) -> HurwitzSeries:
+        derived = _derivatives(A.base, c, plan.parents)
+        series = H._from_entries(
+            [K.zero() if is_zero(d) else phi(A.constant(d)) for d in derived], trunc
+        )
+        for sym, power in mon:
+            series = H.mul(series, H.pow(symbol_series(sym), power))
+        return series
+
+    try:
+        terms = [term_series(mon, c) for mon, c in a.terms]
+    except UncoveredSymbolError:
+        return None
+    return reduce(H.add, terms, H.zero())
 
 
 def _raw_series(spec: MorphismSpec, a: Element) -> HurwitzSeries:

@@ -411,7 +411,7 @@ class TestCheck:
         cfg = tmp_path / "config.json"
         for doc, message in [
             ({"instances": 0}, "error: config.instances: must be between 1 and 10000"),
-            ({"checks": ["nope"]}, "error: unknown check 'nope'"),
+            ({"checks": ["tm1", "nope"]}, "error: config.checks[1]: unknown check 'nope'; known: "),
         ]:
             cfg.write_text(json.dumps(doc))
             rc = main(["check", "--config", str(cfg), "--instances", "1", "--checks", "tm1"])

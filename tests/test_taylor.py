@@ -12,6 +12,7 @@ from hwtaylor.hurwitz import HurwitzRing
 from hwtaylor.multiindex import MultiIndex, enumerate_upto
 from hwtaylor.rings import (
     QQ,
+    DifferentialRing,
     DomainError,
     PrimeField,
     constant_structure,
@@ -406,20 +407,26 @@ class TestAxioms:
 
 
 class TestRawSeriesMemo:
-    """The four constructors share one derivative table per spec and argument."""
+    """The four constructors share one raw series per spec and argument.
+
+    The specs derive symbolically (their source is a twin of the ring's own
+    structure), so every ``DiffPolyRing.derive`` call builds that series;
+    the Taylor-path twin of the first test counts series products instead.
+    """
 
     CONSTRUCTORS = (classical_taylor, hurwitz_morphism, twisted_taylor, twisted_hurwitz)
 
     @staticmethod
-    def _spec(trunc=5):
+    def _spec(trunc=5, taylor_mode=False):
         """x*x' + u*x over constant Q[u], every symbol up to order 6 valued."""
         R = rational_poly_carrier().ring
         K = constant_structure(R, 1)
         A = DiffPolyRing(K, ["x"])
         rng = random.Random(20)
         values = {(0, alpha): R.sample(rng) for alpha in enumerate_upto(1, 6)}
+        source = A.differential_ring()
         spec = MorphismSpec(
-            source=A.differential_ring(),
+            source=source if taylor_mode else DifferentialRing(A, source.derivations),
             coefficients=K,
             phi=A.value_hom(values),
             trunc=trunc,
@@ -450,6 +457,28 @@ class TestRawSeriesMemo:
         derive_calls.clear()
         results = [fn(spec, a) for fn in self.CONSTRUCTORS]
         assert len(derive_calls) == once
+        for fn, got in zip(self.CONSTRUCTORS, results):
+            fresh, b = self._spec()
+            assert spec.target.eq(got, fn(fresh, b))
+
+    def test_four_constructors_multiply_once_in_taylor_mode(self, derive_calls, monkeypatch):
+        mul = HurwitzRing.mul
+        calls = []
+
+        def counting(self, a, b):
+            calls.append(a)
+            return mul(self, a, b)
+
+        monkeypatch.setattr(HurwitzRing, "mul", counting)
+        spec, a = self._spec(taylor_mode=True)
+        hurwitz_morphism(spec, a)
+        once = len(calls)
+        assert once > 0
+
+        spec, a = self._spec(taylor_mode=True)
+        calls.clear()
+        results = [fn(spec, a) for fn in self.CONSTRUCTORS]
+        assert len(calls) == once and derive_calls == []
         for fn, got in zip(self.CONSTRUCTORS, results):
             fresh, b = self._spec()
             assert spec.target.eq(got, fn(fresh, b))

@@ -1,0 +1,202 @@
+"""Taylor-mode raw series: evaluating a differential polynomial on symbol series.
+
+For a source that is a ``DiffPolyRing``'s own ``differential_ring()``,
+``taylor`` builds the raw series by evaluating the argument with series
+products instead of deriving it.  The derived path stays for every other
+source and for any table that does not cover a symbol the evaluation reads.
+A twin source (the same derivations under another identity) takes the
+derived path, so the two are compared here value for value and error for
+error.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hwtaylor import taylor
+from hwtaylor.cli import main
+from hwtaylor.diffpoly import DiffPolyRing, UncoveredSymbolError
+from hwtaylor.multiindex import MultiIndex, enumerate_upto
+from hwtaylor.rings import (
+    QQ,
+    DifferentialRing,
+    PrimeField,
+    constant_structure,
+    differential_polynomial_carrier,
+)
+from hwtaylor.taylor import MorphismSpec
+
+CAPPED = Path(__file__).parent / "data" / "capped_twisted.json"
+
+
+def _specs(A, phi, trunc):
+    """(Taylor-mode spec, derived-path spec) for one value map."""
+    K = A.base
+    twin = DifferentialRing(A, A.differential_ring().derivations)
+    return (
+        MorphismSpec(source=A.differential_ring(), coefficients=K, phi=phi, trunc=trunc),
+        MorphismSpec(source=twin, coefficients=K, phi=phi, trunc=trunc),
+    )
+
+
+def _outcome(spec, a):
+    """The raw series as (valid, entries), or the error it raised."""
+    try:
+        raw = taylor._raw_series(spec, a)
+    except UncoveredSymbolError as exc:
+        return ("error", str(exc))
+    return (raw.valid, raw.entries)
+
+
+@st.composite
+def structures(draw):
+    """A coefficient structure of width 1-3 and a small-element maker for it."""
+    width = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["Q", "F3", "F5", "Q[u] d/du", "Q[u] u*d/du"]))
+    if kind == "Q":
+        return constant_structure(QQ, width), lambda n: QQ.embed_int(n) / 2
+    if kind.startswith("F"):
+        F = PrimeField(int(kind[1]))
+        return constant_structure(F, width), F.embed_int
+    # one derivation in every slot or zero, so the family commutes
+    image = "1" if kind.endswith(" d/du") else "u"
+    rows = [[draw(st.sampled_from([image, "0"]))] for _ in range(width)]
+    K = differential_polynomial_carrier(QQ, ["u"], rows)
+    R, u = K.ring, K.ring.gen("u")
+    return K, lambda n: R.add(R.embed_int(n % 3 - 1), R.mul(R.embed_int(n // 3), u))
+
+
+@st.composite
+def problems(draw):
+    """A value map on K{x, y} and an argument, small enough to derive."""
+    K, element = draw(structures())
+    width = K.width
+    trunc = draw(st.integers(0, 6))
+    A = DiffPolyRing(K, ["x", "y"][: draw(st.integers(1, 2))])
+    rnd = draw(st.randoms(use_true_random=False))
+    orders = enumerate_upto(width, 2)
+    p = K.ring.characteristic
+    a = A.zero()
+    for _ in range(draw(st.integers(1, 3))):
+        term = A.constant(element(rnd.randrange(1, 9)))
+        for _ in range(rnd.randint(0, 2)):
+            sym = A.symbol(rnd.randrange(len(A.variables)), rnd.choice(orders))
+            power = p if p and rnd.random() < 0.4 else rnd.randint(1, 3)
+            term = A.mul(term, A.pow(sym, power))
+        a = A.add(a, term)
+    default_zero = draw(st.booleans())
+    values = {}
+    for var in range(len(A.variables)):
+        for alpha in enumerate_upto(width, 2 + trunc):
+            # a sparse table under default_zero, a nearly full one without
+            if rnd.random() < (0.5 if default_zero else 0.95):
+                values[var, alpha] = element(rnd.randrange(0, 12))
+    return A, A.value_hom(values, default_zero=default_zero), a, trunc
+
+
+@settings(max_examples=250, deadline=None)
+@given(problems())
+def test_taylor_raw_series_equals_derived(problem):
+    A, phi, a, trunc = problem
+    fast, derived = _specs(A, phi, trunc)
+    got, want = _outcome(fast, a), _outcome(derived, a)
+    assert got[0] == want[0]
+    if want[0] == "error":
+        assert got == want
+    else:
+        assert all(map(A.base.ring.eq, got[1], want[1]))
+
+
+def _doc(ring, values, element, trunc=4, morphism="hurwitz_morphism"):
+    return {
+        "ring": ring,
+        "m": 1,
+        "trunc": trunc,
+        "source": {"kind": "diffpoly", "vars": ["x", "y"]},
+        "phi": {"values": values},
+        "morphism": morphism,
+        "element": element,
+    }
+
+
+def _expand(tmp_path, capsys, doc, *flags):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    rc = main(["expand", "--spec", str(path), *flags])
+    out, err = capsys.readouterr()
+    return rc, out, err
+
+
+class TestFallback:
+    def test_pth_power_needs_no_derivative_values(self, tmp_path, capsys):
+        """Over F_3, D(x^3) = 0: the derived path never reads x', so neither may we."""
+        doc = _doc(
+            {"kind": "Fp", "p": 3},
+            [[0, [0], "2"]],
+            [{"coeff": "1", "monomial": [[0, [0], 3]]}],
+        )
+        rc, out, err = _expand(tmp_path, capsys, doc)
+        assert (rc, err) == (0, "")
+        assert json.loads(out)["coeffs"] == [[[0], "2"]]
+
+        F = PrimeField(3)
+        A = DiffPolyRing(constant_structure(F, 1), ["x"])
+        fast, derived = _specs(A, A.value_hom({(0, MultiIndex((0,))): 2}), 4)
+        a = A.pow(A.gen("x"), 3)
+        assert _outcome(fast, a) == _outcome(derived, a) == (4, (2, 0, 0, 0, 0))
+
+    def test_uncovered_symbol_names_the_derived_path_symbol(self, tmp_path, capsys):
+        """x*y with x, x', y valued: evaluation would miss x'' first, derivation y'."""
+        doc = _doc(
+            {"kind": "Q"},
+            [[0, [0], "1"], [0, [1], "2"], [1, [0], "3"]],
+            [{"coeff": "1", "monomial": [[0, [0], 1], [1, [0], 1]]}],
+            trunc=2,
+        )
+        rc, out, err = _expand(tmp_path, capsys, doc)
+        assert (rc, out) == (2, "")
+        assert err == "error: value table does not cover symbol y'\n"
+
+
+class TestNoDerivation:
+    def test_taylor_path_never_derives(self, monkeypatch, tmp_path, capsys):
+        calls = []
+        derive = DiffPolyRing.derive
+
+        def counting(self, a, slot):
+            calls.append(slot)
+            return derive(self, a, slot)
+
+        monkeypatch.setattr(DiffPolyRing, "derive", counting)
+        doc = json.loads(CAPPED.read_text())
+        rc, out, _ = _expand(tmp_path, capsys, doc)
+        assert rc == 0 and out
+        assert calls == []
+
+
+class TestCappedDocument:
+    """A document inside every cap that took minutes to derive at trunc 10."""
+
+    def test_trunc_6_output_is_pinned(self, tmp_path, capsys):
+        rc, out, err = _expand(tmp_path, capsys, json.loads(CAPPED.read_text()))
+        assert (rc, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "ed5b316a899753b1e2e2e2ac2e8576bb7eb5c9b6b13838f2c4ec96cff2516fcc"
+        )
+
+    def test_raw_series_agrees_with_derived_path(self):
+        """The document at trunc 3, where deriving it is still quick."""
+        doc = json.loads(CAPPED.read_text())
+        K = differential_polynomial_carrier(
+            QQ, ["u", "v", "w"], [["1", "0", "0"], ["0", "v", "0"], ["0", "0", "w"]]
+        )
+        A = DiffPolyRing(K, ["x"])
+        phi = A.value_hom(A.values_from_json(doc["phi"]["values"]), default_zero=True)
+        a = A.element_from_json(doc["element"])
+        fast, derived = _specs(A, phi, 3)
+        assert fast.target.eq(taylor._raw_series(fast, a), taylor._raw_series(derived, a))
