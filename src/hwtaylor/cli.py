@@ -42,6 +42,7 @@ from .rings import (
     PolynomialRing,
     PrimeField,
     Ring,
+    _expect_element,
     _expect_int,
     _expect_object,
     _expect_string,
@@ -79,11 +80,8 @@ def _parse_family(ring: Ring, rows: Any, width: int, path: str) -> DifferentialR
             if name not in ring.generators:
                 raise ValueError(f"{path}[{i}].{name}: unknown generator")
         for name in ring.generators:
-            text = _expect_string(row.get(name, "0"), f"{path}[{i}].{name}")
-            try:
-                images[i].append(ring.parse(text))
-            except ValueError as exc:
-                raise ValueError(f"{path}[{i}].{name}: {exc}") from exc
+            where = f"{path}[{i}].{name}"
+            images[i].append(_expect_element(ring, row.get(name, "0"), where))
     try:
         return differential_polynomial_carrier(ring.base, ring.generators, images)
     except ValueError as exc:
@@ -130,11 +128,7 @@ def load_problem(
         if phi_doc != "identity":
             raise ValueError('problem.phi: a "self" source supports only "identity"')
         phi = lambda a: a  # noqa: E731
-        text = _expect_string(_field(doc, "element", "problem"), "problem.element")
-        try:
-            element = ring.parse(text)
-        except ValueError as exc:
-            raise ValueError(f"problem.element: {exc}") from exc
+        element = _expect_element(ring, _field(doc, "element", "problem"), "problem.element")
         samples: tuple = (ring.one(), element)
     elif kind == "diffpoly":
         _reject_unknown(source_doc, {"kind", "vars"}, "problem.source")

@@ -6,9 +6,11 @@ derivation family sends symbol (x, order) to (x, order + unit_i), acts on
 coefficients through the base family, and extends by the Leibniz rule, so
 the result is again a differential ring of the same width.
 
-Value tables turn these carriers into test points: assigning a coefficient
-ring element to every symbol defines an algebra map back to the base, and
-choosing the values along a derivation chain makes it differential.
+The carrier is free on its symbols, so a ring map out of it is fixed by
+where coefficients and symbols go: ``substitution`` is that map, the one
+evaluator of this module.  ``value_hom`` sends symbols to the entries of a
+value table (a test point, differential when the values follow a derivation
+chain), ``evaluate`` to derivatives of a point, and ``taylor`` to series.
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ from .rings import (
     Element,
     Ring,
     RingError,
+    _expect_element,
     _expect_int,
     _expect_object,
-    _expect_string,
     _reject_unknown,
 )
 
@@ -202,6 +204,43 @@ class DiffPolyRing(Ring):
         """The ring with its slot derivations; the same object on every call."""
         return self._structure
 
+    def substitution(
+        self,
+        target: Ring,
+        coefficient: Callable[[Element], Element],
+        symbol: Callable[[Symbol], Element],
+    ) -> Callable[[DiffPolynomial], Element]:
+        """The algebra map ``c * prod s^p -> coefficient(c) * prod symbol(s)^p``.
+
+        ``coefficient`` must be a ring map from the base coefficients into
+        ``target``; terms are summed with ``target.sum``.  Across every
+        element the map is applied to, each symbol image and each
+        (symbol, power) power is computed at most once.
+        """
+        mul, pow_ = target.mul, target.pow
+        # (symbol, power) -> symbol(symbol)^power; (symbol, 1) holds the image
+        powers: dict[tuple[Symbol, int], Element] = {}
+        get = powers.get
+
+        def power(key: tuple[Symbol, int]) -> Element:
+            sym, p = key
+            unit = key if p == 1 else (sym, 1)
+            value = get(unit)
+            if value is None:
+                value = powers[unit] = symbol(sym)
+            if p != 1:
+                value = powers[key] = pow_(value, p)
+            return value
+
+        def image(mon: Monomial, c: Element) -> Element:
+            v = coefficient(c)
+            for key in mon:
+                known = get(key)
+                v = mul(v, power(key) if known is None else known)
+            return v
+
+        return lambda a: target.sum(starmap(image, a.terms))
+
     def evaluate(
         self,
         a: DiffPolynomial,
@@ -225,22 +264,11 @@ class DiffPolyRing(Ring):
             raise ValueError(
                 f"target width {target.width} does not match {self.width}"
             )
-        T = target.ring
-        cache: dict[Symbol, Element] = {}
 
         def symbol_value(sym: Symbol) -> Element:
-            if sym not in cache:
-                var, order = sym
-                cache[sym] = target.derive_iter(point[var], order)
-            return cache[sym]
+            return target.derive_iter(point[sym[0]], sym[1])
 
-        def image(mon: Monomial, c: Element) -> Element:
-            v = embed(c)
-            for sym, power in mon:
-                v = T.mul(v, T.pow(symbol_value(sym), power))
-            return v
-
-        return T.sum(starmap(image, a.terms))
+        return self.substitution(target.ring, embed, symbol_value)(a)
 
     def value_hom(
         self,
@@ -249,31 +277,17 @@ class DiffPolyRing(Ring):
     ) -> Callable[[DiffPolynomial], Element]:
         """Algebra map to the coefficients given a value for every symbol."""
         K = self.base.ring
-        powers: dict[tuple[Symbol, int], Element] = {}
 
-        def symbol_power(sym: Symbol, power: int) -> Element:
-            key = (sym, power)
-            if key not in powers:
-                if sym in values:
-                    sv = values[sym]
-                elif default_zero:
-                    sv = K.zero()
-                else:
-                    raise UncoveredSymbolError(
-                        f"value table does not cover symbol {self.render_symbol(sym)}"
-                    )
-                powers[key] = K.pow(sv, power)
-            return powers[key]
+        def lookup(sym: Symbol) -> Element:
+            if sym in values:
+                return values[sym]
+            if default_zero:
+                return K.zero()
+            raise UncoveredSymbolError(
+                f"value table does not cover symbol {self.render_symbol(sym)}"
+            )
 
-        def image(mon: Monomial, c: Element) -> Element:
-            for sym, power in mon:
-                c = K.mul(c, symbol_power(sym, power))
-            return c
-
-        def apply(a: DiffPolynomial) -> Element:
-            return K.sum(starmap(image, a.terms))
-
-        return apply
+        return self.substitution(K, lambda c: c, lookup)
 
     def render_symbol(self, sym: Symbol) -> str:
         var, order = sym
@@ -348,11 +362,7 @@ class DiffPolyRing(Ring):
             if not isinstance(order, list) or len(order) != self.width:
                 raise ValueError(f"{here}[1]: expected {self.width} order entries")
             entries = [_expect_int(e, f"{here}[1]", 0, MAX_EXPONENT) for e in order]
-            text = _expect_string(text, f"{here}[2]")
-            try:
-                value = K.parse(text)
-            except ValueError as exc:
-                raise ValueError(f"{here}[2]: {exc}") from exc
+            value = _expect_element(K, text, f"{here}[2]")
             key = (var, MultiIndex(tuple(entries)))
             if key in table:
                 raise ValueError(f"{here}: duplicate symbol")
@@ -384,11 +394,7 @@ class DiffPolyRing(Ring):
             _reject_unknown(item, {"coeff", "monomial"}, where)
             if "coeff" not in item or "monomial" not in item:
                 raise ValueError(f"{where}: needs coeff and monomial")
-            text = _expect_string(item["coeff"], f"{where}.coeff")
-            try:
-                c = K.parse(text)
-            except ValueError as exc:
-                raise ValueError(f"{where}.coeff: {exc}") from exc
+            c = _expect_element(K, item["coeff"], f"{where}.coeff")
             if not isinstance(item["monomial"], list):
                 raise ValueError(f"{where}.monomial: expected a list")
             counts: dict[Symbol, int] = {}

@@ -890,6 +890,15 @@ def _expect_string(value: Any, path: str) -> str:
     return value
 
 
+def _expect_element(ring: Ring, value: Any, path: str) -> Element:
+    """A JSON string that ``ring`` parses; a parse error names ``path``."""
+    text = _expect_string(value, path)
+    try:
+        return ring.parse(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def _expect_int(value: Any, path: str, lo: int, hi: int | float) -> int:
     """A JSON integer in [lo, hi]; booleans are not integers."""
     if isinstance(value, bool) or not isinstance(value, int):

@@ -19,14 +19,14 @@ constructors are that series read in four ways:
 
 The raw series is computed one of two ways.  When the source is a
 ``DiffPolyRing``'s own ``differential_ring()``, it is evaluated (Taylor
-mode): the raw series is a ring map into ``(H(K), mul)``, since Hurwitz
-series are cofree, so it sends the argument to the sum over its terms of
-the coefficient's series times products of symbol series, computed with
-``HurwitzRing.mul`` and no source derivation.  Every other source (``self``,
-a series ring, a twin structure with the same derivations) and every
-argument whose evaluation meets a symbol the value table does not cover
-derive the argument once per multi-index and apply phi to each derivative.
-Both give the same series; the check suite compares them.
+mode): Hurwitz series are cofree, so the raw series is the ring map into
+``(H(K), mul)`` that ``DiffPolyRing.substitution`` builds from symbol and
+coefficient series, the evaluator ``value_hom`` and ``evaluate`` use too;
+the source is never derived.  Every other source (``self``, a series ring,
+a twin structure with the same derivations) and every argument whose
+evaluation meets a symbol the value table does not cover derive the
+argument once per multi-index and apply phi to each derivative.  Both give
+the same series; the check suite compares them.
 
 ``ev_twist`` reshuffles an existing series by a commuting family acting on
 its coefficients; composing twists adds the families, and twisting by the
@@ -38,7 +38,6 @@ index it writes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 from typing import Callable, Sequence
 
 from .diffpoly import DiffPolyRing, UncoveredSymbolError
@@ -135,13 +134,12 @@ def _taylor_raw(spec: MorphismSpec, a: Element) -> HurwitzSeries | None:
     """The raw series of a differential polynomial, evaluated instead of derived.
 
     The raw series is a ring map into ``(H(K), mul)`` (Hurwitz series are
-    cofree), so it is fixed by its values on symbols and coefficients:
-    symbol (x, o) goes to ``beta -> phi(x at order o + beta)`` and a
-    coefficient c to ``beta -> phi(delta^beta c)``, and ``a`` is evaluated
-    there with series products.  Only the source ``differential_ring()`` of
-    a ``DiffPolyRing`` is taken.  ``None`` means the derived path must run:
-    another source, or a ``phi`` that raised ``UncoveredSymbolError``.  Over
-    ``F_p`` the derived path can skip a symbol this one reads
+    cofree), so it is the ``DiffPolyRing.substitution`` that sends symbol
+    (x, o) to ``beta -> phi(x at order o + beta)`` and a coefficient c to
+    ``beta -> phi(delta^beta c)``.  Only the source ``differential_ring()``
+    of a ``DiffPolyRing`` is taken.  ``None`` means the derived path must
+    run: another source, or a ``phi`` that raised ``UncoveredSymbolError``.
+    Over ``F_p`` the derived path can skip a symbol this one reads
     (``D(x^p) = 0``), so it decides whether the table covers the argument
     and which error to raise.
     """
@@ -151,30 +149,23 @@ def _taylor_raw(spec: MorphismSpec, a: Element) -> HurwitzSeries | None:
     H, K = spec.target, spec.coefficients.ring
     plan, phi, trunc = H.plan, spec.phi, spec.trunc
     is_zero = A.base.ring.is_zero
-    symbols: dict = {}
 
-    def symbol_series(sym) -> HurwitzSeries:
-        if sym not in symbols:
-            var, order = sym
-            symbols[sym] = H._from_entries(
-                [phi(A.symbol(var, order + beta)) for beta in plan.indices], trunc
-            )
-        return symbols[sym]
-
-    def term_series(mon, c) -> HurwitzSeries:
+    def coefficient_series(c: Element) -> HurwitzSeries:
         derived = _derivatives(A.base, c, plan.parents)
-        series = H._from_entries(
+        return H._from_entries(
             [K.zero() if is_zero(d) else phi(A.constant(d)) for d in derived], trunc
         )
-        for sym, power in mon:
-            series = H.mul(series, H.pow(symbol_series(sym), power))
-        return series
+
+    def symbol_series(sym) -> HurwitzSeries:
+        var, order = sym
+        return H._from_entries(
+            [phi(A.symbol(var, order + beta)) for beta in plan.indices], trunc
+        )
 
     try:
-        terms = [term_series(mon, c) for mon, c in a.terms]
+        return A.substitution(H, coefficient_series, symbol_series)(a)
     except UncoveredSymbolError:
         return None
-    return reduce(H.add, terms, H.zero())
 
 
 def _raw_series(spec: MorphismSpec, a: Element) -> HurwitzSeries:

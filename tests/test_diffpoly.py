@@ -14,6 +14,7 @@ from hwtaylor.rings import (
     DomainError,
     PolynomialRing,
     PrimeField,
+    Ring,
     constant_structure,
     differential_polynomial_carrier,
 )
@@ -143,6 +144,42 @@ class TestEvaluate:
             phi(A.symbol("x", [1]))
         lenient = A.value_hom({(0, MultiIndex.of(0)): Fraction(1)}, default_zero=True)
         assert lenient(A.symbol("x", [1])) == Fraction(0)
+
+    def test_value_map_reads_and_raises_each_symbol_once(self, monkeypatch):
+        """One map over several elements: one read per symbol, one K.pow per power."""
+        A = DiffPolyRing(constant_structure(QQ, 1), ["x", "y"])
+        x, y, x1 = A.gen("x"), A.gen("y"), A.symbol("x", [1])
+        elements = [
+            A.mul(A.pow(x, 2), A.pow(y, 3)),
+            A.add(A.pow(x, 2), x1),
+            A.mul(A.pow(y, 3), x),
+            A.pow(x, 3),
+        ]
+        reads = []
+
+        class Table(dict):
+            def __getitem__(self, sym):
+                reads.append(sym)
+                return dict.__getitem__(self, sym)
+
+        table = Table({
+            (0, MultiIndex.of(0)): Fraction(2),
+            (1, MultiIndex.of(0)): Fraction(3),
+            (0, MultiIndex.of(1)): Fraction(5),
+        })
+        powers = []
+        pow_ = Ring.pow
+
+        def counting(self, a, n):
+            powers.append((a, n))
+            return pow_(self, a, n)
+
+        monkeypatch.setattr(Ring, "pow", counting)
+        phi = A.value_hom(table)
+        assert [phi(e) for e in elements] == [4 * 27, 4 + 5, 27 * 2, 8]
+        assert len(reads) == len(set(reads)) == len(table)
+        assert len(set(powers)) == len(powers)
+        assert sorted(p for p in powers if p[1] > 1) == [(2, 2), (2, 3), (3, 3)]
 
 
 class TestJson:

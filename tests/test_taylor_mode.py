@@ -6,7 +6,9 @@ products instead of deriving it.  The derived path stays for every other
 source and for any table that does not cover a symbol the evaluation reads.
 A twin source (the same derivations under another identity) takes the
 derived path, so the two are compared here value for value and error for
-error.
+error.  A third side evaluates the argument with ``DiffPolyRing.evaluate``
+into the shift-derivation series ring at a higher truncation, on one series
+per variable: the universal property of Hurwitz series, in unit-test form.
 """
 
 from __future__ import annotations
@@ -21,11 +23,13 @@ from hypothesis import strategies as st
 from hwtaylor import taylor
 from hwtaylor.cli import main
 from hwtaylor.diffpoly import DiffPolyRing, UncoveredSymbolError
-from hwtaylor.multiindex import MultiIndex, enumerate_upto
+from hwtaylor.hurwitz import HurwitzRing
+from hwtaylor.multiindex import MultiIndex, count_upto, enumerate_upto
 from hwtaylor.rings import (
     QQ,
     DifferentialRing,
     PrimeField,
+    Ring,
     constant_structure,
     differential_polynomial_carrier,
 )
@@ -51,6 +55,30 @@ def _outcome(spec, a):
     except UncoveredSymbolError as exc:
         return ("error", str(exc))
     return (raw.valid, raw.entries)
+
+
+def _evaluated(A, phi, a, trunc, k):
+    """``a`` evaluated into the series ring at ``trunc + k`` by ``A.evaluate``.
+
+    Variable x goes to its symbol series ``beta -> phi(x at order beta)``, so
+    symbol (x, o) goes to that series shifted by o, and a coefficient c to
+    ``beta -> phi(delta^beta c)``.  ``None`` when the table does not cover
+    the point.
+    """
+    H = HurwitzRing(A.base.ring, A.width, trunc + k)
+
+    def coefficient(c):
+        table = taylor.derivative_table(A.base, c, H.trunc)
+        return H._from_entries([phi(A.constant(d)) for d in table.values()], H.trunc)
+
+    try:
+        point = [
+            H._from_entries([phi(A.symbol(var, beta)) for beta in H.indices], H.trunc)
+            for var in range(len(A.variables))
+        ]
+    except UncoveredSymbolError:
+        return None
+    return A.evaluate(a, H.differential_structure(), point, coefficient)
 
 
 @st.composite
@@ -110,6 +138,12 @@ def test_taylor_raw_series_equals_derived(problem):
         assert got == want
     else:
         assert all(map(A.base.ring.eq, got[1], want[1]))
+    # k = 2 is the highest symbol order the strategy draws
+    psi = _evaluated(A, phi, a, trunc, 2)
+    if psi is not None:
+        assert got[0] != "error" and psi.valid >= trunc
+        size = count_upto(A.width, trunc)
+        assert all(map(A.base.ring.eq, psi.entries[:size], got[1]))
 
 
 def _doc(ring, values, element, trunc=4, morphism="hurwitz_morphism"):
@@ -177,6 +211,38 @@ class TestNoDerivation:
         rc, out, _ = _expand(tmp_path, capsys, doc)
         assert rc == 0 and out
         assert calls == []
+
+
+class TestSubstitutionMemo:
+    def test_symbol_series_built_once_and_powered_once(self, monkeypatch):
+        """x^2*y + x^2 + x: one series of x, squared once for both terms."""
+        A = DiffPolyRing(constant_structure(QQ, 1), ["x", "y"])
+        x, y = A.gen("x"), A.gen("y")
+        a = A.add(A.add(A.mul(A.pow(x, 2), y), A.pow(x, 2)), x)
+        orders = enumerate_upto(1, 4)
+        value = A.value_hom(
+            {(v, b): QQ.embed_int(3 * v + b.degree + 2) for v in (0, 1) for b in orders}
+        )
+        arguments = []
+
+        def phi(e):
+            arguments.append(e)
+            return value(e)
+
+        fast, derived = _specs(A, phi, 4)
+        powers = []
+        pow_ = Ring.pow
+
+        def counting(self, s, n):
+            powers.append((s.entries, n))
+            return pow_(self, s, n)
+
+        monkeypatch.setattr(HurwitzRing, "pow", counting)
+        got = taylor._raw_series(fast, a)
+        assert arguments.count(x) == arguments.count(y) == 1
+        assert len(set(powers)) == len(powers)
+        assert [n for _, n in powers if n > 1] == [2]
+        assert fast.target.eq(got, taylor._raw_series(derived, a))
 
 
 class TestCappedDocument:
