@@ -49,6 +49,7 @@ from .rings import (
     NotUnitError,
     Ring,
     RingError,
+    _expect_element,
     _expect_int,
     _expect_object,
     _field,
@@ -547,8 +548,5 @@ def series_from_json(doc: Any, path: str = "series") -> HurwitzSeries:
             raise ValueError(f"{where}: index degree {alpha.degree} exceeds trunc {trunc}")
         if alpha in table:
             raise ValueError(f"{where}: duplicate index {tuple(idx)}")
-        try:
-            table[alpha] = ring.parse(text)
-        except ValueError as exc:
-            raise ValueError(f"{where}: {exc}") from exc
+        table[alpha] = _expect_element(ring, text, where)
     return H.from_table(table, valid)

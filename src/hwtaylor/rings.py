@@ -150,6 +150,13 @@ class Ring:
         return self.one() if acc is None else acc
 
 
+# A denominator on the wire starts with a digit 1-9: it is never zero and has
+# no leading zeros.  Scalar rationals and the ratio tokens of polynomial
+# strings share this rule.
+_DENOMINATOR = r"[1-9]\d*"
+_RATIONAL_RE = re.compile(rf"-?\d+(?:/{_DENOMINATOR})?")
+
+
 class RationalField(Ring):
     """The rationals; elements are ``fractions.Fraction``."""
 
@@ -197,9 +204,10 @@ class RationalField(Ring):
 
     def parse(self, text: str) -> Fraction:
         # strict integer-ratio syntax; no decimal points on the wire
-        if not re.fullmatch(r"-?\d+(/[1-9]\d*)?", text.strip()):
+        literal = text.strip()
+        if not _RATIONAL_RE.fullmatch(literal):
             raise ValueError(f"not a rational literal: {text!r}")
-        return Fraction(text.strip())
+        return Fraction(literal)
 
     def sample(self, rng, degree: int = 2) -> Fraction:
         return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
@@ -355,7 +363,23 @@ class Poly:
         return f"Poly(terms={self.terms!r})"
 
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_NAME_RE = re.compile(_NAME)
+
+# The tokens of a polynomial element string, tried in this order at each
+# character that is not whitespace.  Each kind has its own group, so
+# ``Match.lastindex`` names the kind: 2 for a ratio (groups 1 and 2 hold its
+# numerator and denominator), then the constants below.  ``\d`` takes every
+# Unicode decimal digit, as ``int`` does.
+_TOKEN_RE = re.compile(
+    rf"(\d+)/({_DENOMINATOR})"
+    r"|(\d+/\d+)"  # a ratio whose denominator breaks the rule: 1/0, 1/02
+    r"|(\d+)"
+    rf"|({_NAME})"
+    r"|([-+*^])"
+    r"|(\S)"  # any other character
+)
+_BAD_RATIO, _INTEGER, _GENERATOR, _OPERATOR, _BAD = 3, 4, 5, 6, 7
 
 # Largest exponent or derivative order a wire document may ask for: element
 # strings (``u^N``), diffpoly monomial powers and orders, value-table orders.
@@ -389,6 +413,7 @@ class PolynomialRing(Ring):
                 raise ValueError(f"bad generator name: {n!r}")
         self.base = base
         self.generators = names
+        self._slots = {name: i for i, name in enumerate(names)}
         self.characteristic = base.characteristic
         self._rational = isinstance(base, RationalField)
         self._modulus = base.p if isinstance(base, PrimeField) else None
@@ -529,17 +554,22 @@ class PolynomialRing(Ring):
         """Terms by descending degree, and within a degree ascending exponents."""
         if not a.table:
             return "0"
+        den = a.den
         parts: list[str] = []
-        for exps, coeff in sorted(a.terms, key=lambda t: (-sum(t[0]), t[0])):
+        for exps, n in sorted(a.table.items(), key=lambda t: (-sum(t[0]), t[0])):
             factors = [
                 name if e == 1 else f"{name}^{e}"
                 for name, e in zip(self.generators, exps)
                 if e
             ]
-            cs = self.base.render(coeff)
-            neg = cs.startswith("-")
+            neg = n < 0
             if neg:
-                cs = cs[1:]
+                n = -n
+            if den is None or den == 1:
+                cs = str(n)
+            else:
+                g = gcd(n, den)
+                cs = str(n // g) if g == den else f"{n // g}/{den // g}"
             if factors and cs == "1":
                 body = "*".join(factors)
             elif factors:
@@ -620,77 +650,73 @@ class PolynomialRing(Ring):
 def _parse_poly(ring: PolynomialRing, text: str) -> Poly:
     """Parse ``2*u^2*v - 1/3*u + 4`` style strings into normalized polynomials.
 
-    Without parentheses every term is a monomial, so each is folded into one
-    coefficient and one exponent tuple and the polynomial is built once.
+    One scan makes every token, and the first bad one is reported before any
+    grammar error.  Without parentheses every term is a monomial: its numeric
+    factors multiply into one integer numerator and denominator over ``Q``, or
+    one residue over ``F_p``, and the terms are summed over the lcm of their
+    denominators and normalised once.
     """
-    tokens = re.findall(r"\d+/\d+|\d+|[A-Za-z_][A-Za-z0-9_]*|[-+*^]|\S", text)
-    bad = [t for t in tokens if not re.fullmatch(r"\d+/\d+|\d+|[A-Za-z_][A-Za-z0-9_]*|[-+*^]", t)]
-    if bad:
-        raise ValueError(f"bad token {bad[0]!r} in {text!r}")
-    pos = 0
-
-    def peek() -> str | None:
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take() -> str:
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    base, width = ring.base, len(ring.generators)
-    table: dict[tuple[int, ...], Element] = {}
-
-    def parse_factor(coeff: Element, exps: list[int]) -> Element:
-        """Fold one factor into a term's coefficient and exponents."""
-        tok = peek()
-        if tok is None:
-            raise ValueError(f"unexpected end of input in {text!r}")
-        if re.fullmatch(r"\d+/\d+|\d+", tok):
-            return base.mul(coeff, base.parse(take()))
-        if _NAME_RE.fullmatch(tok):
-            name = take()
-            if name not in ring.generators:
-                raise ValueError(f"unknown generator {name!r} in {text!r}")
-            n = 1
-            if peek() == "^":
-                take()
-                exp_tok = peek()
-                if exp_tok is None or not exp_tok.isdigit():
-                    raise ValueError(f"expected integer exponent in {text!r}")
-                n = int(take())
-                if n > MAX_EXPONENT:
-                    raise ValueError(f"exponent {n} exceeds {MAX_EXPONENT} in {text!r}")
-            exps[ring.generators.index(name)] += n
-            return coeff
-        raise ValueError(f"unexpected token {tok!r} in {text!r}")
-
-    def parse_term(negative: bool) -> None:
-        """Add one ``factor * factor * ...`` monomial to the table."""
+    tokens = list(_TOKEN_RE.finditer(text))
+    kinds = [t.lastindex for t in tokens]
+    if _BAD in kinds:
+        raise ValueError(f"bad token {tokens[kinds.index(_BAD)][0]!r} in {text!r}")
+    p, slots, width = ring._modulus, ring._slots, len(ring.generators)
+    terms: list[tuple[tuple[int, ...], int, int]] = []
+    end = len(tokens)
+    sign = tokens[0][_OPERATOR] if tokens else None
+    pos = 1 if sign == "+" or sign == "-" else 0
+    while True:
+        num = den = 1
         exps = [0] * width
-        coeff = parse_factor(base.one(), exps)
-        while peek() == "*":
-            take()
-            coeff = parse_factor(coeff, exps)
-        if negative:
-            coeff = base.neg(coeff)
-        key = tuple(exps)
-        table[key] = base.add(table[key], coeff) if key in table else coeff
-
-    negative = False
-    if peek() in {"+", "-"}:
-        negative = take() == "-"
-    parse_term(negative)
-    terms = 1
-    while peek() is not None:
-        op = take()
-        if op not in {"+", "-"}:
-            raise ValueError(f"expected + or - but found {op!r} in {text!r}")
-        terms += 1
-        if terms > MAX_TERMS:
+        while True:
+            if pos == end:
+                raise ValueError(f"unexpected end of input in {text!r}")
+            tok, kind = tokens[pos], kinds[pos]
+            pos += 1
+            if kind == _GENERATOR:
+                slot = slots.get(tok[0])
+                if slot is None:
+                    raise ValueError(f"unknown generator {tok[0]!r} in {text!r}")
+                e = 1
+                if pos < end and tokens[pos][_OPERATOR] == "^":
+                    pos += 1
+                    if pos == end or kinds[pos] != _INTEGER:
+                        raise ValueError(f"expected integer exponent in {text!r}")
+                    e = int(tokens[pos][0])
+                    pos += 1
+                    if e > MAX_EXPONENT:
+                        raise ValueError(f"exponent {e} exceeds {MAX_EXPONENT} in {text!r}")
+                exps[slot] += e
+            elif kind == _INTEGER:
+                num = num * int(tok[0]) if p is None else num * int(tok[0]) % p
+            elif kind == _OPERATOR:
+                raise ValueError(f"unexpected token {tok[0]!r} in {text!r}")
+            elif p is not None:
+                raise ValueError(f"not an integer literal: {tok[0]!r}")
+            elif kind == _BAD_RATIO:
+                raise ValueError(f"not a rational literal: {tok[0]!r}")
+            else:
+                num *= int(tok[1])
+                den *= int(tok[2])
+            if pos < end and tokens[pos][_OPERATOR] == "*":
+                pos += 1
+            else:
+                break
+        terms.append((tuple(exps), -num if sign == "-" else num, den))
+        if pos == end:
+            break
+        sign = tokens[pos][0]
+        pos += 1
+        if sign != "+" and sign != "-":
+            raise ValueError(f"expected + or - but found {sign!r} in {text!r}")
+        if len(terms) == MAX_TERMS:
             raise ValueError(f"more than {MAX_TERMS} terms")
-        parse_term(op == "-")
-    return ring._make(table)
+    common = lcm(*(d for _, _, d in terms))
+    table: dict[tuple[int, ...], int] = {}
+    get = table.get
+    for key, n, d in terms:
+        table[key] = get(key, 0) + n * (common // d)
+    return ring._reduce(table, common if p is None else None)
 
 
 @dataclass(frozen=True, eq=False)

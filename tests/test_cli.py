@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -569,6 +570,35 @@ def qpoly_diffpoly_doc(trunc=4):
             {"coeff": "2/3*v", "monomial": [[1, [0, 0], 1]]},
         ],
     }
+
+
+QPOLY = Path(__file__).parent / "data" / "qpoly_values.json"
+# sha256 of the ``expand`` stdout of the expand-qpoly-shaped document under
+# each constructor; as in that benchmark workload, the twisted pair keeps the
+# family d/du, v*d/dv and the untwisted pair drops it
+QPOLY_DIGESTS = {
+    "classical_taylor": "34a49a5a92ded16aa163cd078731e8928a2b4636a1796114fa08bd50c33950c2",
+    "hurwitz_morphism": "7a3dca57eac7eff4defd94963b289358cacc087eb51fd3c056e97f131d9f1c8d",
+    "twisted_taylor": "2a0cfaf3a8becd6fb84e321d13b4d9c1bacc1542463c181bf89918d0d9149b17",
+    "twisted_hurwitz": "29da7162b0aa9aeef7941074a349d54da30ed731bac6ec7629176cee8c701bcf",
+}
+
+
+class TestQpolyDocument:
+    """56 rational value rows read and four series written: the output bytes
+    of the polynomial wire codec, end to end."""
+
+    @pytest.mark.parametrize("morphism", sorted(QPOLY_DIGESTS))
+    def test_output_bytes_are_pinned(self, tmp_path, capsys, morphism):
+        doc = json.loads(QPOLY.read_text())
+        assert len(doc["phi"]["values"]) == 56
+        doc["morphism"] = morphism
+        if not morphism.startswith("twisted"):
+            del doc["ring"]["derivations"]
+        rc = main(["expand", "--spec", write_spec(tmp_path, doc)])
+        out, err = capsys.readouterr()
+        assert (rc, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == QPOLY_DIGESTS[morphism]
 
 
 class TestHashSeed:

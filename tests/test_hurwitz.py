@@ -321,7 +321,11 @@ class TestJson:
             ({**good, "coeffs": [[[0, 0], "1"]]}, r"series\.coeffs\[0\]"),
             ({**good, "coeffs": [[[3], "1"]]}, "exceeds trunc"),
             ({**good, "coeffs": [[[1], "1"], [[1], "2"]]}, "duplicate"),
-            ({**good, "coeffs": [[[1], "x"]]}, "not a rational"),
+            ({**good, "coeffs": [[[1], "x"]]}, r"^series\.coeffs\[0\]: not a rational literal: 'x'$"),
+            (
+                {**good, "ring": {"kind": "poly", "generators": ["u"]}, "coeffs": [[[1], "u^65"]]},
+                r"^series\.coeffs\[0\]: exponent 65 exceeds 64 in 'u\^65'$",
+            ),
             ({**good, "extra": 1}, "unknown field"),
             ({**good, "m": True}, "series.m: expected an integer"),
             ({**good, "trunc": True}, "series.trunc: expected an integer"),

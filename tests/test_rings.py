@@ -5,11 +5,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hwtaylor.multiindex import MultiIndex
 from hwtaylor.rings import (
+    MAX_TERMS,
     QQ,
     DifferentialRing,
     DomainError,
@@ -121,6 +122,149 @@ class TestPolynomialRing:
     def test_degree(self):
         assert self.R.degree(self.R.zero()) == -1
         assert self.R.degree(self.R.parse("u^2*v + 1")) == 3
+
+
+# (text, error over Q[u,v], error over F_5[u,v] or None when it is the same);
+# one row per way an element string fails, in the order the parser finds them
+PARSE_ERRORS = [
+    ("u $ v", "bad token '$' in 'u $ v'", None),
+    # a bad token is reported before any grammar or literal error before it
+    ("w + 1/0 + $", "bad token '$' in 'w + 1/0 + $'", None),
+    ("1//2", "bad token '/' in '1//2'", None),
+    ("1/2/3", "bad token '/' in '1/2/3'", None),
+    ("u2/3", "bad token '/' in 'u2/3'", None),
+    ("\u00fc", "bad token '\u00fc' in '\u00fc'", None),
+    ("", "unexpected end of input in ''", None),
+    ("-", "unexpected end of input in '-'", None),
+    ("u +", "unexpected end of input in 'u +'", None),
+    ("u*", "unexpected end of input in 'u*'", None),
+    ("2*w", "unknown generator 'w' in '2*w'", None),
+    ("w^x", "unknown generator 'w' in 'w^x'", None),
+    ("u^", "expected integer exponent in 'u^'", None),
+    ("u^v", "expected integer exponent in 'u^v'", None),
+    ("u^1/2", "expected integer exponent in 'u^1/2'", None),
+    ("u^-1", "expected integer exponent in 'u^-1'", None),
+    ("u^65", "exponent 65 exceeds 64 in 'u^65'", None),
+    ("u v", "expected + or - but found 'v' in 'u v'", None),
+    ("2 3", "expected + or - but found '3' in '2 3'", None),
+    ("2^3", "expected + or - but found '^' in '2^3'", None),
+    ("u^2^3", "expected + or - but found '^' in 'u^2^3'", None),
+    ("u + * v", "unexpected token '*' in 'u + * v'", None),
+    ("--u", "unexpected token '-' in '--u'", None),
+    ("+-u", "unexpected token '-' in '+-u'", None),
+    ("1/0", "not a rational literal: '1/0'", "not an integer literal: '1/0'"),
+    ("1/02", "not a rational literal: '1/02'", "not an integer literal: '1/02'"),
+    ("1/\u0663", "not a rational literal: '1/\u0663'", "not an integer literal: '1/\u0663'"),
+    ("1/2", None, "not an integer literal: '1/2'"),
+    ("2*u*1/0 + w", "not a rational literal: '1/0'", "not an integer literal: '1/0'"),
+    (" + ".join(["u"] * (MAX_TERMS + 1)), f"more than {MAX_TERMS} terms", None),
+]
+CODEC_RINGS = {
+    "Q[u,v]": PolynomialRing(QQ, ["u", "v"]),
+    "F5[u,v]": PolynomialRing(PrimeField(5), ["u", "v"]),
+}
+
+
+class TestPolynomialCodec:
+    @pytest.mark.parametrize("text, q_error, fp_error", PARSE_ERRORS)
+    def test_error_text(self, text, q_error, fp_error):
+        for name, R in CODEC_RINGS.items():
+            want = q_error if name == "Q[u,v]" else fp_error or q_error
+            if want is None:
+                R.parse(text)
+                continue
+            with pytest.raises(ValueError) as err:
+                R.parse(text)
+            assert str(err.value) == want
+
+    def test_accepted_edges(self):
+        Q, F = CODEC_RINGS["Q[u,v]"], CODEC_RINGS["F5[u,v]"]
+        # \d takes every decimal digit; Q denominators start with an ASCII 1-9
+        assert Q.render(Q.parse("\u0663/1*u^\u0663")) == "3*u^3"
+        assert Q.parse("1/1\u0663") == Q.parse("1/13")
+        assert Q.parse("007/14*u^003") == Q.parse("1/2*u^3")
+        assert F.parse("7*u^0*v^1 - 12") == F.parse("2*v + 3")
+        assert Q.parse("u - u") == Q.zero() and F.parse("5*u") == F.zero()
+        # the most terms a string may hold, all one monomial
+        u_terms, v_terms = " + ".join(["u"] * MAX_TERMS), " - ".join(["v"] * MAX_TERMS)
+        assert Q.parse(u_terms) == Q.mul(Q.embed_int(MAX_TERMS), Q.gen("u"))
+        assert F.parse(v_terms) == F.mul(F.embed_int(2 - MAX_TERMS), F.gen("v"))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_written_terms_parse_to_their_sum(self, data):
+        name = data.draw(st.sampled_from(sorted(CODEC_RINGS)))
+        R = CODEC_RINGS[name]
+        text, want = data.draw(written_polynomial(R.base is QQ, R.generators))
+        got = R.parse(text)
+        if R.base is not QQ:
+            want = {e: c % 5 for e, c in want.items()}
+        want = {e: c for e, c in want.items() if c}
+        assert dict(got.terms) == want
+        # the table keeps each monomial where it first appeared
+        assert list(got.table) == list(want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_render_round_trips_and_ignores_term_order(self, data):
+        R = data.draw(
+            st.sampled_from(
+                [*CODEC_RINGS.values(), PolynomialRing(QQ, ["u", "v", "w"])]
+            )
+        )
+        width = len(R.generators)
+        if R.base is QQ:
+            coeff = st.fractions(min_value=-50, max_value=50, max_denominator=30)
+        else:
+            coeff = st.integers(0, 4)
+        table = data.draw(
+            st.dictionaries(st.tuples(*[st.integers(0, 4)] * width), coeff, max_size=6)
+        )
+        p = R.sum(R.monomial(e, c) for e, c in table.items())
+        reverse = R.sum(R.monomial(e, c) for e, c in reversed(list(table.items())))
+        text = R.render(p)
+        assert R.render(reverse) == text
+        assert R.parse(text) == p
+        assert R.render(R.parse(text)) == text
+
+
+@st.composite
+def written_polynomial(draw, rational: bool, generators):
+    """An element string built from known terms, and its dict of coefficients.
+
+    Each term is written with random spacing, its factors in random order,
+    its coefficient split into several numeric factors and each exponent
+    split into pieces such as ``u*u^0*u^2``; the leading sign is optional and
+    monomials repeat, so the parser must sum them.
+    """
+    space = st.sampled_from(["", " ", "  ", "\t"])
+    want: dict[tuple[int, ...], Fraction] = {}
+    parts = []
+    for k in range(draw(st.integers(1, 5))):
+        factors, coeff = [], Fraction(1)
+        for _ in range(draw(st.integers(0, 3))):
+            num = draw(st.integers(0, 12))
+            den = draw(st.integers(1, 12)) if rational else 1
+            coeff *= Fraction(num, den)
+            slash = den != 1 or (rational and draw(st.booleans()))
+            factors.append(f"{num}/{den}" if slash else str(num))
+        exps = []
+        for g in generators:
+            total = 0
+            for piece in draw(st.lists(st.integers(0, 3), max_size=3)):
+                total += piece
+                plain = piece == 1 and draw(st.booleans())
+                factors.append(g if plain else f"{g}{draw(space)}^{draw(space)}{piece}")
+            exps.append(total)
+        if not factors:
+            factors = ["1"]
+        factors = draw(st.permutations(factors))
+        body = factors[0] + "".join(f"{draw(space)}*{draw(space)}{f}" for f in factors[1:])
+        sign = draw(st.sampled_from(["", "+", "-"] if k == 0 else ["+", "-"]))
+        parts.append(f"{draw(space)}{sign}{draw(space)}{body}")
+        key = tuple(exps)
+        want[key] = want.get(key, 0) + (-coeff if sign == "-" else coeff)
+    return "".join(parts) + draw(space), want
 
 
 class TestDerivations:
