@@ -652,14 +652,11 @@ def _applicable(
 
 
 def _self_spec(
-    K: DifferentialRing, trunc: int, constant_source: bool, rng: random.Random, degree: int
+    K: DifferentialRing, trunc: int, rng: random.Random, degree: int
 ) -> tuple[MorphismSpec, dict]:
-    source = constant_structure(K.ring, K.width) if constant_source else K
     samples = tuple(K.ring.sample(rng, degree) for _ in range(3))
-    spec = MorphismSpec(
-        source=source, coefficients=K, phi=lambda a: a, trunc=trunc, samples=samples
-    )
-    return spec, {"kind": "self", "source_constant": constant_source}
+    spec = MorphismSpec(source=K, coefficients=K, phi=lambda a: a, trunc=trunc, samples=samples)
+    return spec, {"kind": "self", "source_constant": False}
 
 
 def _diffpoly_spec(
@@ -751,9 +748,7 @@ def _check_tm1(rng: random.Random, size: Size, ordinal: int) -> Laws:
         a = A.sample(rng, size.degree)
         argument = A.element_to_json(a)
     else:
-        spec, sdesc = _self_spec(
-            K, size.trunc, constant_source=False, rng=rng, degree=size.degree
-        )
+        spec, sdesc = _self_spec(K, size.trunc, rng=rng, degree=size.degree)
         a = K.ring.sample(rng, size.degree)
         argument = K.ring.render(a)
     H = spec.target

@@ -139,7 +139,10 @@ def load_problem(
             or not all(isinstance(v, str) for v in var_names)
         ):
             raise ValueError("problem.source.vars: expected a nonempty list of names")
-        A = DiffPolyRing(K, var_names)
+        try:
+            A = DiffPolyRing(K, var_names)
+        except ValueError as exc:
+            raise ValueError(f"problem.source.vars: {exc}") from exc
         phi_obj = _expect_object(phi_doc, "problem.phi")
         _reject_unknown(phi_obj, {"values", "default_zero"}, "problem.phi")
         default_zero = phi_obj.get("default_zero", False)
@@ -198,7 +201,10 @@ def cmd_expand(args: argparse.Namespace) -> int:
     except DomainError as exc:
         print(f"error: out of domain: {exc}", file=sys.stderr)
         return 3
-    except (UncoveredSymbolError, ValueError) as exc:
+    except UncoveredSymbolError as exc:
+        print(f"error: problem.phi.values: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return _write_output(_canonical(series_to_json(series)) + "\n", args.out)

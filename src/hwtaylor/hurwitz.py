@@ -71,8 +71,7 @@ class TruncationError(RingError):
 class Plan:
     """Integer tables for every index-shaped loop at one (width, trunc).
 
-    Positions count ``indices``, the graded-lex enumeration; ``position``
-    inverts it.
+    Positions count ``indices``, the graded-lex enumeration.
 
     * ``rows[p]``: for the index alpha at position p, three parallel tuples
       over beta <= alpha in ``iter_dominated`` order: the positions of
@@ -84,16 +83,15 @@ class Plan:
       alpha - e_slot.  A prefix of it serves every smaller truncation.
     * ``factorials[p]``: alpha!.
 
-    Only this constructor does multi-index arithmetic.  ``binomial`` is the
-    function the weights came from; ``plan_for`` rebuilds the plan when
-    ``MultiIndex.binomial`` is no longer that function.
+    Only this constructor does multi-index arithmetic, and it is the one
+    reader of ``MultiIndex.binomial``: the weights are fixed when the plan
+    is built.
     """
 
-    def __init__(self, width: int, trunc: int, binomial: Callable[[MultiIndex, MultiIndex], int]):
-        self.binomial = binomial
+    def __init__(self, width: int, trunc: int):
+        binomial = MultiIndex.binomial
         self.indices = enumerate_upto(width, trunc)
-        self.position = {alpha: p for p, alpha in enumerate(self.indices)}
-        pos = self.position
+        pos = {alpha: p for p, alpha in enumerate(self.indices)}
         self.rows = tuple(
             tuple(
                 zip(
@@ -118,20 +116,19 @@ class Plan:
         self.factorials = tuple(alpha.factorial() for alpha in self.indices)
 
 
-# One plan per shape, replaced (not added to) when the binomial changes.
 _PLANS: dict[tuple[int, int], Plan] = {}
 
 
 def plan_for(width: int, trunc: int) -> Plan:
-    """The plan of shape (width, trunc), weighted by today's ``MultiIndex.binomial``.
+    """The plan of shape (width, trunc), built on first use and kept.
 
-    A plan built under another binomial (a test or a tracer patching the
-    method) is never reused: it is rebuilt and replaces the cached one.
+    A plan depends on its shape alone.  Code that patches
+    ``MultiIndex.binomial`` (a seeded bug in a test) must start from an
+    empty ``_PLANS`` to see its weights.
     """
-    binomial = MultiIndex.binomial
     plan = _PLANS.get((width, trunc))
-    if plan is None or plan.binomial is not binomial:
-        plan = _PLANS[width, trunc] = Plan(width, trunc, binomial)
+    if plan is None:
+        plan = _PLANS[width, trunc] = Plan(width, trunc)
     return plan
 
 

@@ -60,10 +60,9 @@ class MorphismSpec:
     a full proof of the hom property is the caller's business.  Both
     structures must have the same number of derivation slots.
 
-    ``_raw`` memoises the raw series per argument, so the four constructors
-    applied to one argument compute it once; each entry also records whether
-    the series passed the constant-coefficient guard, so that is checked
-    once too.  ``dataclasses.replace`` starts a fresh memo.
+    ``_raw`` maps each argument to its raw series, so the four constructors
+    applied to one argument compute it once.  ``dataclasses.replace`` starts
+    a fresh memo.
     """
 
     source: DifferentialRing
@@ -117,19 +116,6 @@ def _derivatives(
     return values
 
 
-def _raw_entry(spec: MorphismSpec, a: Element) -> list:
-    """``[raw series of a, whether it passed the constant-coefficient guard]``."""
-    entry = spec._raw.get(a)
-    if entry is None:
-        raw = _taylor_raw(spec, a)
-        if raw is None:
-            H = spec.target
-            derived = _derivatives(spec.source, a, H.plan.parents)
-            raw = H._from_entries(map(spec.phi, derived), spec.trunc)
-        entry = spec._raw[a] = [raw, False]
-    return entry
-
-
 def _taylor_raw(spec: MorphismSpec, a: Element) -> HurwitzSeries | None:
     """The raw series of a differential polynomial, evaluated instead of derived.
 
@@ -170,7 +156,15 @@ def _taylor_raw(spec: MorphismSpec, a: Element) -> HurwitzSeries | None:
 
 def _raw_series(spec: MorphismSpec, a: Element) -> HurwitzSeries:
     """Coefficient beta is phi of the beta-th source derivative of ``a``."""
-    return _raw_entry(spec, a)[0]
+    raw = spec._raw.get(a)
+    if raw is None:
+        raw = _taylor_raw(spec, a)
+        if raw is None:
+            H = spec.target
+            derived = _derivatives(spec.source, a, H.plan.parents)
+            raw = H._from_entries(map(spec.phi, derived), spec.trunc)
+        spec._raw[a] = raw
+    return raw
 
 
 def _require_constant_coefficients(spec: MorphismSpec, raw: HurwitzSeries) -> None:
@@ -187,11 +181,9 @@ def _require_constant_coefficients(spec: MorphismSpec, raw: HurwitzSeries) -> No
 
 def hurwitz_morphism(spec: MorphismSpec, a: Element) -> HurwitzSeries:
     """Coefficient alpha is phi of the alpha-th source derivative of ``a``."""
-    entry = _raw_entry(spec, a)
-    if not entry[1]:
-        _require_constant_coefficients(spec, entry[0])
-        entry[1] = True
-    return entry[0]
+    raw = _raw_series(spec, a)
+    _require_constant_coefficients(spec, raw)
+    return raw
 
 
 def classical_taylor(spec: MorphismSpec, a: Element) -> HurwitzSeries:

@@ -6,6 +6,7 @@ import json
 import pytest
 
 import hwtaylor.checks as checks
+import hwtaylor.hurwitz as hurwitz
 from hwtaylor.checks import (
     CheckConfig,
     CheckReport,
@@ -143,21 +144,15 @@ class TestMutationsAreCaught:
         assert report.status == "fail"
 
     def test_inflated_binomials_break_composition(self, monkeypatch):
-        true_binomial = MultiIndex.binomial
-
-        def inflated(self, lower):
-            value = true_binomial(self, lower)
-            return value + 1 if not lower.is_zero() else value
-
-        monkeypatch.setattr(MultiIndex, "binomial", inflated)
+        _inflate_binomials(monkeypatch)
         cfg = CheckConfig(seed=0, instances=8, width_max=2, trunc=4)
         report = run_check("twist-composition", cfg)
         assert report.status == "fail"
 
     def test_binomial_swaps_never_reuse_a_stale_plan(self, monkeypatch):
-        # convolution plans are cached per shape with the binomial they were
-        # weighted by: neither the true nor the inflated weights may outlive
-        # a swap, whatever ran before
+        # a plan reads the binomial once, when built, and is kept per shape;
+        # a seeded bug starts from an empty plan memo and leaves the old one
+        # in place when undone, so neither set of weights outlives its swap
         cfg = CheckConfig(seed=0, instances=8, width_max=2, trunc=4)
         statuses = [run_check("twist-composition", cfg).status]
         with monkeypatch.context() as patch:
@@ -194,6 +189,8 @@ def _inflate_binomials(monkeypatch):
         return value + 1 if not lower.is_zero() else value
 
     monkeypatch.setattr(MultiIndex, "binomial", inflated)
+    # plans are memoised per shape with the weights read at build time
+    monkeypatch.setattr(hurwitz, "_PLANS", {})
 
 
 def _shift_slot_zero(monkeypatch):

@@ -184,6 +184,13 @@ class TestExpand:
                 value_row([0, [0], 7]),
                 "error: problem.phi.values[0][2]: expected a string",
             ),
+            (
+                lambda d: (
+                    diffpoly_element([0, [0], 1])(d),
+                    d["source"].__setitem__("vars", ["x", "x"]),
+                ),
+                "error: problem.source.vars: duplicate indeterminate names: ('x', 'x')",
+            ),
             # term-count caps
             (
                 lambda d: d.__setitem__("element", " + ".join(["u"] * 10001)),

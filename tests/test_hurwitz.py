@@ -14,6 +14,7 @@ from hwtaylor.hurwitz import (
     HurwitzRing,
     HurwitzSeries,
     TruncationError,
+    plan_for,
     series_from_json,
     series_to_json,
 )
@@ -118,6 +119,24 @@ class TestProduct:
         for alpha, w, c in zip(H.indices, weighted, plain):
             assert w == 2 ** alpha.degree
             assert c == math.prod(e + 1 for e in alpha)
+
+    def test_a_wrapped_binomial_keeps_the_plan(self, monkeypatch):
+        # a plan depends on its shape alone: wrapping the binomial in a
+        # counting pass-through, as a tracer does, rebuilds nothing
+        plan = plan_for(2, 4)
+        calls = []
+        binomial = MultiIndex.binomial
+
+        def counting(self, lower):
+            calls.append(lower)
+            return binomial(self, lower)
+
+        monkeypatch.setattr(MultiIndex, "binomial", counting)
+        assert plan_for(2, 4) is plan
+        H = HurwitzRing(PrimeField(5), 2, 4)
+        rng = random.Random(17)
+        H.mul(H.sample(rng), H.sample(rng))
+        assert calls == []
 
 
 class TestDerivations:

@@ -483,7 +483,7 @@ class TestRawSeriesMemo:
             fresh, b = self._spec()
             assert spec.target.eq(got, fn(fresh, b))
 
-    def test_constant_guard_runs_once_per_argument(self, monkeypatch):
+    def test_constant_guard_reads_the_memoised_series(self, monkeypatch):
         guard = taylor._require_constant_coefficients
         calls = []
 
@@ -495,11 +495,13 @@ class TestRawSeriesMemo:
         spec, a = self._spec()
         divided = classical_taylor(spec, a)
         raw = hurwitz_morphism(spec, a)
-        assert len(calls) == 1 and calls[0] is raw
+        # the memo holds the series and nothing else; every call guards it
+        assert [value is raw for value in spec._raw.values()] == [True]
+        assert [seen is raw for seen in calls] == [True, True]
         assert spec.target.eq(divided, spec.target.to_divided(raw))
         fresh, b = self._spec()
         assert spec.target.eq(raw, hurwitz_morphism(fresh, b))
-        assert len(calls) == 2
+        assert len(calls) == 3 and calls[2] is fresh._raw[b]
 
     def test_replace_starts_an_empty_memo(self, derive_calls):
         spec, a = self._spec()

@@ -194,7 +194,7 @@ class TestFallback:
         )
         rc, out, err = _expand(tmp_path, capsys, doc)
         assert (rc, out) == (2, "")
-        assert err == "error: value table does not cover symbol y'\n"
+        assert err == "error: problem.phi.values: value table does not cover symbol y'\n"
 
 
 class TestNoDerivation:

@@ -3,9 +3,9 @@
 Check configurations (``CheckConfig.from_json``) and value tables
 (``DiffPolyRing.values_from_json``, as read from ``problem.phi.values``) are
 only parsed.  Whole problem documents go through ``hwtaylor expand`` and
-must end in exit 0, 2 or 3 without a traceback.  Each draw starts near a
-valid document and mutates it, so both the accepting and the rejecting
-branches are reached.
+must end in exit 0, 2 or 3 without a traceback; exit 2 names a path in the
+document.  Each draw starts near a valid document and mutates it, so both
+the accepting and the rejecting branches are reached.
 """
 
 from __future__ import annotations
@@ -261,3 +261,7 @@ def test_problem_documents_expand_or_exit_cleanly(tmp_path_factory, doc):
     else:
         assert rc in (2, 3) and out.getvalue() == ""
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    if rc == 2:
+        # a validation error names its path: a node, or the document itself
+        paths = ("error: problem.", "error: problem: ")
+        assert err.getvalue().startswith(paths), err.getvalue()
