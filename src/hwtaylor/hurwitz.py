@@ -14,13 +14,13 @@ Every index-shaped loop runs on a ``Plan``, the integer tables of one
 (width, trunc) shape: for each output position the (beta, alpha - beta,
 binomial) positions of the convolution, for each slot the shift map, the
 parent of each index, and the factorials.  Operations never build or compare
-a ``MultiIndex``.  One kernel, ``HurwitzRing.convolve``, owns the summation
-order and the binomial weighting: ``mul`` and ``cauchy_mul`` are its
-weighted and unweighted forms, ``invert`` solves it grade by grade, and
-``taylor.ev_twist`` feeds it iterated coefficient derivatives.  Each row is
-one ``combine`` of the coefficient ring with the row's binomials as
-weights, so a row is normalised once; the products inside it still go
-through the coefficient ring's ``mul``.
+a ``MultiIndex``.  Both products and the inverse are one call of the
+coefficient ring's bilinear kernel ``Ring.dot`` on the plan's rows: ``mul``
+with the binomials as weights, ``cauchy_mul`` with unit weights, and
+``invert`` on the series it is solving for, one row at a time.  The generic
+``dot`` is one ``mul`` per pair and one ``combine`` per row; polynomial
+coefficients reduce each row once.  ``taylor.ev_twist`` reads the same rows
+with iterated coefficient derivatives in place of a second factor.
 
 Validity bookkeeping: each series carries ``valid <= trunc``, the order up
 to which its coefficients are trustworthy.  A shift derivation consumes one
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from types import MappingProxyType
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from .multiindex import MultiIndex, count_upto, enumerate_upto, iter_dominated
 from .rings import (
@@ -265,30 +265,10 @@ class HurwitzRing(Ring):
         self._check(a)
         return self._from_entries(map(self.coeff_ring.neg, a.entries), a.valid)
 
-    def convolve(
-        self, term: Callable[[int, int], Element], weighted: bool = True
-    ) -> Iterator[Element]:
-        """Rows of the convolution whose (beta, alpha - beta) entry is ``term``.
-
-        Yields row alpha, ``sum over beta <= alpha of binom(alpha, beta) *
-        term(i, j)``, in graded-lex order, where i and j are the positions
-        of beta and alpha - beta in ``indices`` (and in every series'
-        ``entries``); ``weighted=False`` drops the binomials.  The pairs and
-        weights come from the shape's ``Plan``, and each row is one
-        ``combine`` of the coefficient ring, so it is normalised once.  Each
-        row is computed only when it is asked for, so ``term`` may read rows
-        the caller stored from earlier yields.  Every product, the inverse
-        and the evaluation twist are this loop.
-        """
-        combine = self.coeff_ring.combine
-        ones = repeat(1)
-        for left, right, binomials in self.plan.rows:
-            yield combine(binomials if weighted else ones, map(term, left, right))
-
     def mul(self, a: HurwitzSeries, b: HurwitzSeries) -> HurwitzSeries:
+        """Binomial-weighted convolution, the product of the Hurwitz reading."""
         self._check_pair(a, b)
-        mul, x, y = self.coeff_ring.mul, a.entries, b.entries
-        rows = self.convolve(lambda i, j: mul(x[i], y[j]))
+        rows = self.coeff_ring.dot(a.entries, b.entries, self.plan.rows)
         return self._from_entries(rows, min(a.valid, b.valid))
 
     def cauchy_mul(self, a: HurwitzSeries, b: HurwitzSeries) -> HurwitzSeries:
@@ -300,8 +280,9 @@ class HurwitzRing(Ring):
         sense over any coefficient ring.
         """
         self._check_pair(a, b)
-        mul, x, y = self.coeff_ring.mul, a.entries, b.entries
-        rows = self.convolve(lambda i, j: mul(x[i], y[j]), weighted=False)
+        ones = repeat(1)
+        plain = ((left, right, ones) for left, right, _ in self.plan.rows)
+        rows = self.coeff_ring.dot(a.entries, b.entries, plain)
         return self._from_entries(rows, min(a.valid, b.valid))
 
     def eq(self, a: HurwitzSeries, b: HurwitzSeries) -> bool:
@@ -365,15 +346,15 @@ class HurwitzRing(Ring):
         c0inv = K.try_invert(a.constant_term())
         if c0inv is None:
             raise NotUnitError("not a unit: constant term is zero")
-        x = a.entries
-
-        def term(i: int, j: int) -> Element:
-            # the beta = 0 term (position 0) pairs a's constant with the unknown itself
-            return K.zero() if i == 0 else K.mul(x[i], table[j])
-
-        table: list[Element] = []
-        for acc in self.convolve(term):
-            table.append(K.neg(K.mul(c0inv, acc)) if table else c0inv)
+        # for alpha > 0, a * b = 1 reads a[0] * b[alpha] + (row alpha of
+        # (a - a[0]) * b) = 0: with a zero at position 0, row alpha reads only
+        # the entries of ``table`` already solved, and the rest are zero
+        # placeholders until their own row is yielded
+        zero = K.zero()
+        x = (zero,) + a.entries[1:]
+        table = [zero] * len(x)
+        for p, acc in enumerate(K.dot(x, table, self.plan.rows)):
+            table[p] = K.neg(K.mul(c0inv, acc)) if p else c0inv
         return self._from_entries(table, a.valid)
 
     def _shift(self, a: HurwitzSeries, slot: int, what: str) -> tuple[tuple[int, int], ...]:

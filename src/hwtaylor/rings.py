@@ -11,8 +11,14 @@ decidable; there are no floats anywhere and no tolerance parameters.
 Sums of many terms go through ``Ring.combine(weights, values)``, the sum of
 ``w * v`` for integer weights: the generic form adds term by term, and
 ``F_p`` and the polynomial rings accumulate the whole sum and normalise
-once (one ``% p``, one polynomial ``_reduce``).  ``sum``, every convolution
-row of the series layer and every value-table image are such sums.
+once (one ``% p``, one polynomial ``_reduce``).  ``sum``, every row of the
+evaluation twist and every value-table image are such sums.
+
+Series products and inversion go through ``Ring.dot(x, y, rows)``, which
+yields ``sum of w * x[i] * y[j]`` for each ``(left, right, weights)`` row of
+index pairs: the generic form is one ``mul`` per pair and one ``combine``
+per row, and the polynomial rings put a whole row's products into one
+integer table and reduce it once.
 
 A ``DifferentialRing`` pairs a carrier descriptor with a tuple of commuting
 derivations.  Commutation of user-supplied polynomial derivation families is
@@ -29,7 +35,7 @@ from itertools import repeat
 from math import gcd, lcm
 from operator import add as _add
 from operator import mul as _mul
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .multiindex import MultiIndex
 
@@ -135,6 +141,29 @@ class Ring:
 
     def sum(self, items: Iterable[Element]) -> Element:
         return self.combine(repeat(1), items)
+
+    def dot(
+        self,
+        x: Sequence[Element],
+        y: Sequence[Element],
+        rows: Iterable[tuple[Sequence[int], Sequence[int], Iterable[int]]],
+    ) -> Iterator[Element]:
+        """``sum of w * x[i] * y[j]`` for each ``(left, right, weights)`` row.
+
+        The triples are zipped from ``left``, ``right`` and ``weights``, so
+        ``weights`` may be longer (``repeat(1)`` for unit weights).  Rows
+        are yielded one at a time and each is computed only when pulled, so
+        ``x`` and ``y`` may be lists the caller fills from earlier yields.
+        This generic form is one ``mul`` per pair and one ``combine`` per
+        row; the polynomial rings override it to reduce each row once.
+        """
+        mul, combine = self.mul, self.combine
+
+        def term(i: int, j: int) -> Element:
+            return mul(x[i], y[j])
+
+        for left, right, weights in rows:
+            yield combine(weights, map(term, left, right))
 
     def pow(self, a: Element, n: int) -> Element:
         """Square-and-multiply: at most 2 log2(n) products, never by one."""
@@ -394,8 +423,9 @@ class PolynomialRing(Ring):
 
     Every operation accumulates plain integers and normalises once per
     result: one gcd pass over ``Q``, one reduction mod p per term over
-    ``F_p``; ``combine`` does the same for a whole weighted sum.  ``mul``
-    returns at once for a zero factor.
+    ``F_p``; ``combine`` does the same for a whole weighted sum, and ``dot``
+    for a whole row of weighted products.  ``mul`` and ``dot`` share one
+    monomial-product loop and skip zero factors.
     """
 
     is_field = False
@@ -518,17 +548,54 @@ class PolynomialRing(Ring):
                 table[e] = get(e, 0) + w * n
         return self._reduce(table, den)
 
+    @staticmethod
+    def _multiply_into(table: dict[tuple[int, ...], int], a: Poly, b: Poly, scale: int) -> None:
+        """Add ``scale * a * b`` to an integer table: the one monomial-product loop."""
+        get = table.get
+        right = b.table.items()
+        for ea, ca in a.table.items():
+            ca *= scale
+            for eb, cb in right:
+                key = tuple(map(_add, ea, eb))
+                table[key] = get(key, 0) + ca * cb
+
     def mul(self, a: Poly, b: Poly) -> Poly:
         if not a.table or not b.table:
             return self.zero()
         table: dict[tuple[int, ...], int] = {}
-        get = table.get
-        right = b.table.items()
-        for ea, ca in a.table.items():
-            for eb, cb in right:
-                key = tuple(map(_add, ea, eb))
-                table[key] = get(key, 0) + ca * cb
+        self._multiply_into(table, a, b, 1)
         return self._reduce(table, a.den * b.den if self._rational else None)
+
+    def dot(
+        self,
+        x: Sequence[Poly],
+        y: Sequence[Poly],
+        rows: Iterable[tuple[Sequence[int], Sequence[int], Iterable[int]]],
+    ) -> Iterator[Poly]:
+        """Each row's products in one integer table, reduced once.
+
+        Pairs with a zero operand are skipped.  Over ``Q`` the table is over
+        the lcm of the products' denominators ``a.den * b.den``; over
+        ``F_p`` it holds residues times weights.
+        """
+        multiply_into, rational = self._multiply_into, self._rational
+        for left, right, weights in rows:
+            pairs = [
+                (w, a, b)
+                for w, i, j in zip(weights, left, right)
+                if (a := x[i]).table and (b := y[j]).table
+            ]
+            table: dict[tuple[int, ...], int] = {}
+            if rational:
+                dens = [a.den * b.den for _, a, b in pairs]
+                den = lcm(*dens)
+                for (w, a, b), d in zip(pairs, dens):
+                    multiply_into(table, a, b, w * (den // d))
+            else:
+                den = None
+                for w, a, b in pairs:
+                    multiply_into(table, a, b, w)
+            yield self._reduce(table, den)
 
     def eq(self, a: Poly, b: Poly) -> bool:
         return a == b
@@ -647,6 +714,20 @@ class PolynomialRing(Ring):
         return derive
 
 
+# Element strings up to this length are echoed whole in a grammar error;
+# longer ones are shown by offset and an excerpt of ``_EXCERPT`` characters
+# on each side, so one bad term after thousands of good ones stays one line.
+_ECHO_MAX = 80
+_EXCERPT = 20
+
+
+def _where(text: str, at: int) -> str:
+    """Where a grammar error sits in ``text``: ``at`` is its character offset."""
+    if len(text) <= _ECHO_MAX:
+        return f"in {text!r}"
+    return f"at offset {at} near {text[max(0, at - _EXCERPT) : at + _EXCERPT]!r}"
+
+
 def _parse_poly(ring: PolynomialRing, text: str) -> Poly:
     """Parse ``2*u^2*v - 1/3*u + 4`` style strings into normalized polynomials.
 
@@ -659,7 +740,8 @@ def _parse_poly(ring: PolynomialRing, text: str) -> Poly:
     tokens = list(_TOKEN_RE.finditer(text))
     kinds = [t.lastindex for t in tokens]
     if _BAD in kinds:
-        raise ValueError(f"bad token {tokens[kinds.index(_BAD)][0]!r} in {text!r}")
+        bad = tokens[kinds.index(_BAD)]
+        raise ValueError(f"bad token {bad[0]!r} {_where(text, bad.start())}")
     p, slots, width = ring._modulus, ring._slots, len(ring.generators)
     terms: list[tuple[tuple[int, ...], int, int]] = []
     end = len(tokens)
@@ -670,27 +752,32 @@ def _parse_poly(ring: PolynomialRing, text: str) -> Poly:
         exps = [0] * width
         while True:
             if pos == end:
-                raise ValueError(f"unexpected end of input in {text!r}")
+                raise ValueError(f"unexpected end of input {_where(text, len(text))}")
             tok, kind = tokens[pos], kinds[pos]
             pos += 1
             if kind == _GENERATOR:
                 slot = slots.get(tok[0])
                 if slot is None:
-                    raise ValueError(f"unknown generator {tok[0]!r} in {text!r}")
+                    at = tok.start()
+                    raise ValueError(f"unknown generator {tok[0]!r} {_where(text, at)}")
                 e = 1
                 if pos < end and tokens[pos][_OPERATOR] == "^":
                     pos += 1
                     if pos == end or kinds[pos] != _INTEGER:
-                        raise ValueError(f"expected integer exponent in {text!r}")
+                        at = len(text) if pos == end else tokens[pos].start()
+                        raise ValueError(f"expected integer exponent {_where(text, at)}")
                     e = int(tokens[pos][0])
                     pos += 1
                     if e > MAX_EXPONENT:
-                        raise ValueError(f"exponent {e} exceeds {MAX_EXPONENT} in {text!r}")
+                        at = tokens[pos - 1].start()
+                        raise ValueError(
+                            f"exponent {e} exceeds {MAX_EXPONENT} {_where(text, at)}"
+                        )
                 exps[slot] += e
             elif kind == _INTEGER:
                 num = num * int(tok[0]) if p is None else num * int(tok[0]) % p
             elif kind == _OPERATOR:
-                raise ValueError(f"unexpected token {tok[0]!r} in {text!r}")
+                raise ValueError(f"unexpected token {tok[0]!r} {_where(text, tok.start())}")
             elif p is not None:
                 raise ValueError(f"not an integer literal: {tok[0]!r}")
             elif kind == _BAD_RATIO:
@@ -708,7 +795,8 @@ def _parse_poly(ring: PolynomialRing, text: str) -> Poly:
         sign = tokens[pos][0]
         pos += 1
         if sign != "+" and sign != "-":
-            raise ValueError(f"expected + or - but found {sign!r} in {text!r}")
+            at = tokens[pos - 1].start()
+            raise ValueError(f"expected + or - but found {sign!r} {_where(text, at)}")
         if len(terms) == MAX_TERMS:
             raise ValueError(f"more than {MAX_TERMS} terms")
     common = lcm(*(d for _, _, d in terms))

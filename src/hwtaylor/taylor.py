@@ -219,11 +219,13 @@ def ev_twist(a: HurwitzSeries, family: Sequence[Derivation]) -> HurwitzSeries:
     """Reshuffle a series by a commuting family acting on its coefficients.
 
     Coefficient alpha of the result is the sum over gamma <= alpha of
-    binom(alpha, gamma) applied-family^gamma of coefficient alpha - gamma:
-    the binomial-weighted convolution of ``HurwitzRing.convolve``, with the
-    iterated family derivatives in place of a second factor.  The valid
-    order is preserved: index alpha only reads indices of degree <= alpha
-    and coefficient derivations cost nothing.
+    binom(alpha, gamma) applied-family^gamma of coefficient alpha - gamma.
+    This is a twist, not a product: it reads the rows of the plan that
+    ``HurwitzRing.mul`` reads, with the iterated family derivatives in place
+    of a second factor, and each row is one ``combine`` of the coefficient
+    ring with the binomials as weights.  The valid order is preserved: index
+    alpha only reads indices of degree <= alpha and coefficient derivations
+    cost nothing.
     """
     if len(family) != a.width:
         raise ValueError(
@@ -240,7 +242,12 @@ def ev_twist(a: HurwitzSeries, family: Sequence[Derivation]) -> HurwitzSeries:
         )
         for alpha, c in zip(plan.indices, a.entries)
     ]
-    return H._from_entries(H.convolve(lambda i, j: tables[j][i]), a.valid)
+    combine = K.combine
+    rows = (
+        combine(binomials, [tables[j][i] for i, j in zip(left, right)])
+        for left, right, binomials in plan.rows
+    )
+    return H._from_entries(rows, a.valid)
 
 
 def ev_untwist(a: HurwitzSeries, family: Sequence[Derivation]) -> HurwitzSeries:

@@ -90,14 +90,18 @@ def hurwitz_product(
     width: int,
     bound: int,
     ops: Ops,
+    weighted: bool = True,
 ) -> dict[tuple[int, ...], Any]:
-    """Binomial-weighted convolution, computed by the literal triple loop."""
+    """Binomial-weighted convolution, computed by the literal triple loop.
+
+    ``weighted=False`` drops the binomials: the plain (Cauchy) convolution.
+    """
     out: dict[tuple[int, ...], Any] = {}
     for alpha in tuples_upto(width, bound):
         acc = ops.zero
         for beta in dominated(alpha):
             gamma = tuple_sub(alpha, beta)
-            w = ops.embed(tuple_binomial(alpha, beta))
+            w = ops.embed(tuple_binomial(alpha, beta) if weighted else 1)
             acc = ops.add(acc, ops.mul(w, ops.mul(a.get(beta, ops.zero), b.get(gamma, ops.zero))))
         out[alpha] = acc
     return out
@@ -239,3 +243,14 @@ def poly_invert(a: Mapping, width: int, inverse: Callable[[Any], Any]) -> dict |
     if list(a) != [zero_exps]:
         return None
     return {zero_exps: inverse(a[zero_exps])}
+
+
+def poly_ops(base: Ops, width: int) -> Ops:
+    """Arithmetic on dict polynomials over ``base``, for the series oracles."""
+    return Ops(
+        zero={},
+        add=lambda a, b: poly_add(a, b, base),
+        mul=lambda a, b: poly_mul(a, b, base),
+        neg=lambda a: poly_neg(a, base),
+        embed=lambda n: _nonzero({(0,) * width: base.embed(n)}, base),
+    )

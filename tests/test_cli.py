@@ -221,6 +221,17 @@ class TestExpand:
         assert out == ""
         assert path_fragment in err
 
+    def test_long_element_error_is_one_short_line(self, tmp_path, capsys):
+        # one bad term after 9999 good ones: the error gives the offset and an
+        # excerpt, not the 100 KB string
+        doc = dict(LINEAR_DOC, element=" + ".join(["3/7*u^2"] * 9999) + " + w")
+        rc = main(["expand", "--spec", write_spec(tmp_path, doc)])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err.count("\n") == 1 and len(err.encode()) < 300, err[:300]
+        assert err.startswith("error: problem.element: unknown generator 'w' at offset 99990 ")
+
     def test_construction_table(self, tmp_path, capsys):
         from test_acceptance import CONSTRUCTORS
 

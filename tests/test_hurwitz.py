@@ -31,7 +31,7 @@ from hwtaylor.rings import (
 )
 from hwtaylor.taylor import MorphismSpec, ev_twist, ev_untwist, twisted_hurwitz
 
-from oracles import FRACTION_OPS, fp_ops, hurwitz_product, tuples_upto
+from oracles import FRACTION_OPS, fp_ops, hurwitz_product, poly_ops, tuples_upto
 
 
 def table_of(a):
@@ -105,18 +105,39 @@ class TestProduct:
         for idx, c in want.items():
             assert got.coeff(MultiIndex(idx)) == c
 
-    def test_convolve_of_ones_counts_weights(self):
-        # with term 1, row alpha sums binom(alpha, beta) over beta <= alpha
-        # (2^|alpha|), or counts the beta <= alpha (prod alpha_i + 1)
+    @pytest.mark.parametrize(
+        "base, ops", [(QQ, FRACTION_OPS), (PrimeField(5), fp_ops(5))], ids=["Q", "F5"]
+    )
+    def test_products_over_polynomials_match_the_oracle(self, base, ops):
+        # polynomial coefficients take the ring's own row kernel: zero,
+        # one-term and many-term coefficients, denominators 1 to 3 over Q
+        R = PolynomialRing(base, ("u", "v"))
+        H = HurwitzRing(R, 2, 3)
+        rng = random.Random(29)
+
+        def sample():
+            return H.from_table(
+                {alpha: R.sample(rng) for alpha in H.indices if rng.random() < 0.7}
+            )
+
+        def dict_table(a):
+            return {idx: dict(c.terms) for idx, c in table_of(a).items()}
+
+        for trial in range(6):
+            a, b = sample(), sample()
+            for product, weighted in ((H.mul, True), (H.cauchy_mul, False)):
+                want = hurwitz_product(
+                    dict_table(a), dict_table(b), 2, 3, poly_ops(ops, 2), weighted
+                )
+                assert dict_table(product(a, b)) == want, (trial, weighted)
+
+    def test_product_of_ones_counts_weights(self):
+        # with every coefficient 1, row alpha sums binom(alpha, beta) over
+        # beta <= alpha (2^|alpha|), or counts the beta <= alpha (prod alpha_i + 1)
         H = HurwitzRing(QQ, 3, 4)
-
-        def ones(beta, rest):
-            return Fraction(1)
-
-        weighted = list(H.convolve(ones))
-        plain = list(H.convolve(ones, weighted=False))
-        assert len(weighted) == len(plain) == len(H.indices)
-        for alpha, w, c in zip(H.indices, weighted, plain):
+        ones = H.from_table(dict.fromkeys(H.indices, Fraction(1)))
+        weighted, plain = H.mul(ones, ones), H.cauchy_mul(ones, ones)
+        for alpha, w, c in zip(H.indices, weighted.entries, plain.entries, strict=True):
             assert w == 2 ** alpha.degree
             assert c == math.prod(e + 1 for e in alpha)
 

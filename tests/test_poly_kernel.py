@@ -3,14 +3,16 @@
 Over ``Q`` a polynomial holds integer numerators over one shared
 denominator, over ``F_p`` residues; both are compared here, operation by
 operation, with ``tests/oracles.py`` on seeded inputs that mix denominators
-and cancel terms.  ``combine`` (weighted sums, reduced once) and products
-with a zero, constant or one-term operand are compared the same way.
+and cancel terms.  ``combine`` (weighted sums, reduced once), ``dot`` (rows
+of weighted products, reduced once) and products with a zero, constant or
+one-term operand are compared the same way.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import repeat
 from math import gcd
 
 import pytest
@@ -235,3 +237,59 @@ def test_mul_by_zero_constant_or_monomial_matches_the_oracle(field, ops, inverse
                 got = R.mul(build(R, x), build(R, y))
                 assert as_table(got) == poly_mul(x, y, ops), (trial, name)
                 assert_normal(R, got)
+
+
+def one_term(rng, field):
+    while True:
+        c = random_coeff(rng, field)
+        if c:
+            return {(rng.randint(0, 3), rng.randint(0, 3)): c}
+
+
+@pytest.mark.parametrize("field, ops, inverse", FIELDS)
+def test_dot_matches_the_oracle(field, ops, inverse):
+    """Each row of ``dot`` is the combine of its pairwise products."""
+    R = PolynomialRing(field, GENERATORS)
+    rng = random.Random(1121)
+    for trial in range(TRIALS):
+        # position 0 is zero and 1 one-term on both sides; the rest are zero,
+        # one-term or many-term, with denominators up to 12 over Q
+        x, y = (
+            [{}, one_term(rng, field)]
+            + [rng.choice(({}, one_term(rng, field), random_table(rng, field))) for _ in range(4)]
+            for _ in range(2)
+        )
+        rows = [((), (), ()), ((0, 1, 1), (1, 0, 0), (1, 4, 6)), ((1,), (1,), (3,))]
+        for _ in range(4):
+            n = rng.randint(1, 5)
+            rows.append(
+                (
+                    tuple(rng.randrange(len(x)) for _ in range(n)),
+                    tuple(rng.randrange(len(y)) for _ in range(n)),
+                    tuple(rng.choice((1, 2, 3, 6, 10, 20)) for _ in range(n)),
+                )
+            )
+        X, Y = [build(R, t) for t in x], [build(R, t) for t in y]
+        for weighted in (True, False):
+            given = rows if weighted else [(l, r, repeat(1)) for l, r, _ in rows]
+            got = list(R.dot(X, Y, given))
+            assert len(got) == len(rows)
+            for k, (left, right, weights) in enumerate(rows):
+                products = [poly_mul(x[i], y[j], ops) for i, j in zip(left, right)]
+                w = weights if weighted else [1] * len(left)
+                assert as_table(got[k]) == poly_combine(w, products, 2, ops), (trial, k)
+                assert_normal(R, got[k])
+            # the generic per-pair form gives the same values
+            assert got == list(Ring.dot(R, X, Y, given)), (trial, weighted)
+
+
+def test_dot_reads_operands_when_a_row_is_pulled():
+    """A row reads ``y`` when it is pulled, so a caller may fill ``y`` from earlier rows."""
+    R = PolynomialRing(QQ, GENERATORS)
+    u = R.gen("u")
+    x = [R.one(), u]
+    y = [R.zero(), R.zero()]
+    rows = R.dot(x, y, [((0,), (0,), (1,)), ((1,), (0,), (2,))])
+    assert R.is_zero(next(rows))
+    y[0] = R.constant(Fraction(1, 3))
+    assert R.render(next(rows)) == "2/3*u"

@@ -177,6 +177,42 @@ class TestPolynomialCodec:
                 R.parse(text)
             assert str(err.value) == want
 
+    @pytest.mark.parametrize(
+        "tail, back, error",
+        [
+            (" + w", 1, "unknown generator 'w'"),
+            (" $", 1, "bad token '$'"),
+            (" +", 0, "unexpected end of input"),
+            (" + u^v", 1, "expected integer exponent"),
+            (" + u^65", 2, "exponent 65 exceeds 64"),
+            (" + * v", 3, "unexpected token '*'"),
+            (" v", 1, "expected + or - but found 'v'"),
+        ],
+    )
+    def test_long_string_errors_give_offset_and_excerpt(self, tail, back, error):
+        # up to 80 characters the whole string is echoed; beyond, the offset
+        # of the failing token (``back`` characters before the end) and 20
+        # characters on each side of it
+        R = CODEC_RINGS["Q[u,v]"]
+        for head_terms in (1, 20, 9999):
+            text = " + ".join(["3/7*u^2"] * head_terms) + tail
+            with pytest.raises(ValueError) as err:
+                R.parse(text)
+            if len(text) <= 80:
+                assert str(err.value) == f"{error} in {text!r}"
+            else:
+                at = len(text) - back
+                assert str(err.value) == f"{error} at offset {at} near {text[at - 20 : at + 20]!r}"
+
+    def test_error_echo_boundary(self):
+        R = CODEC_RINGS["Q[u,v]"]
+        for length in (79, 80, 81):
+            text = "u + " + " " * (length - 5) + "w"
+            with pytest.raises(ValueError) as err:
+                R.parse(text)
+            want = f"in {text!r}" if length <= 80 else f"at offset {length - 1} near {text[-21:]!r}"
+            assert str(err.value) == f"unknown generator 'w' {want}", length
+
     def test_accepted_edges(self):
         Q, F = CODEC_RINGS["Q[u,v]"], CODEC_RINGS["F5[u,v]"]
         # \d takes every decimal digit; Q denominators start with an ASCII 1-9
