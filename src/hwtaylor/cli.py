@@ -198,6 +198,7 @@ def _write_output(text: str, out: str | None) -> int:
 def cmd_expand(args: argparse.Namespace) -> int:
     try:
         series = load_problem(_read_json(args.spec), trunc_override=args.trunc_override)()
+        text = _canonical(series_to_json(series)) + "\n"
     except DomainError as exc:
         print(f"error: out of domain: {exc}", file=sys.stderr)
         return 3
@@ -207,7 +208,7 @@ def cmd_expand(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return _write_output(_canonical(series_to_json(series)) + "\n", args.out)
+    return _write_output(text, args.out)
 
 
 def _load_check_config(args: argparse.Namespace) -> CheckConfig:

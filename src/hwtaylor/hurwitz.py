@@ -19,7 +19,9 @@ coefficient ring's bilinear kernel ``Ring.dot`` on the plan's rows: ``mul``
 with the binomials as weights, ``cauchy_mul`` with unit weights, and
 ``invert`` on the series it is solving for, one row at a time.  The generic
 ``dot`` is one ``mul`` per pair and one ``combine`` per row; polynomial
-coefficients reduce each row once.  ``taylor.ev_twist`` reads the same rows
+coefficients reduce each row once and, up to a bound set by the factors'
+term counts and capped at ``rings._MAX_SUMS``, build each exponent sum once
+per product of two series, since the whole product is one call.  ``taylor.ev_twist`` reads the same rows
 with iterated coefficient derivatives in place of a second factor.
 
 Validity bookkeeping: each series carries ``valid <= trunc``, the order up

@@ -18,7 +18,14 @@ Series products and inversion go through ``Ring.dot(x, y, rows)``, which
 yields ``sum of w * x[i] * y[j]`` for each ``(left, right, weights)`` row of
 index pairs: the generic form is one ``mul`` per pair and one ``combine``
 per row, and the polynomial rings put a whole row's products into one
-integer table and reduce it once.
+integer table and reduce it once.  One ``dot`` call meets few distinct
+exponent pairs, so the polynomial form builds each exponent sum once, in a
+memo of its own that holds at most as many sums as its operands hold terms,
+and never more than ``_MAX_SUMS``, and is dropped when the call returns.
+
+Integers cross the wire as decimal text of at most ``MAX_DIGITS`` digits,
+Python's default conversion limit.  A longer literal is a parse error that
+gives its offset; a longer coefficient in a result is a ``DomainError``.
 
 A ``DifferentialRing`` pairs a carrier descriptor with a tuple of commuting
 derivations.  Commutation of user-supplied polynomial derivation families is
@@ -183,7 +190,58 @@ class Ring:
 # no leading zeros.  Scalar rationals and the ratio tokens of polynomial
 # strings share this rule.
 _DENOMINATOR = r"[1-9]\d*"
-_RATIONAL_RE = re.compile(rf"-?\d+(?:/{_DENOMINATOR})?")
+# groups 1 and 2 hold the digits of the numerator and of the denominator
+_RATIONAL_RE = re.compile(rf"-?(\d+)(?:/({_DENOMINATOR}))?")
+# the syntax ``int(text, 10)`` reads, a scalar ``F_p`` literal; group 1
+# holds the digits, with any underscores between them
+_INTEGER_RE = re.compile(r"[+-]?(\d+(?:_\d+)*)")
+
+# Most decimal digits of one integer that a literal may spell or a result may
+# render: Python's default limit on converting between ``int`` and ``str``
+# (``sys.int_max_str_digits``).  Lengths are checked before converting, so an
+# integer past it is refused by a text naming where it is.
+MAX_DIGITS = 4300
+_DIGITS_BOUND = 10**MAX_DIGITS
+
+# Texts and tokens up to this length are echoed whole in a parse error;
+# longer ones are shown by an excerpt of ``_EXCERPT`` characters (and an
+# element string by the offset of the error), so an error stays one line.
+_ECHO_MAX = 80
+_EXCERPT = 20
+
+
+def _echo(token: str) -> str:
+    """``repr(token)``, or past ``_ECHO_MAX`` characters its start and length."""
+    if len(token) <= _ECHO_MAX:
+        return repr(token)
+    return f"{token[:_EXCERPT]!r}... ({len(token)} characters)"
+
+
+def _where(text: str, at: int) -> str:
+    """Where a parse error sits in ``text``: ``at`` is its character offset."""
+    if len(text) <= _ECHO_MAX:
+        return f"in {text!r}"
+    return f"at offset {at} near {text[max(0, at - _EXCERPT) : at + _EXCERPT]!r}"
+
+
+def _too_long(text: str, at: int) -> ValueError:
+    """The error for a literal at offset ``at`` of ``text`` past ``MAX_DIGITS``."""
+    return ValueError(f"literal of more than {MAX_DIGITS} digits {_where(text, at)}")
+
+
+def _integer(text: str, token: re.Match, group: int) -> int:
+    """The integer spelled by ``token[group]``, refused past ``MAX_DIGITS``."""
+    digits = token[group]
+    if len(digits) > MAX_DIGITS:
+        raise _too_long(text, token.start(group))
+    return int(digits)
+
+
+def _decimal(n: int) -> str:
+    """``str(n)``; an integer past ``MAX_DIGITS`` digits is out of domain."""
+    if -_DIGITS_BOUND < n < _DIGITS_BOUND:
+        return str(n)
+    raise DomainError(f"coefficient of more than {MAX_DIGITS} digits")
 
 
 class RationalField(Ring):
@@ -229,14 +287,18 @@ class RationalField(Ring):
         return None if a == 0 else 1 / Fraction(a)
 
     def render(self, a: Fraction) -> str:
-        return str(a)
+        if a.denominator == 1:
+            return _decimal(a.numerator)
+        return f"{_decimal(a.numerator)}/{_decimal(a.denominator)}"
 
     def parse(self, text: str) -> Fraction:
         # strict integer-ratio syntax; no decimal points on the wire
-        literal = text.strip()
-        if not _RATIONAL_RE.fullmatch(literal):
-            raise ValueError(f"not a rational literal: {text!r}")
-        return Fraction(literal)
+        match = _RATIONAL_RE.fullmatch(text, len(text) - len(text.lstrip()), len(text.rstrip()))
+        if not match:
+            raise ValueError(f"not a rational literal: {_echo(text)}")
+        num = _integer(text, match, 1)
+        den = 1 if match[2] is None else _integer(text, match, 2)
+        return Fraction(-num if match[0][0] == "-" else num, den)
 
     def sample(self, rng, degree: int = 2) -> Fraction:
         return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
@@ -334,10 +396,13 @@ class PrimeField(Ring):
         return str(a % self.p)
 
     def parse(self, text: str) -> int:
-        try:
-            return int(text.strip(), 10) % self.p
-        except ValueError as exc:
-            raise ValueError(f"not an integer literal: {text!r}") from exc
+        match = _INTEGER_RE.fullmatch(text, len(text) - len(text.lstrip()), len(text.rstrip()))
+        if not match:
+            raise ValueError(f"not an integer literal: {_echo(text)}")
+        digits = match[1]
+        if len(digits) - digits.count("_") > MAX_DIGITS:
+            raise _too_long(text, match.start(1))
+        return int(match[0], 10) % self.p
 
     def sample(self, rng, degree: int = 2) -> int:
         return rng.randrange(self.p)
@@ -416,6 +481,16 @@ MAX_EXPONENT = 64
 # Most terms of one polynomial element string or diffpoly element, and most
 # rows of a value table, that a wire document may hold.
 MAX_TERMS = 10000
+
+# The exponent-sum memo of a product that keeps none: ``_multiply_into``
+# writes to a memo only while it has room, so this one stays empty.
+_NO_SUMS: dict = {}
+# Most exponent sums one ``dot`` call keeps, about 100 bytes each.  The
+# calls of the benchmark workloads and of the capped problem document meet
+# at most 350 distinct exponent pairs.  Bounded by its operands' terms
+# alone, the memo of one product on a document of degree-128 coefficients
+# (``x^64`` at the caps) held 24 MB.
+_MAX_SUMS = 4096
 
 
 class PolynomialRing(Ring):
@@ -549,15 +624,36 @@ class PolynomialRing(Ring):
         return self._reduce(table, den)
 
     @staticmethod
-    def _multiply_into(table: dict[tuple[int, ...], int], a: Poly, b: Poly, scale: int) -> None:
-        """Add ``scale * a * b`` to an integer table: the one monomial-product loop."""
+    def _multiply_into(
+        table: dict[tuple[int, ...], int],
+        a: Poly,
+        b: Poly,
+        scale: int,
+        sums: dict[tuple[int, ...], dict[tuple[int, ...], tuple[int, ...]]] = _NO_SUMS,
+        room: int = 0,
+    ) -> int:
+        """Add ``scale * a * b`` to an integer table: the one monomial-product loop.
+
+        ``sums[ea][eb]`` is the exponent sum ``ea + eb`` if an earlier product
+        built it; a sum built here is stored while ``room`` lasts, so the
+        memo holds at most ``room`` more sums.  Returns the room left.
+        """
         get = table.get
         right = b.table.items()
         for ea, ca in a.table.items():
             ca *= scale
+            known = sums.get(ea, _NO_SUMS)
+            if known is _NO_SUMS and room:
+                known = sums[ea] = {}
             for eb, cb in right:
-                key = tuple(map(_add, ea, eb))
+                key = known.get(eb)
+                if key is None:
+                    key = tuple(map(_add, ea, eb))
+                    if room:
+                        known[eb] = key
+                        room -= 1
                 table[key] = get(key, 0) + ca * cb
+        return room
 
     def mul(self, a: Poly, b: Poly) -> Poly:
         if not a.table or not b.table:
@@ -576,9 +672,15 @@ class PolynomialRing(Ring):
 
         Pairs with a zero operand are skipped.  Over ``Q`` the table is over
         the lcm of the products' denominators ``a.den * b.den``; over
-        ``F_p`` it holds residues times weights.
+        ``F_p`` it holds residues times weights.  A call meets few distinct
+        exponent pairs, so it keeps the sums it builds in one memo, read by
+        every later row: at most as many sums as ``x`` and ``y`` hold terms
+        when the call starts, and at most ``_MAX_SUMS`` (past that, sums are
+        built and not stored), dropped when the call returns.
         """
         multiply_into, rational = self._multiply_into, self._rational
+        sums: dict[tuple[int, ...], dict[tuple[int, ...], tuple[int, ...]]] = {}
+        room = min(_MAX_SUMS, sum(len(a.table) for a in x) + sum(len(b.table) for b in y))
         for left, right, weights in rows:
             pairs = [
                 (w, a, b)
@@ -590,11 +692,11 @@ class PolynomialRing(Ring):
                 dens = [a.den * b.den for _, a, b in pairs]
                 den = lcm(*dens)
                 for (w, a, b), d in zip(pairs, dens):
-                    multiply_into(table, a, b, w * (den // d))
+                    room = multiply_into(table, a, b, w * (den // d), sums, room)
             else:
                 den = None
                 for w, a, b in pairs:
-                    multiply_into(table, a, b, w)
+                    room = multiply_into(table, a, b, w, sums, room)
             yield self._reduce(table, den)
 
     def eq(self, a: Poly, b: Poly) -> bool:
@@ -633,10 +735,10 @@ class PolynomialRing(Ring):
             if neg:
                 n = -n
             if den is None or den == 1:
-                cs = str(n)
+                cs = _decimal(n)
             else:
                 g = gcd(n, den)
-                cs = str(n // g) if g == den else f"{n // g}/{den // g}"
+                cs = _decimal(n // g) if g == den else f"{_decimal(n // g)}/{_decimal(den // g)}"
             if factors and cs == "1":
                 body = "*".join(factors)
             elif factors:
@@ -714,20 +816,6 @@ class PolynomialRing(Ring):
         return derive
 
 
-# Element strings up to this length are echoed whole in a grammar error;
-# longer ones are shown by offset and an excerpt of ``_EXCERPT`` characters
-# on each side, so one bad term after thousands of good ones stays one line.
-_ECHO_MAX = 80
-_EXCERPT = 20
-
-
-def _where(text: str, at: int) -> str:
-    """Where a grammar error sits in ``text``: ``at`` is its character offset."""
-    if len(text) <= _ECHO_MAX:
-        return f"in {text!r}"
-    return f"at offset {at} near {text[max(0, at - _EXCERPT) : at + _EXCERPT]!r}"
-
-
 def _parse_poly(ring: PolynomialRing, text: str) -> Poly:
     """Parse ``2*u^2*v - 1/3*u + 4`` style strings into normalized polynomials.
 
@@ -759,32 +847,34 @@ def _parse_poly(ring: PolynomialRing, text: str) -> Poly:
                 slot = slots.get(tok[0])
                 if slot is None:
                     at = tok.start()
-                    raise ValueError(f"unknown generator {tok[0]!r} {_where(text, at)}")
+                    raise ValueError(f"unknown generator {_echo(tok[0])} {_where(text, at)}")
                 e = 1
                 if pos < end and tokens[pos][_OPERATOR] == "^":
                     pos += 1
                     if pos == end or kinds[pos] != _INTEGER:
                         at = len(text) if pos == end else tokens[pos].start()
                         raise ValueError(f"expected integer exponent {_where(text, at)}")
-                    e = int(tokens[pos][0])
+                    power = tokens[pos]
+                    e = _integer(text, power, 0)
                     pos += 1
                     if e > MAX_EXPONENT:
-                        at = tokens[pos - 1].start()
+                        shown = e if len(power[0]) <= _ECHO_MAX else _echo(power[0])
                         raise ValueError(
-                            f"exponent {e} exceeds {MAX_EXPONENT} {_where(text, at)}"
+                            f"exponent {shown} exceeds {MAX_EXPONENT} {_where(text, power.start())}"
                         )
                 exps[slot] += e
             elif kind == _INTEGER:
-                num = num * int(tok[0]) if p is None else num * int(tok[0]) % p
+                n = _integer(text, tok, 0)
+                num = num * n if p is None else num * n % p
             elif kind == _OPERATOR:
                 raise ValueError(f"unexpected token {tok[0]!r} {_where(text, tok.start())}")
             elif p is not None:
-                raise ValueError(f"not an integer literal: {tok[0]!r}")
+                raise ValueError(f"not an integer literal: {_echo(tok[0])}")
             elif kind == _BAD_RATIO:
-                raise ValueError(f"not a rational literal: {tok[0]!r}")
+                raise ValueError(f"not a rational literal: {_echo(tok[0])}")
             else:
-                num *= int(tok[1])
-                den *= int(tok[2])
+                num *= _integer(text, tok, 1)
+                den *= _integer(text, tok, 2)
             if pos < end and tokens[pos][_OPERATOR] == "*":
                 pos += 1
             else:
@@ -796,7 +886,7 @@ def _parse_poly(ring: PolynomialRing, text: str) -> Poly:
         pos += 1
         if sign != "+" and sign != "-":
             at = tokens[pos - 1].start()
-            raise ValueError(f"expected + or - but found {sign!r} {_where(text, at)}")
+            raise ValueError(f"expected + or - but found {_echo(sign)} {_where(text, at)}")
         if len(terms) == MAX_TERMS:
             raise ValueError(f"more than {MAX_TERMS} terms")
     common = lcm(*(d for _, _, d in terms))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -16,6 +17,7 @@ from hwtaylor import cli, taylor
 from hwtaylor.cli import main
 from hwtaylor.hurwitz import HurwitzRing
 from hwtaylor.multiindex import iter_dominated
+from hwtaylor.rings import MAX_DIGITS
 
 LINEAR_DOC = {
     "ring": {"kind": "poly", "generators": ["u"], "derivations": [{"u": "1"}]},
@@ -62,6 +64,21 @@ def non_commuting_family(doc):
         "derivations": [{"u": "v"}, {"v": "1"}],
     }
     doc["m"] = 2
+
+
+@contextlib.contextmanager
+def int_str_limit(limit):
+    """Run with the interpreter's int/str digit limit at ``limit`` (None: as it is)."""
+    setter = getattr(sys, "set_int_max_str_digits", None)
+    if limit is None or setter is None:
+        yield
+        return
+    before = sys.get_int_max_str_digits()
+    setter(limit)
+    try:
+        yield
+    finally:
+        setter(before)
 
 
 def write_spec(tmp_path, doc, name="problem.json"):
@@ -231,6 +248,48 @@ class TestExpand:
         assert out == ""
         assert err.count("\n") == 1 and len(err.encode()) < 300, err[:300]
         assert err.startswith("error: problem.element: unknown generator 'w' at offset 99990 ")
+
+    @pytest.mark.parametrize("limit", [None, 0, 4300, 100000])
+    def test_over_long_literal_is_a_validation_error(self, tmp_path, capsys, limit):
+        # a literal of more than MAX_DIGITS digits is refused before it is
+        # converted, with the same text whatever the interpreter's own limit
+        doc = dict(LINEAR_DOC, element="u + " + "9" * (MAX_DIGITS + 1) + "*u")
+        with int_str_limit(limit):
+            rc = main(["expand", "--spec", write_spec(tmp_path, doc)])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err == (
+            "error: problem.element: literal of more than 4300 digits"
+            " at offset 4 near 'u + 99999999999999999999'\n"
+        )
+
+    @pytest.mark.parametrize("limit", [None, 0, 4300, 100000])
+    def test_result_coefficient_past_the_digit_bound_is_out_of_domain(
+        self, tmp_path, capsys, limit
+    ):
+        # x = (10^3000 - 1) * u, so x^2 has a coefficient of 6000 digits: the
+        # expansion is out of domain and nothing reaches stdout
+        doc = dict(
+            LINEAR_DOC,
+            ring={"kind": "poly", "generators": ["u"]},
+            trunc=1,
+            source={"kind": "diffpoly", "vars": ["x"]},
+            phi={"values": [[0, [0], "9" * 3000 + "*u"], [0, [1], "1"]]},
+            morphism="hurwitz_morphism",
+            element=[{"coeff": "1", "monomial": [[0, [0], 2]]}],
+        )
+        with int_str_limit(limit):
+            rc = main(["expand", "--spec", write_spec(tmp_path, doc)])
+        out, err = capsys.readouterr()
+        assert rc == 3
+        assert out == ""
+        assert err == "error: out of domain: coefficient of more than 4300 digits\n"
+        # a coefficient of exactly MAX_DIGITS digits is written
+        doc["phi"]["values"][0][2] = "9" * (MAX_DIGITS // 2) + "*u"
+        assert main(["expand", "--spec", write_spec(tmp_path, doc)]) == 0
+        out, _ = capsys.readouterr()
+        assert str(10**MAX_DIGITS - 2 * 10 ** (MAX_DIGITS // 2) + 1) in out
 
     def test_construction_table(self, tmp_path, capsys):
         from test_acceptance import CONSTRUCTORS

@@ -5,7 +5,11 @@ denominator, over ``F_p`` residues; both are compared here, operation by
 operation, with ``tests/oracles.py`` on seeded inputs that mix denominators
 and cancel terms.  ``combine`` (weighted sums, reduced once), ``dot`` (rows
 of weighted products, reduced once) and products with a zero, constant or
-one-term operand are compared the same way.
+one-term operand are compared the same way.  ``dot`` keeps the exponent sums
+it builds in a memo bounded by its operands' terms and by a fixed cap: it is
+compared here past both bounds, and the memo against them.  One derivation is compared on
+many polynomials in turn, so state it carried from one to the next would
+show.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from math import gcd
 
 import pytest
 
+from hwtaylor import rings
 from hwtaylor.rings import QQ, PolynomialRing, PrimeField, Ring
 from oracles import (
     FRACTION_OPS,
@@ -293,3 +298,123 @@ def test_dot_reads_operands_when_a_row_is_pulled():
     assert R.is_zero(next(rows))
     y[0] = R.constant(Fraction(1, 3))
     assert R.render(next(rows)) == "2/3*u"
+
+
+@pytest.mark.parametrize("field, ops, inverse", [FIELDS[0], FIELDS[2]])
+def test_one_derivation_matches_the_oracle_on_many_polynomials(field, ops, inverse):
+    """One derivation, applied in turn to 200 polynomials, derives each alike."""
+    R = PolynomialRing(field, GENERATORS)
+    rng = random.Random(1812)
+    images = [random_table(rng, field, terms=3, degree=2) for _ in GENERATORS]
+    d = R.derivation([build(R, g) for g in images])
+    for trial in range(200):
+        # degree 3 in two generators: 16 monomials, so most were met before
+        a = random_table(rng, field, terms=5, degree=3)
+        got = d(build(R, a))
+        assert as_table(got) == poly_derive(a, images, ops), trial
+        assert_normal(R, got)
+
+
+def spread(rng, field, terms):
+    """A dict polynomial with ``terms`` distinct monomials and nonzero coefficients."""
+    exps = rng.sample([(i, j) for i in range(6) for j in range(6)], terms)
+    table = {}
+    for e in exps:
+        while not table.get(e):
+            table[e] = random_coeff(rng, field)
+    return table
+
+
+def memo_spy(monkeypatch):
+    """Record, after every monomial-product loop that gets a memo, the memo and
+    the number of sums it holds."""
+    seen = []
+    loop = PolynomialRing._multiply_into
+
+    def spy(*args):
+        room = loop(*args)
+        if len(args) > 4:
+            sums = args[4]
+            seen.append((sums, sum(map(len, sums.values()))))
+        return room
+
+    monkeypatch.setattr(PolynomialRing, "_multiply_into", staticmethod(spy))
+    return seen
+
+
+@pytest.mark.parametrize("field, ops, inverse", FIELDS)
+def test_dot_past_its_memo_bound_matches_the_oracle(field, ops, inverse, monkeypatch):
+    """More distinct exponent pairs than operand terms: some sums are not kept."""
+    seen = memo_spy(monkeypatch)
+    R = PolynomialRing(field, GENERATORS)
+    rng = random.Random(1813)
+    for trial in range(TRIALS // 4):
+        x = [spread(rng, field, 6) for _ in range(2)]
+        y = [spread(rng, field, 6) for _ in range(2)]
+        terms = sum(map(len, x + y))
+        pairs = {(ea, eb) for a in x for ea in a for b in y for eb in b}
+        assert len(pairs) > terms
+        # every pair of positions, each row twice, so rows reread the memo
+        rows = [((0, 1), (1, 0), (1, 2)), ((0, 1, 0, 1), (0, 0, 1, 1), (3, 1, 1, 5))] * 2
+        got = list(R.dot([build(R, t) for t in x], [build(R, t) for t in y], rows))
+        for k, (left, right, weights) in enumerate(rows):
+            products = [poly_mul(x[i], y[j], ops) for i, j in zip(left, right)]
+            assert as_table(got[k]) == poly_combine(weights, products, 2, ops), (trial, k)
+            assert_normal(R, got[k])
+        # the memo filled up to the operands' terms and no further
+        assert seen[-1][1] == terms, trial
+
+
+@pytest.mark.parametrize("field, ops, inverse", FIELDS)
+def test_dot_memo_stops_at_its_fixed_cap(field, ops, inverse, monkeypatch):
+    """Operands with more terms than ``_MAX_SUMS``: the memo stops at the cap."""
+    monkeypatch.setattr(rings, "_MAX_SUMS", 10)
+    seen = memo_spy(monkeypatch)
+    R = PolynomialRing(field, GENERATORS)
+    rng = random.Random(1815)
+    for trial in range(TRIALS // 4):
+        x = [spread(rng, field, 6) for _ in range(2)]
+        y = [spread(rng, field, 6) for _ in range(2)]
+        rows = [((0, 1), (1, 0), (1, 2)), ((0, 1, 0, 1), (0, 0, 1, 1), (3, 1, 1, 5))] * 2
+        got = list(R.dot([build(R, t) for t in x], [build(R, t) for t in y], rows))
+        for k, (left, right, weights) in enumerate(rows):
+            products = [poly_mul(x[i], y[j], ops) for i, j in zip(left, right)]
+            assert as_table(got[k]) == poly_combine(weights, products, 2, ops), (trial, k)
+        assert max(count for _, count in seen) == 10, trial
+
+
+@pytest.mark.parametrize("field, ops, inverse", FIELDS)
+def test_dot_memo_never_outgrows_its_operands(field, ops, inverse, monkeypatch):
+    """Each call has its own memo, holding at most as many sums as its operands' terms."""
+    seen = memo_spy(monkeypatch)
+    R = PolynomialRing(field, GENERATORS)
+    rng = random.Random(1814)
+    memos = []  # (memo, sums it held) of each call, kept alive so no id is reused
+    for trial in range(TRIALS):
+        x, y = (
+            [
+                rng.choice(({}, one_term(rng, field), random_table(rng, field, terms=6)))
+                for _ in range(4)
+            ]
+            for _ in range(2)
+        )
+        X, Y = [build(R, t) for t in x], [build(R, t) for t in y]
+        terms = sum(len(p.table) for p in X + Y)
+        rows = []
+        for _ in range(6):
+            n = rng.randint(1, 6)
+            pick = [rng.randrange(4) for _ in range(2 * n)]
+            rows.append((pick[:n], pick[n:], repeat(1)))
+        del seen[:]
+        list(R.dot(X, Y, rows))
+        assert all(count <= terms for _, count in seen), trial
+        # one memo per call, which no other call reads or grows
+        assert len({id(sums) for sums, _ in seen}) <= 1, trial
+        assert all(sums is not old for sums, _ in seen for old, _ in memos), trial
+        assert all(sum(map(len, old.values())) == count for old, count in memos), trial
+        memos += seen[-1:]
+        # a plain product keeps no memo
+        del seen[:]
+        R.mul(X[0], Y[0])
+        assert not seen and not rings._NO_SUMS
+    assert len(memos) > TRIALS // 2

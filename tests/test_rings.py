@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from hwtaylor.multiindex import MultiIndex
 from hwtaylor.rings import (
+    MAX_DIGITS,
     MAX_TERMS,
     QQ,
     DifferentialRing,
@@ -212,6 +213,118 @@ class TestPolynomialCodec:
                 R.parse(text)
             want = f"in {text!r}" if length <= 80 else f"at offset {length - 1} near {text[-21:]!r}"
             assert str(err.value) == f"unknown generator 'w' {want}", length
+
+    @pytest.mark.parametrize(
+        "ring, text, error",
+        [
+            (
+                "Q[u,v]",
+                "u + " + "w" * 100000,
+                "unknown generator 'wwwwwwwwwwwwwwwwwwww'... (100000 characters)"
+                " at offset 4 near 'u + wwwwwwwwwwwwwwwwwwww'",
+            ),
+            (
+                "Q[u,v]",
+                "1/0" + "0" * 100000,
+                "not a rational literal: '1/000000000000000000'... (100003 characters)",
+            ),
+            (
+                "F5[u,v]",
+                "1/2" + "0" * 100000,
+                "not an integer literal: '1/200000000000000000'... (100003 characters)",
+            ),
+            (
+                "Q[u,v]",
+                "u " + "v" * 100,
+                "expected + or - but found 'vvvvvvvvvvvvvvvvvvvv'... (100 characters)"
+                " at offset 2 near 'u vvvvvvvvvvvvvvvvvvvv'",
+            ),
+            (
+                "Q[u,v]",
+                "u^" + "7" * 81,
+                "exponent '77777777777777777777'... (81 characters) exceeds 64"
+                " at offset 2 near 'u^77777777777777777777'",
+            ),
+            (
+                "Q",
+                "1/0" + "0" * 100000,
+                "not a rational literal: '1/000000000000000000'... (100003 characters)",
+            ),
+            (
+                "F5",
+                "x" * 100000,
+                "not an integer literal: 'xxxxxxxxxxxxxxxxxxxx'... (100000 characters)",
+            ),
+            (
+                # more digits than MAX_DIGITS, but not an integer: a syntax
+                # error, as over F5[u,v], not a digit-bound error
+                "F5",
+                "1/2" + "0" * 5000,
+                "not an integer literal: '1/200000000000000000'... (5003 characters)",
+            ),
+        ],
+    )
+    def test_long_tokens_are_shown_by_an_excerpt(self, ring, text, error):
+        R = {**CODEC_RINGS, "Q": QQ, "F5": PrimeField(5)}[ring]
+        with pytest.raises(ValueError) as err:
+            R.parse(text)
+        assert str(err.value) == error
+
+    def test_token_echo_boundary(self):
+        # a token of at most 80 characters is echoed whole, a longer one by
+        # its first 20 characters and its length
+        R = CODEC_RINGS["Q[u,v]"]
+        for length in (80, 81):
+            name = "w" * length
+            with pytest.raises(ValueError) as err:
+                R.parse(name)
+            shown = repr(name) if length <= 80 else f"{name[:20]!r}... ({length} characters)"
+            assert str(err.value).startswith(f"unknown generator {shown} "), length
+            with pytest.raises(ValueError) as err:
+                QQ.parse(name)
+            assert str(err.value) == f"not a rational literal: {shown}", length
+
+    @pytest.mark.parametrize(
+        "ring, literal, at",
+        [
+            ("Q[u,v]", "u + {}*v", 4),
+            ("Q[u,v]", "3/{}", 2),
+            ("Q[u,v]", "{}/3", 0),
+            ("Q[u,v]", "u^{}", 2),
+            ("F5[u,v]", "2*{}", 2),
+            ("Q", " -{}", 2),
+            ("Q", "1/{}", 2),
+            ("F5", "  {}", 2),
+            ("F5", " -{}", 2),
+        ],
+    )
+    def test_literals_past_the_digit_bound_are_refused(self, ring, literal, at):
+        # MAX_DIGITS digits parse; one more is refused by the offset of the
+        # digits, before any conversion
+        R = {**CODEC_RINGS, "Q": QQ, "F5": PrimeField(5)}[ring]
+        if "^" not in literal:
+            R.parse(literal.format("7" * MAX_DIGITS))
+        text = literal.format("7" * (MAX_DIGITS + 1))
+        with pytest.raises(ValueError) as err:
+            R.parse(text)
+        assert str(err.value) == (
+            f"literal of more than {MAX_DIGITS} digits at offset {at}"
+            f" near {text[max(0, at - 20) : at + 20]!r}"
+        )
+
+    def test_rendering_past_the_digit_bound_is_out_of_domain(self):
+        big = 10**MAX_DIGITS
+        for R in (QQ, CODEC_RINGS["Q[u,v]"]):
+            assert R.render(R.embed_int(big - 1)) == "9" * MAX_DIGITS
+            assert R.render(R.neg(R.embed_int(big - 1))) == "-" + "9" * MAX_DIGITS
+            for n in (big, -big):
+                with pytest.raises(DomainError) as err:
+                    R.render(R.embed_int(n))
+                assert str(err.value) == f"coefficient of more than {MAX_DIGITS} digits"
+            # a denominator of 7 * (10^4300 - 1): past the bound, though the
+            # value is less than one
+            with pytest.raises(DomainError):
+                R.render(R.mul(R.parse("1/7"), R.parse("1/" + "9" * MAX_DIGITS)))
 
     def test_accepted_edges(self):
         Q, F = CODEC_RINGS["Q[u,v]"], CODEC_RINGS["F5[u,v]"]
