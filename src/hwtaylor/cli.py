@@ -28,7 +28,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
-from functools import partial
+from functools import lru_cache, partial
 from typing import Any, Callable
 
 from .checks import CheckConfig, reports_to_jsonl, run_suite
@@ -36,12 +36,14 @@ from .diffpoly import DiffPolyRing, UncoveredSymbolError
 from .hurwitz import MAX_TRUNC, MAX_WIDTH, HurwitzRing, HurwitzSeries, series_to_json
 from .multiindex import MultiIndex
 from .rings import (
+    MAX_DIGITS,
     QQ,
     DifferentialRing,
     DomainError,
     PolynomialRing,
     PrimeField,
     Ring,
+    _echo,
     _expect_element,
     _expect_int,
     _expect_object,
@@ -111,7 +113,7 @@ def load_problem(
     name = _expect_string(_field(doc, "morphism", "problem"), "problem.morphism")
     if name not in _CONSTRUCTORS:
         raise ValueError(
-            f"problem.morphism: unknown construction {name!r}; "
+            f"problem.morphism: unknown construction {_echo(name)}; "
             f"known: {', '.join(_CONSTRUCTORS)}"
         )
 
@@ -166,11 +168,28 @@ def load_problem(
 # subcommands
 
 
+class _LongInteger(ValueError):
+    """A JSON integer literal of more than ``MAX_DIGITS`` digits."""
+
+
+def _json_int(text: str) -> int:
+    """``int(text)`` for a JSON integer literal, refused past ``MAX_DIGITS`` digits.
+
+    The length is checked before converting, so the refusal does not depend
+    on the interpreter's own limit on converting text to integers.
+    """
+    if len(text) - text.startswith("-") > MAX_DIGITS:
+        raise _LongInteger(f"JSON integer of more than {MAX_DIGITS} digits")
+    return int(text)
+
+
 def _read_json(path: str) -> Any:
     """The JSON document in ``path``; every failure is a ValueError naming it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_int=_json_int)
+    except _LongInteger as exc:
+        raise ValueError(f"{path}: {exc}") from None
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -411,8 +430,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built on first use and then reused: parsing keeps no state on it."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

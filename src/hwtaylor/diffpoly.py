@@ -215,9 +215,13 @@ class DiffPolyRing(Ring):
         ``coefficient`` must be a ring map from the base coefficients into
         ``target``; terms are summed with ``target.sum``.  Across every
         element the map is applied to, each symbol image and each
-        (symbol, power) power is computed at most once.
+        (symbol, power) power is computed at most once.  Each term is the
+        left fold ``coefficient(c) * f1 * f2 ...`` of its factors, except
+        that a term with a factor and the coefficient one starts from
+        ``f1``: a ring map sends one to one.
         """
         mul, pow_ = target.mul, target.pow
+        one, eq = self.base.ring.one(), self.base.ring.eq
         # (symbol, power) -> symbol(symbol)^power; (symbol, 1) holds the image
         powers: dict[tuple[Symbol, int], Element] = {}
         get = powers.get
@@ -233,10 +237,11 @@ class DiffPolyRing(Ring):
             return value
 
         def image(mon: Monomial, c: Element) -> Element:
-            v = coefficient(c)
+            v = None if mon and eq(c, one) else coefficient(c)
             for key in mon:
                 known = get(key)
-                v = mul(v, power(key) if known is None else known)
+                factor = power(key) if known is None else known
+                v = factor if v is None else mul(v, factor)
             return v
 
         return lambda a: target.sum(starmap(image, a.terms))

@@ -210,11 +210,11 @@ _ECHO_MAX = 80
 _EXCERPT = 20
 
 
-def _echo(token: str) -> str:
-    """``repr(token)``, or past ``_ECHO_MAX`` characters its start and length."""
+def _echo(token: str, show: Callable[[str], str] = repr) -> str:
+    """``show(token)``, or past ``_ECHO_MAX`` characters ``show`` of its start and its length."""
     if len(token) <= _ECHO_MAX:
-        return repr(token)
-    return f"{token[:_EXCERPT]!r}... ({len(token)} characters)"
+        return show(token)
+    return f"{show(token[:_EXCERPT])}... ({len(token)} characters)"
 
 
 def _where(text: str, at: int) -> str:
@@ -515,7 +515,7 @@ class PolynomialRing(Ring):
             raise ValueError(f"duplicate generator names: {names}")
         for n in names:
             if not _NAME_RE.fullmatch(n):
-                raise ValueError(f"bad generator name: {n!r}")
+                raise ValueError(f"bad generator name: {_echo(n)}")
         self.base = base
         self.generators = names
         self._slots = {name: i for i, name in enumerate(names)}
@@ -1073,7 +1073,9 @@ def ring_from_json(doc: Any, path: str = "ring") -> Ring:
             return PolynomialRing(base, gens)
         except ValueError as exc:
             raise ValueError(f"{path}.generators: {exc}") from exc
-    raise ValueError(f"{path}.kind: expected one of Q, Fp, poly, got {kind!r}")
+    # a JSON number, list or object is shown as Python prints it
+    got = _echo(kind) if isinstance(kind, str) else _echo(repr(kind), str)
+    raise ValueError(f"{path}.kind: expected one of Q, Fp, poly, got {got}")
 
 
 def _expect_object(doc: Any, path: str) -> dict:

@@ -61,8 +61,10 @@ class MorphismSpec:
     structures must have the same number of derivation slots.
 
     ``_raw`` maps each argument to its raw series, so the four constructors
-    applied to one argument compute it once.  ``dataclasses.replace`` starts
-    a fresh memo.
+    applied to one argument compute it once.  ``_symbols`` maps each symbol
+    ``(var, order)`` that Taylor mode has read to ``phi`` of that symbol, so
+    every argument evaluated on this spec applies ``phi`` to each symbol
+    once.  ``dataclasses.replace`` starts both memos fresh.
     """
 
     source: DifferentialRing
@@ -71,6 +73,7 @@ class MorphismSpec:
     trunc: int
     samples: tuple = ()
     _raw: dict = field(default_factory=dict, init=False, repr=False)
+    _symbols: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.source.width != self.coefficients.width:
@@ -122,9 +125,12 @@ def _taylor_raw(spec: MorphismSpec, a: Element) -> HurwitzSeries | None:
     The raw series is a ring map into ``(H(K), mul)`` (Hurwitz series are
     cofree), so it is the ``DiffPolyRing.substitution`` that sends symbol
     (x, o) to ``beta -> phi(x at order o + beta)`` and a coefficient c to
-    ``beta -> phi(delta^beta c)``.  Only the source ``differential_ring()``
-    of a ``DiffPolyRing`` is taken.  ``None`` means the derived path must
-    run: another source, or a ``phi`` that raised ``UncoveredSymbolError``.
+    ``beta -> phi(delta^beta c)``.  Symbol images are read from the spec's
+    ``_symbols`` table, which keeps only images ``phi`` returned, so a symbol
+    that raised raises again for the next argument that reads it.  Only the
+    source ``differential_ring()`` of a ``DiffPolyRing`` is taken.  ``None``
+    means the derived path must run: another source, or a ``phi`` that
+    raised ``UncoveredSymbolError``.
     Over ``F_p`` the derived path can skip a symbol this one reads
     (``D(x^p) = 0``), so it decides whether the table covers the argument
     and which error to raise.
@@ -135,6 +141,7 @@ def _taylor_raw(spec: MorphismSpec, a: Element) -> HurwitzSeries | None:
     H, K = spec.target, spec.coefficients.ring
     plan, phi, trunc = H.plan, spec.phi, spec.trunc
     is_zero = A.base.ring.is_zero
+    images = spec._symbols
 
     def coefficient_series(c: Element) -> HurwitzSeries:
         derived = _derivatives(A.base, c, plan.parents)
@@ -142,10 +149,16 @@ def _taylor_raw(spec: MorphismSpec, a: Element) -> HurwitzSeries | None:
             [K.zero() if is_zero(d) else phi(A.constant(d)) for d in derived], trunc
         )
 
+    def image(key: tuple[int, MultiIndex]) -> Element:
+        value = images.get(key)
+        if value is None:
+            value = images[key] = phi(A.symbol(*key))
+        return value
+
     def symbol_series(sym) -> HurwitzSeries:
         var, order = sym
         return H._from_entries(
-            [phi(A.symbol(var, order + beta)) for beta in plan.indices], trunc
+            [image((var, order + beta)) for beta in plan.indices], trunc
         )
 
     try:

@@ -337,6 +337,59 @@ class TestExpand:
             assert rc == 2, message
             assert err.startswith(f"error: {path}: {message}"), err
 
+    @pytest.mark.parametrize("limit", [None, 0, 4300, 100000])
+    def test_over_long_json_integer_is_a_validation_error(self, tmp_path, capsys, limit):
+        # refused while the JSON is read, with the same text whatever the
+        # interpreter's own limit, naming the file
+        path = tmp_path / "long.json"
+        path.write_text('{"m": -' + "9" * 5000 + "}")
+        with int_str_limit(limit):
+            rc = main(["expand", "--spec", str(path)])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (2, "")
+        assert err == f"error: {path}: JSON integer of more than 4300 digits\n"
+        assert len(err.encode()) < 300
+        # MAX_DIGITS digits are read, and the value is then out of range
+        path.write_text('{"m": ' + "9" * MAX_DIGITS + "}")
+        with int_str_limit(limit):
+            assert main(["expand", "--spec", str(path)]) == 2
+        assert "problem.m: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "mutate, start",
+        [
+            (lambda doc: doc.update(morphism="m" * 100000), "problem.morphism: unknown construction 'mmm"),
+            (lambda doc: doc["ring"].update(kind="k" * 100000), "problem.ring.kind: expected one of"),
+            (lambda doc: doc["ring"].update(kind=[0] * 100000), "problem.ring.kind: expected one of"),
+            (lambda doc: doc["ring"].update(generators=["1" * 100000]), "problem.ring.generators: bad generator name: '111"),
+        ],
+        ids=["morphism", "kind", "kind-list", "generator"],
+    )
+    def test_long_rejected_values_are_not_echoed_whole(self, tmp_path, capsys, mutate, start):
+        doc = json.loads(json.dumps(LINEAR_DOC))
+        mutate(doc)
+        rc = main(["expand", "--spec", write_spec(tmp_path, doc)])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (2, "")
+        assert err.startswith(f"error: {start}") and err.endswith("\n")
+        assert err.count("\n") == 1 and len(err.encode()) < 300, err[:300]
+        assert " characters)" in err
+
+    def test_short_rejected_values_are_echoed_as_before(self, tmp_path, capsys):
+        cases = [
+            ({"ring": {"kind": "Z"}}, "problem.ring.kind: expected one of Q, Fp, poly, got 'Z'\n"),
+            ({"ring": {"kind": 5}}, "problem.ring.kind: expected one of Q, Fp, poly, got 5\n"),
+            ({"ring": {"kind": ["Q"]}}, "problem.ring.kind: expected one of Q, Fp, poly, got ['Q']\n"),
+            (
+                {"ring": {"kind": "poly", "generators": ["2u"]}},
+                "problem.ring.generators: bad generator name: '2u'\n",
+            ),
+        ]
+        for change, start in cases:
+            rc = main(["expand", "--spec", write_spec(tmp_path, dict(LINEAR_DOC, **change))])
+            _, err = capsys.readouterr()
+            assert rc == 2 and err.startswith(f"error: {start}"), err
+
     def test_divided_over_prime_field_is_domain_error(self, tmp_path, capsys):
         base = {
             "ring": {"kind": "Fp", "p": 3},
@@ -616,6 +669,28 @@ class TestUsage:
     def test_unknown_subcommand(self, capsys):
         rc = main(["orbit"])
         assert rc == 2
+
+    def test_repeated_calls_in_one_process_match_fresh_processes(self, tmp_path, capsys):
+        """The parser is built once and reused: a usage error, a check and two
+        expansions in one process give the bytes and codes of fresh runs."""
+        spec = write_spec(tmp_path, LINEAR_DOC)
+        calls = [
+            ["expand"],
+            ["check", "--seed", "0", "--instances", "1", "--checks", "ev1,tm1"],
+            ["expand", "--spec", spec],
+            ["expand", "--spec", spec],
+        ]
+        src = str(Path(hwtaylor.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        for argv in calls:
+            rc = main(argv)
+            out, err = capsys.readouterr()
+            fresh = subprocess.run(
+                [sys.executable, "-m", "hwtaylor", *argv],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert (rc, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        assert main(["expand"]) == 2 and main(["check", "--instances", "x"]) == 2
 
     def test_console_entry_raises_system_exit(self, monkeypatch, capsys):
         from hwtaylor.cli import entry

@@ -181,6 +181,28 @@ class TestEvaluate:
         assert len(set(powers)) == len(powers)
         assert sorted(p for p in powers if p[1] > 1) == [(2, 2), (2, 3), (3, 3)]
 
+    def test_unit_coefficient_costs_no_product(self):
+        """x*y is one K.mul and 2*x*y two; the values are the fold from the coefficient."""
+        R = PolynomialRing(QQ, ["u", "v"])
+        A = DiffPolyRing(constant_structure(R, 1), ["x", "y"])
+        xy = A.mul(A.gen("x"), A.gen("y"))
+        two_xy = A.mul(A.embed_int(2), xy)
+        two, vx, vy = R.embed_int(2), R.parse("u + 1"), R.parse("v - 2")
+        products = []
+        mul = R.mul
+
+        def counting(a, b):
+            products.append((a, b))
+            return mul(a, b)
+
+        R.mul = counting
+        phi = A.value_hom({(0, MultiIndex.of(0)): vx, (1, MultiIndex.of(0)): vy})
+        assert R.eq(phi(xy), mul(vx, vy))
+        assert products == [(vx, vy)]
+        products.clear()
+        assert R.eq(phi(two_xy), mul(mul(two, vx), vy))
+        assert products == [(two, vx), (mul(two, vx), vy)]
+
 
 class TestJson:
     def test_roundtrip(self):

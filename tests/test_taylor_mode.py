@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -243,6 +244,63 @@ class TestSubstitutionMemo:
         assert len(set(powers)) == len(powers)
         assert [n for _, n in powers if n > 1] == [2]
         assert fast.target.eq(got, taylor._raw_series(derived, a))
+
+
+class TestSymbolTable:
+    """Taylor mode applies phi to each symbol once per spec, over all arguments."""
+
+    def _spec(self, values, trunc):
+        A = DiffPolyRing(constant_structure(QQ, 1), ["x", "y"])
+        value = A.value_hom(values)
+        symbols = []
+
+        def phi(e):
+            if len(e.terms) == 1 and len(e.terms[0][0]) == 1 and e.terms[0][0][0][1] == 1:
+                symbols.append(e.terms[0][0][0][0])
+            return value(e)
+
+        spec = MorphismSpec(source=A.differential_ring(), coefficients=A.base, phi=phi, trunc=trunc)
+        symbols.clear()  # the spot check's calls
+        return A, spec, symbols
+
+    def test_each_symbol_is_read_once_per_spec(self):
+        values = {(v, MultiIndex.of(o)): QQ.embed_int(7 * v + o + 1) for v in (0, 1) for o in range(6)}
+        A, spec, symbols = self._spec(values, 3)
+        x, y = A.gen("x"), A.gen("y")
+        x1, x2, y1 = A.symbol("x", [1]), A.symbol("x", [2]), A.symbol("y", [1])
+        # the series of x and x' read x..x'''' between them, y reads y..y'''
+        first = A.add(A.mul(x, x1), y)
+        got = taylor._raw_series(spec, first)
+        read = [(0, MultiIndex.of(o)) for o in range(5)] + [(1, MultiIndex.of(o)) for o in range(4)]
+        assert len(symbols) == len(set(symbols)) and set(symbols) == set(read)
+        # x'' and y' read x'' .. x^(5) and y' .. y'''': only x^(5) and y'''' are new
+        symbols.clear()
+        second = A.mul(x2, y1)
+        taylor._raw_series(spec, second)
+        assert sorted(symbols) == [(0, MultiIndex.of(5)), (1, MultiIndex.of(4))]
+        assert set(spec._symbols) == set(read + symbols)
+        _, derived = _specs(A, A.value_hom(values), 3)
+        assert spec.target.eq(got, taylor._raw_series(derived, first))
+        assert spec.target.eq(spec._raw[second], taylor._raw_series(derived, second))
+
+    def test_replace_starts_an_empty_table(self):
+        A, spec, _ = self._spec({(0, MultiIndex.of(o)): QQ.one() for o in range(3)}, 2)
+        taylor._raw_series(spec, A.gen("x"))
+        assert spec._symbols and spec._raw
+        fresh = replace(spec)
+        assert fresh._symbols == {} and fresh._raw == {}
+
+    def test_a_symbol_phi_refuses_is_not_stored(self):
+        """x*x' at trunc 2 reads x''' that the table lacks: the derived path runs."""
+        values = {(0, MultiIndex.of(o)): QQ.embed_int(o + 2) for o in range(3)}
+        A, spec, symbols = self._spec(values, 2)
+        x, x1 = A.gen("x"), A.symbol("x", [1])
+        assert taylor._taylor_raw(spec, A.mul(x, x1)) is None
+        assert (0, MultiIndex.of(3)) not in spec._symbols
+        assert set(spec._symbols) <= set(values)
+        symbols.clear()
+        assert taylor._taylor_raw(spec, A.symbol("x", [3])) is None
+        assert symbols == [(0, MultiIndex.of(3))]
 
 
 class TestCappedDocument:
