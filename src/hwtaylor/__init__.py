@@ -13,7 +13,7 @@ Layers, bottom up:
     enumeration.
 ``rings``
     Coefficient carriers as descriptor objects over plain values, with
-    derivations, differential structures, ring maps, and JSON descriptors.
+    derivations, differential structures, ring-map checks, and JSON descriptors.
 ``hurwitz``
     The truncated series ring: binomial-convolution product, shift and
     lifted derivations, inversion, the divided-power bridge, twist maps'
@@ -59,10 +59,10 @@ from .rings import (
     RationalField,
     Ring,
     RingError,
-    RingHom,
     constant_structure,
     differential_polynomial_carrier,
     is_differential_hom,
+    is_ring_hom,
     ring_from_json,
 )
 from .taylor import (
@@ -98,7 +98,6 @@ __all__ = [
     "RationalField",
     "Ring",
     "RingError",
-    "RingHom",
     "TruncationError",
     "UncoveredSymbolError",
     "UnknownCheckError",
@@ -113,6 +112,7 @@ __all__ = [
     "ev_untwist",
     "hurwitz_morphism",
     "is_differential_hom",
+    "is_ring_hom",
     "iter_dominated",
     "reports_to_jsonl",
     "ring_from_json",

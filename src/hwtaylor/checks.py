@@ -801,7 +801,7 @@ def _check_tm2(rng: random.Random, size: Size, ordinal: int) -> Laws:
         samples=tuple(B.sample(rngA, size.degree) for _ in range(2)),
     )
     a = A.sample(rng, size.degree)
-    included = type(a)(a.terms)  # symbols of A are symbols of B verbatim
+    included = A.substitution(B, B.constant, lambda sym: B.symbol(*sym))(a)  # A in B
     inputs = {
         "coefficients": kdesc,
         "values": B.values_to_json(values),

@@ -17,12 +17,9 @@ parent of each index, and the factorials.  Operations never build or compare
 a ``MultiIndex``.  Both products and the inverse are one call of the
 coefficient ring's bilinear kernel ``Ring.dot`` on the plan's rows: ``mul``
 with the binomials as weights, ``cauchy_mul`` with unit weights, and
-``invert`` on the series it is solving for, one row at a time.  The generic
-``dot`` is one ``mul`` per pair and one ``combine`` per row; polynomial
-coefficients reduce each row once and, up to a bound set by the factors'
-term counts and capped at ``rings._MAX_SUMS``, build each exponent sum once
-per product of two series, since the whole product is one call.  ``taylor.ev_twist`` reads the same rows
-with iterated coefficient derivatives in place of a second factor.
+``invert`` on the series it is solving for, one row at a time.
+``taylor.ev_twist`` reads the same rows with iterated coefficient
+derivatives in place of a second factor.
 
 Validity bookkeeping: each series carries ``valid <= trunc``, the order up
 to which its coefficients are trustworthy.  A shift derivation consumes one
@@ -318,19 +315,6 @@ class HurwitzRing(Ring):
         """Units are exactly the series whose constant term is a unit."""
         self._check(a)
         return self.coeff_ring.try_invert(a.constant_term()) is not None
-
-    def is_nilpotent(self, a: HurwitzSeries) -> bool:
-        """In the truncated ring: nilpotent iff the constant term is.
-
-        Over a field this means constant term zero.  The untruncated
-        characteristic-p statement matches: everything above the constant
-        layer is killed by the p-th power.
-        """
-        self._check(a)
-        c = a.constant_term()
-        if self.coeff_ring.is_field:
-            return self.coeff_ring.is_zero(c)
-        raise DomainError("nilpotency test supported over field coefficients only")
 
     def try_invert(self, a: HurwitzSeries) -> HurwitzSeries | None:
         if not self.coeff_ring.is_field:

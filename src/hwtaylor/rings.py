@@ -922,9 +922,6 @@ class DifferentialRing:
                 a = self.derivations[slot](a)
         return a
 
-    def is_constant(self, a: Element) -> bool:
-        return all(self.ring.is_zero(d(a)) for d in self.derivations)
-
 
 def constant_structure(ring: Ring, width: int) -> DifferentialRing:
     """The carrier with the zero derivation in every slot."""
@@ -958,80 +955,49 @@ def differential_polynomial_carrier(
     return DifferentialRing(ring, family)
 
 
-@dataclass(frozen=True, eq=False)
-class RingHom:
-    """A map between carriers, with spot checks instead of proofs.
+def is_ring_hom(
+    domain: Ring, codomain: Ring, phi: Callable[[Element], Element], samples: Sequence[Element]
+) -> bool:
+    """Spot-check that ``phi`` keeps 0, 1, and + and * on every sample pair.
 
-    ``domain`` and ``codomain`` may be plain rings or differential rings;
-    ``carrier`` unwraps either.
+    Each sample's image is computed once, when a law first needs it, so
+    ``phi`` runs in the order the laws are written and a map that raises
+    raises at the same call as without the memo.
     """
+    if not codomain.agree(phi(domain.zero()), codomain.zero()):
+        return False
+    if not codomain.agree(phi(domain.one()), codomain.one()):
+        return False
+    images: dict[int, Element] = {}
 
-    domain: Ring | DifferentialRing
-    codomain: Ring | DifferentialRing
-    apply: Callable[[Element], Element]
+    def image(k: int) -> Element:
+        if k not in images:
+            images[k] = phi(samples[k])
+        return images[k]
 
-    def __call__(self, a: Element) -> Element:
-        return self.apply(a)
-
-    @property
-    def domain_ring(self) -> Ring:
-        return carrier(self.domain)
-
-    @property
-    def codomain_ring(self) -> Ring:
-        return carrier(self.codomain)
-
-    def is_ring_hom(self, samples: Sequence[Element]) -> bool:
-        """Check unit/zero preservation and +,* compatibility on sample pairs.
-
-        Each sample's image is computed once, when a law first needs it, so
-        the maps run in the order the laws are written and a map that raises
-        raises at the same call as without the memo.
-        """
-        dom, cod = self.domain_ring, self.codomain_ring
-        if not cod.agree(self.apply(dom.zero()), cod.zero()):
-            return False
-        if not cod.agree(self.apply(dom.one()), cod.one()):
-            return False
-        images: dict[int, Element] = {}
-
-        def image(k: int) -> Element:
-            if k not in images:
-                images[k] = self.apply(samples[k])
-            return images[k]
-
-        for i, a in enumerate(samples):
-            for j, b in enumerate(samples):
-                if not cod.agree(self.apply(dom.add(a, b)), cod.add(image(i), image(j))):
-                    return False
-                if not cod.agree(self.apply(dom.mul(a, b)), cod.mul(image(i), image(j))):
-                    return False
-        return True
+    for i, a in enumerate(samples):
+        for j, b in enumerate(samples):
+            if not codomain.agree(phi(domain.add(a, b)), codomain.add(image(i), image(j))):
+                return False
+            if not codomain.agree(phi(domain.mul(a, b)), codomain.mul(image(i), image(j))):
+                return False
+    return True
 
 
-def carrier(structure: Ring | DifferentialRing) -> Ring:
-    return structure.ring if isinstance(structure, DifferentialRing) else structure
-
-
-def is_differential_hom(hom: RingHom, samples: Sequence[Element]) -> bool:
-    """True iff the map commutes with every derivation slot on the samples.
-
-    Both endpoints must be differential rings of the same width.
-    """
-    if not isinstance(hom.domain, DifferentialRing) or not isinstance(
-        hom.codomain, DifferentialRing
-    ):
-        raise ValueError("is_differential_hom needs differential rings at both ends")
-    if hom.domain.width != hom.codomain.width:
-        raise ValueError(
-            f"derivation width mismatch: {hom.domain.width} vs {hom.codomain.width}"
-        )
-    cod = hom.codomain.ring
+def is_differential_hom(
+    domain: DifferentialRing,
+    codomain: DifferentialRing,
+    phi: Callable[[Element], Element],
+    samples: Sequence[Element],
+) -> bool:
+    """True iff ``phi`` commutes with every derivation slot on the samples."""
+    if domain.width != codomain.width:
+        raise ValueError(f"derivation width mismatch: {domain.width} vs {codomain.width}")
     for a in samples:
-        for slot in range(hom.domain.width):
-            lhs = hom.apply(hom.domain.derive(a, slot))
-            rhs = hom.codomain.derive(hom.apply(a), slot)
-            if not cod.agree(lhs, rhs):
+        for slot in range(domain.width):
+            lhs = phi(domain.derive(a, slot))
+            rhs = codomain.derive(phi(a), slot)
+            if not codomain.ring.agree(lhs, rhs):
                 return False
     return True
 

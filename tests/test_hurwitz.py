@@ -258,8 +258,6 @@ class TestEvAndUnits:
         t = H.indeterminate(0)
         assert not H.is_unit(t)
         assert H.is_unit(H.add(t, H.one()))
-        assert H.is_nilpotent(t)
-        assert not H.is_nilpotent(H.one())
 
 
 class TestDividedBridge:

@@ -7,21 +7,25 @@ and cancel terms.  ``combine`` (weighted sums, reduced once), ``dot`` (rows
 of weighted products, reduced once) and products with a zero, constant or
 one-term operand are compared the same way.  ``dot`` keeps the exponent sums
 it builds in a memo bounded by its operands' terms and by a fixed cap: it is
-compared here past both bounds, and the memo against them.  One derivation is compared on
-many polynomials in turn, so state it carried from one to the next would
-show.
+compared here past both bounds, and the memo against them, the cap also at
+its production value on ``tests/data/power_past_memo.json``.  One derivation
+is compared on many polynomials in turn, so state it carried from one to the
+next would show.
 """
 
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 from itertools import repeat
 from math import gcd
+from pathlib import Path
 
 import pytest
 
 from hwtaylor import rings
+from hwtaylor.cli import main
 from hwtaylor.rings import QQ, PolynomialRing, PrimeField, Ring
 from oracles import (
     FRACTION_OPS,
@@ -381,6 +385,35 @@ def test_dot_memo_stops_at_its_fixed_cap(field, ops, inverse, monkeypatch):
             products = [poly_mul(x[i], y[j], ops) for i, j in zip(left, right)]
             assert as_table(got[k]) == poly_combine(weights, products, 2, ops), (trial, k)
         assert max(count for _, count in seen) == 10, trial
+
+
+POWER_PAST_MEMO = Path(__file__).parent / "data" / "power_past_memo.json"
+
+
+def test_dot_memo_stops_at_its_production_cap(monkeypatch, capsys):
+    """``x^24`` on the capped document's value table, at trunc 4: one series
+    product has more operand terms than ``_MAX_SUMS`` and keeps that many sums.
+    The output bytes are pinned."""
+    seen = memo_spy(monkeypatch)
+    calls = []  # (operand terms, sums held at the end) of each call
+    dot = PolynomialRing.dot
+
+    def spy(self, x, y, rows):
+        start = len(seen)
+        yield from dot(self, x, y, rows)
+        held = seen[-1][1] if len(seen) > start else 0
+        calls.append((sum(len(p.table) for p in (*x, *y)), held))
+
+    monkeypatch.setattr(PolynomialRing, "dot", spy)
+    assert main(["expand", "--spec", str(POWER_PAST_MEMO)]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and len(out) == 323_088
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "2dda16daa9525f2c74657bc12b265b691f01bcb4b3eff5b0131c752b48e26017"
+    )
+    assert rings._MAX_SUMS == 4096
+    assert all(held <= min(terms, rings._MAX_SUMS) for terms, held in calls)
+    assert [held for terms, held in calls if terms > rings._MAX_SUMS] == [rings._MAX_SUMS]
 
 
 @pytest.mark.parametrize("field, ops, inverse", FIELDS)
