@@ -122,15 +122,6 @@ def grlex_key(alpha: MultiIndex) -> tuple[int, tuple[int, ...]]:
     return (alpha.degree, tuple(-e for e in alpha.entries))
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total, -1, -1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
 @lru_cache(maxsize=None)
 def enumerate_upto(width: int, bound: int) -> tuple[MultiIndex, ...]:
     """All indices of total degree <= bound in graded-lex order."""
@@ -138,10 +129,8 @@ def enumerate_upto(width: int, bound: int) -> tuple[MultiIndex, ...]:
         raise ValueError("width must be at least 1")
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    out: list[MultiIndex] = []
-    for grade in range(bound + 1):
-        out.extend(MultiIndex(c) for c in _compositions(grade, width))
-    return tuple(out)
+    box = (MultiIndex(e) for e in product(range(bound + 1), repeat=width) if sum(e) <= bound)
+    return tuple(sorted(box, key=grlex_key))
 
 
 def count_upto(width: int, bound: int) -> int:

@@ -15,8 +15,8 @@ import pytest
 import hwtaylor
 from hwtaylor import cli, taylor
 from hwtaylor.cli import main
+from hwtaylor.diffpoly import DiffPolyRing
 from hwtaylor.hurwitz import HurwitzRing
-from hwtaylor.multiindex import iter_dominated
 from hwtaylor.rings import MAX_DIGITS
 
 LINEAR_DOC = {
@@ -461,6 +461,26 @@ class TestExpand:
         assert out == ""
         assert "does not cover symbol" in err
 
+    def test_out_of_domain_is_reported_before_an_uncovered_symbol(self, tmp_path, capsys):
+        """A divided construction over F_3 whose table misses x: the refusal
+        comes before any value is read, so the document exits 3, not 2."""
+        doc = {
+            "ring": {"kind": "Fp", "p": 3},
+            "m": 1,
+            "trunc": 2,
+            "source": {"kind": "diffpoly", "vars": ["x"]},
+            "phi": {"values": [[0, [1], "1"]]},
+            "morphism": "classical_taylor",
+            "element": [{"coeff": "1", "monomial": [[0, [0], 1]]}],
+        }
+        rc = main(["expand", "--spec", write_spec(tmp_path, doc)])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (3, "")
+        assert err == (
+            "error: out of domain: divided form needs characteristic 0 coefficients,"
+            " got characteristic 3\n"
+        )
+
 
 class TestCheck:
     def test_small_run_passes_and_is_deterministic(self, capsys):
@@ -603,20 +623,9 @@ class TestCheck:
         assert failure["comparison_order"] is None
 
     def test_seeded_bug_yields_exit_one(self, capsys, monkeypatch):
-        from hwtaylor.multiindex import MultiIndex
+        from test_checks import _unweighted_mul
 
-        def unweighted(self, a, b):
-            self._check_pair(a, b)
-            K = self.coeff_ring
-            table = {}
-            for alpha in self.indices:
-                acc = K.zero()
-                for beta in iter_dominated(alpha):
-                    acc = K.add(acc, K.mul(a.coeffs[beta], b.coeffs[alpha - beta]))
-                table[alpha] = acc
-            return self.from_table(table, min(a.valid, b.valid))
-
-        monkeypatch.setattr(HurwitzRing, "mul", unweighted)
+        monkeypatch.setattr(HurwitzRing, "mul", _unweighted_mul)
         rc = main(["check", "--instances", "3", "--checks", "char-p-nilpotency"])
         out, _ = capsys.readouterr()
         assert rc == 1
@@ -751,6 +760,42 @@ class TestQpolyDocument:
         out, err = capsys.readouterr()
         assert (rc, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == QPOLY_DIGESTS[morphism]
+
+
+CAPPED = Path(__file__).parent / "data" / "capped_twisted.json"
+
+
+@pytest.mark.parametrize("path", [QPOLY, CAPPED], ids=["qpoly_values", "capped_twisted"])
+def test_expand_forms_no_sums_or_products_in_the_source(capsys, monkeypatch, path):
+    """A document's phi is a ring map by construction: ``expand`` checks only
+    0 and 1, so it adds and multiplies no source elements to spot-check it."""
+    calls = []
+
+    def counting(name):
+        original = getattr(DiffPolyRing, name)
+        return lambda self, a, b: calls.append(name) or original(self, a, b)
+
+    for name in ("add", "mul"):
+        monkeypatch.setattr(DiffPolyRing, name, counting(name))
+    rc = main(["expand", "--spec", str(path)])
+    out, err = capsys.readouterr()
+    assert (rc, err) == (0, "") and out
+    assert calls == []
+
+
+SELF_TWISTED = Path(__file__).parent / "data" / "self_twisted.json"
+
+
+def test_self_source_output_bytes_are_pinned(capsys):
+    """The twisted Taylor map of an element of Q[u,v] under the identity:
+    the ``self`` source branch of ``load_problem``, byte for byte."""
+    rc = main(["expand", "--spec", str(SELF_TWISTED)])
+    out, err = capsys.readouterr()
+    assert (rc, err) == (0, "")
+    assert len(out.encode()) == 632
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "8cbec521c30934242c69de3cf176ec9c4b348c38f46f96ae64310431eaab71ca"
+    )
 
 
 class TestHashSeed:
