@@ -6,6 +6,18 @@ derivation family sends symbol (x, order) to (x, order + unit_i), acts on
 coefficients through the base family, and extends by the Leibniz rule, so
 the result is again a differential ring of the same width.
 
+Inside the ring a symbol is one int, its id: ``grlex_rank(order)`` times the
+number of indeterminates, plus the variable slot.  Ids sort like
+``(grlex_key(order), var)``, so a monomial is its sorted ``(id, power)``
+pairs and terms sort by total degree, then by monomial, in plain tuple
+order.  ``SymbolCodec`` turns ids into symbols and back; it depends on the
+width and the number of indeterminates only, so equal rings read each
+other's elements.  Each ring keeps a shift table per derivation slot, from
+an id to the id one order step up, which is all that ``derive`` and Taylor
+mode need of orders.  The public symbol stays ``(var, MultiIndex)``: it is
+what ``symbol``, the callback of ``substitution``, value tables,
+``DiffPolynomial.terms``, ``render`` and the JSON forms take and give.
+
 The carrier is free on its symbols, so a ring map out of it is fixed by
 where coefficients and symbols go: ``substitution`` is that map, the one
 evaluator of this module.  ``value_hom`` sends symbols to the entries of a
@@ -16,11 +28,10 @@ chain), ``evaluate`` to derivatives of a point, and ``taylor`` to series.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import starmap
 from typing import Any, Callable, Mapping, Sequence
 
-from .multiindex import MultiIndex, grlex_key
+from .multiindex import MultiIndex, grlex_rank, grlex_unrank
 from .rings import (
     MAX_EXPONENT,
     MAX_TERMS,
@@ -37,29 +48,67 @@ from .rings import (
 
 # (variable slot, derivative order); the order width is the derivation width
 Symbol = tuple[int, MultiIndex]
-# sorted ((symbol, power), ...) with positive powers
-Monomial = tuple[tuple[Symbol, int], ...]
+# sorted ((symbol id, power), ...) with positive powers
+Monomial = tuple[tuple[int, int], ...]
 
 
 class UncoveredSymbolError(RingError):
     """A value table was asked for a symbol it does not cover."""
 
 
-@lru_cache(maxsize=None)
-def _symbol_key(sym: Symbol) -> tuple:
-    var, order = sym
-    return (grlex_key(order), var)
+@dataclass(frozen=True)
+class SymbolCodec:
+    """Symbol ids for ``count`` indeterminates and orders of width ``width``.
+
+    Symbol (var, order) has id ``grlex_rank(order) * count + var``; both ways
+    cost O(width) binomials plus, for decoding, a walk over the degree.
+    """
+
+    width: int
+    count: int
+
+    def encode(self, var: int, entries: Sequence[int]) -> int:
+        return grlex_rank(entries) * self.count + var
+
+    def decode(self, i: int) -> Symbol:
+        rank, var = divmod(i, self.count)
+        return (var, MultiIndex(grlex_unrank(self.width, rank)))
+
+    def shift(self, i: int, slot: int) -> int:
+        """The id of symbol ``i`` one order step up in ``slot``."""
+        rank, var = divmod(i, self.count)
+        entries = list(grlex_unrank(self.width, rank))
+        entries[slot] += 1
+        return self.encode(var, entries)
 
 
-def _monomial_key(mon: Monomial) -> tuple:
-    return (sum(p for _, p in mon), tuple((_symbol_key(s), p) for s, p in mon))
+def _term_key(term: tuple[Monomial, Element]) -> tuple:
+    mon = term[0]
+    return (sum(p for _, p in mon), mon)
+
+
+def _normalize_monomial(counts: Mapping[int, int]) -> Monomial:
+    return tuple(sorted((i, p) for i, p in counts.items() if p))
 
 
 @dataclass(frozen=True)
 class DiffPolynomial:
-    """Normalized term list; equality is structural on the canonical form."""
+    """Normalized term list; equality is structural on the canonical form.
 
-    terms: tuple[tuple[Monomial, Element], ...]
+    ``id_terms`` are the ``(monomial, coefficient)`` pairs over symbol ids,
+    which ``codec`` reads; ``terms`` is the same list over ``(var, order)``
+    symbols.
+    """
+
+    id_terms: tuple[tuple[Monomial, Element], ...]
+    codec: SymbolCodec
+
+    @property
+    def terms(self) -> tuple[tuple[tuple[tuple[Symbol, int], ...], Element], ...]:
+        decode = self.codec.decode
+        return tuple(
+            (tuple((decode(i), p) for i, p in mon), c) for mon, c in self.id_terms
+        )
 
 
 class DiffPolyRing(Ring):
@@ -76,8 +125,10 @@ class DiffPolyRing(Ring):
         self.base = base
         self.variables = names
         self.characteristic = base.ring.characteristic
-        # per slot, symbol -> the symbol one order step up in that slot
-        self._shifts: tuple[dict[Symbol, Symbol], ...] = tuple({} for _ in range(base.width))
+        self._codec = SymbolCodec(base.width, len(names))
+        self._one = base.ring.one()
+        # per slot, symbol id -> the id one order step up in that slot
+        self._shifts: tuple[dict[int, int], ...] = tuple({} for _ in range(base.width))
         # one structure per ring, so that ``taylor`` can recognise it by identity;
         # each slot looks ``derive`` up at call time
         self._structure = DifferentialRing(
@@ -104,13 +155,20 @@ class DiffPolyRing(Ring):
     def _make(self, table: Mapping[Monomial, Element]) -> DiffPolynomial:
         K = self.base.ring
         items = [(m, c) for m, c in table.items() if not K.is_zero(c)]
-        items.sort(key=lambda t: _monomial_key(t[0]))
-        return DiffPolynomial(tuple(items))
+        items.sort(key=_term_key)
+        return DiffPolynomial(tuple(items), self._codec)
 
-    def _normalize_monomial(self, counts: Mapping[Symbol, int]) -> Monomial:
-        items = [(s, p) for s, p in counts.items() if p]
-        items.sort(key=lambda t: _symbol_key(t[0]))
-        return tuple(items)
+    def _shift(self, i: int, slot: int) -> int:
+        """The id one order step up from ``i`` in ``slot``, from the slot's table."""
+        table = self._shifts[slot]
+        shifted = table.get(i)
+        if shifted is None:
+            shifted = table[i] = self._codec.shift(i, slot)
+        return shifted
+
+    def _symbol_of(self, i: int) -> DiffPolynomial:
+        """The single symbol with id ``i``."""
+        return DiffPolynomial(((((i, 1),), self._one),), self._codec)
 
     def symbol(self, var: int | str, order: MultiIndex | Sequence[int]) -> DiffPolynomial:
         """The single symbol for the given variable at the given order."""
@@ -122,44 +180,42 @@ class DiffPolyRing(Ring):
             raise ValueError(
                 f"order width {idx.width} does not match {self.width} derivations"
             )
-        return DiffPolynomial(
-            (((((slot, idx), 1),), self.base.ring.one()),)
-        )
+        return self._symbol_of(self._codec.encode(slot, idx.entries))
 
     def gen(self, var: int | str) -> DiffPolynomial:
         return self.symbol(var, MultiIndex.zero(self.width))
 
     def constant(self, c: Element) -> DiffPolynomial:
         if self.base.ring.is_zero(c):
-            return DiffPolynomial(())
-        return DiffPolynomial((((), c),))
+            return self.zero()
+        return DiffPolynomial((((), c),), self._codec)
 
     def zero(self) -> DiffPolynomial:
-        return DiffPolynomial(())
+        return DiffPolynomial((), self._codec)
 
     def one(self) -> DiffPolynomial:
-        return self.constant(self.base.ring.one())
+        return self.constant(self._one)
 
     def add(self, a: DiffPolynomial, b: DiffPolynomial) -> DiffPolynomial:
         K = self.base.ring
-        table: dict[Monomial, Element] = dict(a.terms)
-        for mon, c in b.terms:
+        table: dict[Monomial, Element] = dict(a.id_terms)
+        for mon, c in b.id_terms:
             table[mon] = K.add(table[mon], c) if mon in table else c
         return self._make(table)
 
     def neg(self, a: DiffPolynomial) -> DiffPolynomial:
         K = self.base.ring
-        return DiffPolynomial(tuple((m, K.neg(c)) for m, c in a.terms))
+        return DiffPolynomial(tuple((m, K.neg(c)) for m, c in a.id_terms), self._codec)
 
     def mul(self, a: DiffPolynomial, b: DiffPolynomial) -> DiffPolynomial:
         K = self.base.ring
         table: dict[Monomial, Element] = {}
-        for ma, ca in a.terms:
-            for mb, cb in b.terms:
+        for ma, ca in a.id_terms:
+            for mb, cb in b.id_terms:
                 counts = dict(ma)
-                for sym, p in mb:
-                    counts[sym] = counts.get(sym, 0) + p
-                key = self._normalize_monomial(counts)
+                for i, p in mb:
+                    counts[i] = counts.get(i, 0) + p
+                key = _normalize_monomial(counts)
                 prod = K.mul(ca, cb)
                 table[key] = K.add(table[key], prod) if key in table else prod
         return self._make(table)
@@ -171,9 +227,9 @@ class DiffPolyRing(Ring):
         return self.constant(self.base.ring.embed_int(n))
 
     def try_invert(self, a: DiffPolynomial) -> DiffPolynomial | None:
-        if len(a.terms) != 1 or a.terms[0][0] != ():
+        if len(a.id_terms) != 1 or a.id_terms[0][0] != ():
             return None
-        inv = self.base.ring.try_invert(a.terms[0][1])
+        inv = self.base.ring.try_invert(a.id_terms[0][1])
         return None if inv is None else self.constant(inv)
 
     def derive(self, a: DiffPolynomial, slot: int) -> DiffPolynomial:
@@ -181,21 +237,17 @@ class DiffPolyRing(Ring):
         if not 0 <= slot < self.width:
             raise ValueError(f"slot {slot} out of range for width {self.width}")
         K = self.base.ring
-        shift = self._shifts[slot]
         table: dict[Monomial, Element] = {}
-        for mon, c in a.terms:
+        for mon, c in a.id_terms:
             dc = self.base.derive(c, slot)
             if not K.is_zero(dc):
                 table[mon] = K.add(table[mon], dc) if mon in table else dc
-            for sym, power in mon:
-                shifted = shift.get(sym)
-                if shifted is None:
-                    var, order = sym
-                    shifted = shift[sym] = (var, order + MultiIndex.unit(self.width, slot))
+            for i, power in mon:
+                shifted = self._shift(i, slot)
                 counts = dict(mon)
-                counts[sym] -= 1
+                counts[i] -= 1
                 counts[shifted] = counts.get(shifted, 0) + 1
-                key = self._normalize_monomial(counts)
+                key = _normalize_monomial(counts)
                 term = K.mul(c, K.embed_int(power)) if power > 1 else c
                 table[key] = K.add(table[key], term) if key in table else term
         return self._make(table)
@@ -220,18 +272,28 @@ class DiffPolyRing(Ring):
         that a term with a factor and the coefficient one starts from
         ``f1``: a ring map sends one to one.
         """
+        decode = self._codec.decode
+        return self._substitution(target, coefficient, lambda i: symbol(decode(i)))
+
+    def _substitution(
+        self,
+        target: Ring,
+        coefficient: Callable[[Element], Element],
+        symbol: Callable[[int], Element],
+    ) -> Callable[[DiffPolynomial], Element]:
+        """``substitution`` with ``symbol`` called on symbol ids."""
         mul, pow_ = target.mul, target.pow
-        one, eq = self.base.ring.one(), self.base.ring.eq
-        # (symbol, power) -> symbol(symbol)^power; (symbol, 1) holds the image
-        powers: dict[tuple[Symbol, int], Element] = {}
+        one, eq = self._one, self.base.ring.eq
+        # (id, power) -> symbol(id)^power; (id, 1) holds the image
+        powers: dict[tuple[int, int], Element] = {}
         get = powers.get
 
-        def power(key: tuple[Symbol, int]) -> Element:
-            sym, p = key
-            unit = key if p == 1 else (sym, 1)
+        def power(key: tuple[int, int]) -> Element:
+            i, p = key
+            unit = key if p == 1 else (i, 1)
             value = get(unit)
             if value is None:
-                value = powers[unit] = symbol(sym)
+                value = powers[unit] = symbol(i)
             if p != 1:
                 value = powers[key] = pow_(value, p)
             return value
@@ -244,7 +306,7 @@ class DiffPolyRing(Ring):
                 v = factor if v is None else mul(v, factor)
             return v
 
-        return lambda a: target.sum(starmap(image, a.terms))
+        return lambda a: target.sum(starmap(image, a.id_terms))
 
     def evaluate(
         self,
@@ -304,7 +366,7 @@ class DiffPolyRing(Ring):
         return f"D{list(order.entries)}{name}"
 
     def render(self, a: DiffPolynomial) -> str:
-        if not a.terms:
+        if not a.id_terms:
             return "0"
         K = self.base.ring
         parts = []
@@ -326,16 +388,17 @@ class DiffPolyRing(Ring):
     def sample(self, rng, degree: int = 2) -> DiffPolynomial:
         """Random small element: few terms, symbol orders of degree <= 1."""
         K = self.base.ring
-        orders = [MultiIndex.zero(self.width)] + [
-            MultiIndex.unit(self.width, i) for i in range(self.width)
-        ]
+        count = len(self.variables)
+        # the zero order and the units have graded-lex ranks 0, 1, ..., width
+        ranks = range(self.width + 1)
         table: dict[Monomial, Element] = {}
         for _ in range(rng.randint(1, 3)):
-            counts: dict[Symbol, int] = {}
+            counts: dict[int, int] = {}
             for _ in range(rng.randint(0, 2)):
-                sym = (rng.randrange(len(self.variables)), rng.choice(orders))
-                counts[sym] = counts.get(sym, 0) + 1
-            mon = self._normalize_monomial(counts)
+                var = rng.randrange(count)
+                i = rng.choice(ranks) * count + var
+                counts[i] = counts.get(i, 0) + 1
+            mon = _normalize_monomial(counts)
             c = K.sample(rng, degree)
             if K.is_zero(c):
                 c = K.one()
@@ -402,7 +465,7 @@ class DiffPolyRing(Ring):
             c = _expect_element(K, item["coeff"], f"{where}.coeff")
             if not isinstance(item["monomial"], list):
                 raise ValueError(f"{where}.monomial: expected a list")
-            counts: dict[Symbol, int] = {}
+            counts: dict[int, int] = {}
             for spos, entry in enumerate(item["monomial"]):
                 spath = f"{where}.monomial[{spos}]"
                 if not isinstance(entry, list) or len(entry) != 3:
@@ -417,10 +480,10 @@ class DiffPolyRing(Ring):
                     )
                 order = [_expect_int(e, f"{spath}[1] order", 0, MAX_EXPONENT) for e in order]
                 power = _expect_int(power, f"{spath}[2] power", 1, MAX_EXPONENT)
-                sym = (var, MultiIndex(tuple(order)))
-                if sym in counts:
+                i = self._codec.encode(var, order)
+                if i in counts:
                     raise ValueError(f"{spath}: duplicate symbol in monomial")
-                counts[sym] = power
-            mon = self._normalize_monomial(counts)
+                counts[i] = power
+            mon = _normalize_monomial(counts)
             table[mon] = K.add(table[mon], c) if mon in table else c
         return self._make(table)

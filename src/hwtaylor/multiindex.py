@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
-from typing import Iterator
+from typing import Iterator, Sequence
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,6 +120,51 @@ def grlex_key(alpha: MultiIndex) -> tuple[int, tuple[int, ...]]:
     the grade-1 indices come as (1,0) then (0,1).
     """
     return (alpha.degree, tuple(-e for e in alpha.entries))
+
+
+def grlex_rank(entries: Sequence[int]) -> int:
+    """Position of the index with these entries in graded-lex order, in O(width).
+
+    It is the index's position in ``enumerate_upto`` for every bound at least
+    its degree d.  Before it come the binom(d - 1 + w, w) indices of lower
+    degree, then, for each slot i but the last, the indices of degree d that
+    agree with it before slot i and are larger at i.  Their entries after i
+    sum to less than s, the sum of its own entries after i, so there are
+    binom(s - 1 + k, k) of them for the k = w - 1 - i slots after i.
+    """
+    width = len(entries)
+    suffix = sum(entries)
+    rank = math.comb(suffix - 1 + width, width)
+    for i in range(width - 1):
+        suffix -= entries[i]
+        k = width - 1 - i
+        rank += math.comb(suffix - 1 + k, k)
+    return rank
+
+
+def grlex_unrank(width: int, rank: int) -> tuple[int, ...]:
+    """The entries of the index at position ``rank``: ``grlex_rank`` inverted."""
+    if width < 1:
+        raise ValueError("width must be at least 1")
+    if rank < 0:
+        raise ValueError("rank must be nonnegative")
+    degree = 0
+    while math.comb(degree + width, width) <= rank:
+        degree += 1
+    rank -= math.comb(degree - 1 + width, width)
+    entries = []
+    suffix = degree  # the sum of the entries from slot i on
+    for i in range(width - 1):
+        k = width - 1 - i
+        # the largest sum after slot i whose count of larger indices fits
+        after = suffix
+        while math.comb(after - 1 + k, k) > rank:
+            after -= 1
+        rank -= math.comb(after - 1 + k, k)
+        entries.append(suffix - after)
+        suffix = after
+    entries.append(suffix)
+    return tuple(entries)
 
 
 @lru_cache(maxsize=None)

@@ -61,10 +61,10 @@ class MorphismSpec:
     structures must have the same number of derivation slots.
 
     ``_raw`` maps each argument to its raw series, so the four constructors
-    applied to one argument compute it once.  ``_symbols`` maps each symbol
-    ``(var, order)`` that Taylor mode has read to ``phi`` of that symbol, so
-    every argument evaluated on this spec applies ``phi`` to each symbol
-    once.  ``dataclasses.replace`` starts both memos fresh.
+    applied to one argument compute it once.  ``_symbols`` maps the id of
+    each symbol that Taylor mode has read to ``phi`` of that symbol, so every
+    argument evaluated on this spec applies ``phi`` to each symbol once.
+    ``dataclasses.replace`` starts both memos fresh.
     """
 
     source: DifferentialRing
@@ -124,7 +124,9 @@ def _taylor_raw(spec: MorphismSpec, a: Element) -> HurwitzSeries | None:
     The raw series is a ring map into ``(H(K), mul)`` (Hurwitz series are
     cofree), so it is the ``DiffPolyRing.substitution`` that sends symbol
     (x, o) to ``beta -> phi(x at order o + beta)`` and a coefficient c to
-    ``beta -> phi(delta^beta c)``.  Symbol images are read from the spec's
+    ``beta -> phi(delta^beta c)``.  It runs on symbol ids: the ids of a
+    symbol's derivatives come from the ring's shift tables, one step from
+    each parent in the plan.  Symbol images are read from the spec's
     ``_symbols`` table, which keeps only images ``phi`` returned, so a symbol
     that raised raises again for the next argument that reads it.  Only the
     source ``differential_ring()`` of a ``DiffPolyRing`` is taken.  ``None``
@@ -148,20 +150,21 @@ def _taylor_raw(spec: MorphismSpec, a: Element) -> HurwitzSeries | None:
             [K.zero() if is_zero(d) else phi(A.constant(d)) for d in derived], trunc
         )
 
-    def image(key: tuple[int, MultiIndex]) -> Element:
-        value = images.get(key)
+    def image(i: int) -> Element:
+        value = images.get(i)
         if value is None:
-            value = images[key] = phi(A.symbol(*key))
+            value = images[i] = phi(A._symbol_of(i))
         return value
 
-    def symbol_series(sym) -> HurwitzSeries:
-        var, order = sym
-        return H._from_entries(
-            [image((var, order + beta)) for beta in plan.indices], trunc
-        )
+    def symbol_series(i: int) -> HurwitzSeries:
+        # the ids of the symbol's derivatives, each one shift from its parent's
+        ids = [i]
+        for q, slot in plan.parents:
+            ids.append(A._shift(ids[q], slot))
+        return H._from_entries([image(j) for j in ids], trunc)
 
     try:
-        return A.substitution(H, coefficient_series, symbol_series)(a)
+        return A._substitution(H, coefficient_series, symbol_series)(a)
     except UncoveredSymbolError:
         return None
 

@@ -254,3 +254,29 @@ def poly_ops(base: Ops, width: int) -> Ops:
         neg=lambda a: poly_neg(a, base),
         embed=lambda n: _nonzero({(0,) * width: base.embed(n)}, base),
     )
+
+
+def diffpoly_json_canonical(terms: Sequence[Mapping]) -> list[dict]:
+    """A differential polynomial's JSON terms in the canonical order.
+
+    A symbol ``[var, order]`` sorts by the degree of its order, then by the
+    order with larger leading entries first, then by variable.  A monomial
+    lists its factors in symbol order; terms sort by total power, then by
+    their ``(symbol, power)`` factor sequences.
+    """
+
+    def symbol_key(factor: Sequence) -> tuple:
+        var, order, _ = factor
+        return (sum(order), [-e for e in order], var)
+
+    out = [
+        {"coeff": term["coeff"], "monomial": sorted(term["monomial"], key=symbol_key)}
+        for term in terms
+    ]
+    out.sort(
+        key=lambda term: (
+            sum(f[2] for f in term["monomial"]),
+            [(symbol_key(f), f[2]) for f in term["monomial"]],
+        )
+    )
+    return out

@@ -212,18 +212,18 @@ def _derive_into_last_variable(monkeypatch):
 
         unit = MultiIndex.unit(self.width, slot)
         last = len(self.variables) - 1
-        for mon, c in a.terms:
+        codec = a.codec
+        for mon, c in a.id_terms:
             dc = self.base.derive(c, slot)
             if not K.is_zero(dc):
                 accumulate(mon, dc)
-            for sym, power in mon:
+            for i, power in mon:
                 counts = dict(mon)
-                counts[sym] -= 1
-                shifted = (last, sym[1] + unit)
+                counts[i] -= 1
+                shifted = codec.encode(last, (codec.decode(i)[1] + unit).entries)
                 counts[shifted] = counts.get(shifted, 0) + 1
-                accumulate(
-                    self._normalize_monomial(counts), K.mul(c, K.embed_int(power))
-                )
+                monomial = tuple(sorted((j, p) for j, p in counts.items() if p))
+                accumulate(monomial, K.mul(c, K.embed_int(power)))
         return self._make(table)
 
     monkeypatch.setattr(DiffPolyRing, "derive", derive)

@@ -798,6 +798,29 @@ def test_self_source_output_bytes_are_pinned(capsys):
     )
 
 
+HIGH_ORDER = Path(__file__).parent / "data" / "high_order_symbols.json"
+
+
+def test_high_order_symbols_expand_at_once():
+    """Symbols up to order [64, 64, 64] at m = 3, byte for byte, within 10 s.
+
+    A symbol's id comes from the graded-lex rank of its order, computed in
+    O(width).  Ranking by enumerating every index up to degree 192 took 62 s
+    and 1.4 GB on this document; the arithmetic rank takes about 0.1 s.  The
+    run is a child process, so a regression is stopped at the bound.
+    """
+    src = str(Path(hwtaylor.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "hwtaylor", "expand", "--spec", str(HIGH_ORDER)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, timeout=10, check=True,
+    )
+    assert done.stderr == b"" and len(done.stdout) == 315
+    assert hashlib.sha256(done.stdout).hexdigest() == (
+        "0a018f21fcc9c23c3bdb00e1dbc9f89033c43590cda438dfcf221ac83a2b95f8"
+    )
+
+
 class TestHashSeed:
     """Output bytes do not depend on hash order: polynomial terms are stored
     in insertion order and put in graded-lex order only when rendered."""

@@ -7,8 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hwtaylor.diffpoly import DiffPolyRing, UncoveredSymbolError
-from hwtaylor.multiindex import MultiIndex
+from hwtaylor.diffpoly import DiffPolyRing, SymbolCodec, UncoveredSymbolError
+from hwtaylor.multiindex import (
+    MultiIndex,
+    enumerate_upto,
+    grlex_key,
+    grlex_rank,
+    grlex_unrank,
+)
 from hwtaylor.rings import (
     QQ,
     DomainError,
@@ -18,6 +24,8 @@ from hwtaylor.rings import (
     constant_structure,
     differential_polynomial_carrier,
 )
+
+from oracles import diffpoly_json_canonical, tuples_upto
 
 
 @pytest.fixture
@@ -96,6 +104,71 @@ class TestDerive:
         x = ring_one_var.gen("x")
         got = D.derive_iter(x, MultiIndex.of(3))
         assert ring_one_var.eq(got, ring_one_var.symbol("x", [3]))
+
+
+class TestSymbolIds:
+    """Inside the ring a symbol (var, order) is the int ``grlex_rank(order) * count + var``."""
+
+    def test_rank_is_the_enumeration_position(self):
+        for width in (1, 2, 3):
+            for rank, alpha in enumerate(enumerate_upto(width, 9)):
+                assert grlex_rank(alpha.entries) == rank
+                assert grlex_unrank(width, rank) == alpha.entries
+
+    def test_high_orders_rank_in_graded_lex_order(self):
+        rng = random.Random(27)
+        for _ in range(200):
+            width = rng.randint(1, 3)
+            a, b = (MultiIndex(tuple(rng.randint(0, 64) for _ in range(width))) for _ in "ab")
+            ra, rb = grlex_rank(a.entries), grlex_rank(b.entries)
+            assert (ra < rb) == (grlex_key(a) < grlex_key(b)) and (ra == rb) == (a == b)
+            assert grlex_unrank(width, ra) == a.entries
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_ids_are_distinct_and_sort_like_symbols(self, width):
+        orders = [MultiIndex(t) for t in tuples_upto(width, 9)]
+        for count in (1, 2, 3):
+            codec = SymbolCodec(width, count)
+            symbols = [(var, order) for order in orders for var in range(count)]
+            ids = [codec.encode(var, order.entries) for var, order in symbols]
+            assert len(set(ids)) == len(ids)
+            by_id = [sym for _, sym in sorted(zip(ids, symbols))]
+            assert by_id == sorted(symbols, key=lambda s: (grlex_key(s[1]), s[0]))
+            assert [codec.decode(i) for i in ids] == symbols
+
+    def test_json_term_order_matches_the_oracle(self):
+        """200 seeded elements, their products and derivatives: terms and factors
+        come out of ``element_to_json`` in the order an independent sort gives."""
+        rng = random.Random(28)
+        rings = [DiffPolyRing(constant_structure(QQ, w), ["x", "y", "z"][:w]) for w in (1, 2, 3)]
+        for n in range(200):
+            A = rings[n % 3]
+            f, g = A.sample(rng), A.sample(rng)
+            fg = A.mul(f, g)
+            slot = rng.randrange(A.width)
+            deep = A.derive(A.derive(fg, slot), rng.randrange(A.width))
+            for e in (f, fg, A.derive(f, slot), deep, A.mul(deep, f)):
+                doc = A.element_to_json(e)
+                shuffled = [
+                    {"coeff": t["coeff"], "monomial": rng.sample(t["monomial"], len(t["monomial"]))}
+                    for t in rng.sample(doc, len(doc))
+                ]
+                assert doc == diffpoly_json_canonical(shuffled)
+                assert A.element_from_json(shuffled) == e
+
+    def test_equal_rings_share_elements(self):
+        base = constant_structure(QQ, 2)
+        A, B = DiffPolyRing(base, ["x", "y"]), DiffPolyRing(base, ["x", "y"])
+        assert A == B and A is not B
+        # B's shift tables start empty and read symbols only A has shifted
+        x10 = A.derive(A.gen("x"), 0)
+        assert B.derive(x10, 1) == A.symbol("x", [1, 1]) == B.symbol("x", [1, 1])
+        rng = random.Random(29)
+        for _ in range(20):
+            f, g = A.derive(A.derive(A.sample(rng), 0), 1), B.sample(rng)
+            assert B.add(f, g) == A.add(f, g) and B.mul(f, g) == A.mul(f, g)
+            assert B.derive(f, 1) == A.derive(f, 1) and B.derive(g, 0) == A.derive(g, 0)
+            assert B.render(f) == A.render(f) and B.render(g) == A.render(g)
 
 
 class TestEvaluate:
