@@ -27,7 +27,7 @@ chain), ``evaluate`` to derivatives of a point, and ``taylor`` to series.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import starmap
 from typing import Any, Callable, Mapping, Sequence
 
@@ -61,23 +61,32 @@ class SymbolCodec:
     """Symbol ids for ``count`` indeterminates and orders of width ``width``.
 
     Symbol (var, order) has id ``grlex_rank(order) * count + var``; both ways
-    cost O(width) binomials plus, for decoding, a walk over the degree.
+    cost O(width) binomials plus, for decoding, a walk over the degree.  The
+    codec keeps the symbol of each id it has decoded, so that walk runs once
+    per id; equality and hashing ignore that table, so equal rings still read
+    each other's elements.
     """
 
     width: int
     count: int
+    _decoded: dict[int, Symbol] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def encode(self, var: int, entries: Sequence[int]) -> int:
         return grlex_rank(entries) * self.count + var
 
     def decode(self, i: int) -> Symbol:
-        rank, var = divmod(i, self.count)
-        return (var, MultiIndex(grlex_unrank(self.width, rank)))
+        sym = self._decoded.get(i)
+        if sym is None:
+            rank, var = divmod(i, self.count)
+            sym = self._decoded[i] = (var, MultiIndex(grlex_unrank(self.width, rank)))
+        return sym
 
     def shift(self, i: int, slot: int) -> int:
         """The id of symbol ``i`` one order step up in ``slot``."""
-        rank, var = divmod(i, self.count)
-        entries = list(grlex_unrank(self.width, rank))
+        var, order = self.decode(i)
+        entries = list(order.entries)
         entries[slot] += 1
         return self.encode(var, entries)
 

@@ -17,7 +17,8 @@ evaluation twist and every value-table image are such sums.
 Series products and inversion go through ``Ring.dot(x, y, rows)``, which
 yields ``sum of w * x[i] * y[j]`` for each ``(left, right, weights)`` row of
 index pairs: the generic form is one ``mul`` per pair and one ``combine``
-per row, and the polynomial rings put a whole row's products into one
+per row, ``Q`` sums a row's products as one integer over the lcm of their
+denominators, and the polynomial rings put a whole row's products into one
 integer table and reduce it once.  One ``dot`` call meets few distinct
 exponent pairs, so the polynomial form builds each exponent sum once, in a
 memo of its own that holds at most as many sums as its operands hold terms,
@@ -162,7 +163,8 @@ class Ring:
         are yielded one at a time and each is computed only when pulled, so
         ``x`` and ``y`` may be lists the caller fills from earlier yields.
         This generic form is one ``mul`` per pair and one ``combine`` per
-        row; the polynomial rings override it to reduce each row once.
+        row; ``Q`` overrides it to make one ``Fraction`` per row, and the
+        polynomial rings to reduce each row once.
         """
         mul, combine = self.mul, self.combine
 
@@ -282,6 +284,27 @@ class RationalField(Ring):
 
     def embed_int(self, n: int) -> Fraction:
         return Fraction(n)
+
+    def dot(
+        self,
+        x: Sequence[Fraction],
+        y: Sequence[Fraction],
+        rows: Iterable[tuple[Sequence[int], Sequence[int], Iterable[int]]],
+    ) -> Iterator[Fraction]:
+        """Each row's products as one integer sum, made a ``Fraction`` once.
+
+        Pairs with a zero operand are skipped; the rest are summed over the
+        lcm of their denominators ``a.denominator * b.denominator``.
+        Operands are read when their row is pulled, as ``Ring.dot`` does.
+        """
+        for left, right, weights in rows:
+            products = [
+                (w * a.numerator * b.numerator, a.denominator * b.denominator)
+                for w, i, j in zip(weights, left, right)
+                if (a := x[i]) and (b := y[j])
+            ]
+            den = lcm(*[d for _, d in products])
+            yield Fraction(sum([n * (den // d) for n, d in products]), den)
 
     def try_invert(self, a: Fraction) -> Fraction | None:
         return None if a == 0 else 1 / Fraction(a)
@@ -493,6 +516,24 @@ _NO_SUMS: dict = {}
 _MAX_SUMS = 4096
 
 
+# Exponent sums ``ea + eb`` by number of generators: written out for one, two
+# and three, each costs a quarter to a third of ``tuple(map(_add, ea, eb))``.
+_EXPONENT_ADDERS: dict[int, Callable[[tuple[int, ...], tuple[int, ...]], tuple[int, ...]]] = {
+    1: lambda ea, eb: (ea[0] + eb[0],),
+    2: lambda ea, eb: (ea[0] + eb[0], ea[1] + eb[1]),
+    3: lambda ea, eb: (ea[0] + eb[0], ea[1] + eb[1], ea[2] + eb[2]),
+}
+
+
+def _add_exponents(ea: tuple[int, ...], eb: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(map(_add, ea, eb))
+
+
+def _exponent_adder(width: int) -> Callable[[tuple[int, ...], tuple[int, ...]], tuple[int, ...]]:
+    """The exponent-sum function for ``width`` generators."""
+    return _EXPONENT_ADDERS.get(width, _add_exponents)
+
+
 class PolynomialRing(Ring):
     """Multivariate polynomials over ``Q`` or ``F_p``, named generators.
 
@@ -636,11 +677,14 @@ class PolynomialRing(Ring):
 
         ``sums[ea][eb]`` is the exponent sum ``ea + eb`` if an earlier product
         built it; a sum built here is stored while ``room`` lasts, so the
-        memo holds at most ``room`` more sums.  Returns the room left.
+        memo holds at most ``room`` more sums.  Sums are built by the adder
+        for the exponent width of ``a``'s keys.  Returns the room left.
         """
         get = table.get
+        left = a.table
+        add = _exponent_adder(len(next(iter(left), ())))
         right = b.table.items()
-        for ea, ca in a.table.items():
+        for ea, ca in left.items():
             ca *= scale
             known = sums.get(ea, _NO_SUMS)
             if known is _NO_SUMS and room:
@@ -648,7 +692,7 @@ class PolynomialRing(Ring):
             for eb, cb in right:
                 key = known.get(eb)
                 if key is None:
-                    key = tuple(map(_add, ea, eb))
+                    key = add(ea, eb)
                     if room:
                         known[eb] = key
                         room -= 1
@@ -801,6 +845,8 @@ class PolynomialRing(Ring):
             for j, g in enumerate(images)
         )
 
+        add = _exponent_adder(len(self.generators))
+
         def derive(a: Poly) -> Poly:
             table: dict[tuple[int, ...], int] = {}
             get = table.get
@@ -809,7 +855,7 @@ class PolynomialRing(Ring):
                     if e:
                         f = n * e
                         for step, m in steps[j]:
-                            key = tuple(map(_add, exps, step))
+                            key = add(exps, step)
                             table[key] = get(key, 0) + f * m
             return self._reduce(table, a.den * common if self._rational else None)
 

@@ -61,10 +61,12 @@ class MorphismSpec:
     structures must have the same number of derivation slots.
 
     ``_raw`` maps each argument to its raw series, so the four constructors
-    applied to one argument compute it once.  ``_symbols`` maps the id of
-    each symbol that Taylor mode has read to ``phi`` of that symbol, so every
+    applied to one argument compute it once, and ``_untwisted`` maps it to
+    ``ev_untwist`` of that series, so ``twisted_hurwitz`` and
+    ``twisted_taylor`` untwist it once.  ``_symbols`` maps the id of each
+    symbol that Taylor mode has read to ``phi`` of that symbol, so every
     argument evaluated on this spec applies ``phi`` to each symbol once.
-    ``dataclasses.replace`` starts both memos fresh.
+    ``dataclasses.replace`` starts every memo fresh.
     """
 
     source: DifferentialRing
@@ -73,6 +75,7 @@ class MorphismSpec:
     trunc: int
     samples: tuple = ()
     _raw: dict = field(default_factory=dict, init=False, repr=False)
+    _untwisted: dict = field(default_factory=dict, init=False, repr=False)
     _symbols: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -209,7 +212,11 @@ def classical_taylor(spec: MorphismSpec, a: Element) -> HurwitzSeries:
 
 def twisted_hurwitz(spec: MorphismSpec, a: Element) -> HurwitzSeries:
     """The raw series untwisted by the coefficient derivations; any characteristic."""
-    return ev_untwist(_raw_series(spec, a), spec.coefficients.derivations)
+    untwisted = spec._untwisted.get(a)
+    if untwisted is None:
+        raw = _raw_series(spec, a)
+        untwisted = spec._untwisted[a] = ev_untwist(raw, spec.coefficients.derivations)
+    return untwisted
 
 
 def twisted_taylor(spec: MorphismSpec, a: Element) -> HurwitzSeries:

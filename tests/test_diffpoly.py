@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hwtaylor import diffpoly
 from hwtaylor.diffpoly import DiffPolyRing, SymbolCodec, UncoveredSymbolError
 from hwtaylor.multiindex import (
     MultiIndex,
@@ -135,6 +136,28 @@ class TestSymbolIds:
             by_id = [sym for _, sym in sorted(zip(ids, symbols))]
             assert by_id == sorted(symbols, key=lambda s: (grlex_key(s[1]), s[0]))
             assert [codec.decode(i) for i in ids] == symbols
+
+    def test_decoded_symbols_are_kept_and_ignored_by_equality(self, monkeypatch):
+        calls = []
+        unrank = diffpoly.grlex_unrank
+
+        def counting(width, rank):
+            calls.append(rank)
+            return unrank(width, rank)
+
+        monkeypatch.setattr(diffpoly, "grlex_unrank", counting)
+        codec, twin = SymbolCodec(2, 2), SymbolCodec(2, 2)
+        orders = enumerate_upto(2, 3)
+        ids = [codec.encode(var, order.entries) for order in orders for var in (0, 1)]
+        symbols = [codec.decode(i) for i in ids]
+        shifted = [codec.shift(i, slot) for i in ids for slot in (0, 1)]
+        # one walk per id, shared by later decodes and shifts; the table
+        # holds the decoded ids and nothing else
+        assert len(calls) == len(ids) and sorted(codec._decoded) == sorted(ids)
+        assert all(codec.decode(i) is sym for i, sym in zip(ids, symbols))
+        assert shifted == [twin.shift(i, slot) for i in ids for slot in (0, 1)]
+        assert codec == twin and hash(codec) == hash(twin)
+        assert codec == SymbolCodec(2, 2) and codec != SymbolCodec(2, 1)
 
     def test_json_term_order_matches_the_oracle(self):
         """200 seeded elements, their products and derivatives: terms and factors

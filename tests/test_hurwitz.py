@@ -96,6 +96,33 @@ class TestProduct:
         for idx, c in want.items():
             assert got.coeff(MultiIndex(idx)) == c
 
+    @pytest.mark.parametrize("width, trunc", [(1, 7), (2, 4), (3, 3)])
+    def test_rational_products_and_inverse_match_the_oracle(self, width, trunc):
+        # scalar Q rows take RationalField.dot: zero entries, mixed denominators
+        H = HurwitzRing(QQ, width, trunc)
+        rng = random.Random(100 + width)
+        one = {alpha: Fraction(int(not any(alpha))) for alpha in tuples_upto(width, trunc)}
+
+        def sample():
+            return H.from_table(
+                {
+                    alpha: Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 5, 12)))
+                    for alpha in H.indices
+                    if rng.random() < 0.7
+                }
+            )
+
+        for trial in range(4):
+            a, b = sample(), sample()
+            for product, weighted in ((H.mul, True), (H.cauchy_mul, False)):
+                want = hurwitz_product(
+                    table_of(a), table_of(b), width, trunc, FRACTION_OPS, weighted
+                )
+                assert table_of(product(a, b)) == want, (trial, weighted)
+            unit = a if a.constant_term() else H.add(a, H.one())
+            inverse = table_of(H.invert(unit))
+            assert hurwitz_product(table_of(unit), inverse, width, trunc, FRACTION_OPS) == one
+
     def test_against_naive_convolution_fp(self):
         rng = random.Random(13)
         H = HurwitzRing(PrimeField(5), 2, 5)

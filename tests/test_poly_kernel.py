@@ -10,7 +10,9 @@ it builds in a memo bounded by its operands' terms and by a fixed cap: it is
 compared here past both bounds, and the memo against them, the cap also at
 its production value on ``tests/data/power_past_memo.json``.  One derivation
 is compared on many polynomials in turn, so state it carried from one to the
-next would show.
+next would show.  Exponent sums are built by a function chosen by the number
+of generators, so products, ``dot`` and derivations are also compared at one
+to four generators.
 """
 
 from __future__ import annotations
@@ -451,3 +453,59 @@ def test_dot_memo_never_outgrows_its_operands(field, ops, inverse, monkeypatch):
         R.mul(X[0], Y[0])
         assert not seen and not rings._NO_SUMS
     assert len(memos) > TRIALS // 2
+
+
+# Exponent sums are written out for one, two and three generators; four and
+# more take the generic ``tuple(map(...))`` path.
+WIDTHS = [1, 2, 3, 4]
+
+
+def wide_table(rng, field, width, terms=4, degree=3):
+    """A dict polynomial in ``width`` generators with nonzero coefficients."""
+    table = {}
+    for _ in range(rng.randint(1, terms)):
+        e = tuple(rng.randint(0, degree) for _ in range(width))
+        while not table.get(e):
+            table[e] = random_coeff(rng, field)
+    return table
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+@pytest.mark.parametrize("field, ops, inverse", FIELDS)
+def test_mul_and_derivation_match_the_oracle_at_each_width(field, ops, inverse, width):
+    R = PolynomialRing(field, [f"u{k}" for k in range(width)])
+    rng = random.Random(2300 + width)
+    for trial in range(TRIALS // 2):
+        a, b = wide_table(rng, field, width), wide_table(rng, field, width)
+        got = R.mul(build(R, a), build(R, b))
+        assert as_table(got) == poly_mul(a, b, ops), trial
+        assert_normal(R, got)
+        images = [wide_table(rng, field, width, terms=2, degree=2) for _ in range(width)]
+        got = R.derivation([build(R, g) for g in images])(build(R, a))
+        assert as_table(got) == poly_derive(a, images, ops), trial
+        assert_normal(R, got)
+
+
+@pytest.mark.parametrize("cap", [None, 3])
+@pytest.mark.parametrize("width", WIDTHS)
+@pytest.mark.parametrize("field, ops, inverse", FIELDS)
+def test_dot_matches_the_oracle_at_each_width(field, ops, inverse, width, cap, monkeypatch):
+    """Each row twice, so later rows read sums from the memo; with the cap
+    patched to 3 most sums are built past it and not kept."""
+    if cap is not None:
+        monkeypatch.setattr(rings, "_MAX_SUMS", cap)
+    seen = memo_spy(monkeypatch)
+    R = PolynomialRing(field, [f"u{k}" for k in range(width)])
+    rng = random.Random(2310 + width)
+    rows = [((0, 1), (1, 0), (1, 2)), ((0, 1, 0, 1), (0, 0, 1, 1), (3, 1, 1, 5))] * 2
+    for trial in range(TRIALS // 4):
+        x = [wide_table(rng, field, width) for _ in range(2)]
+        y = [wide_table(rng, field, width) for _ in range(2)]
+        del seen[:]
+        got = list(R.dot([build(R, t) for t in x], [build(R, t) for t in y], rows))
+        for k, (left, right, weights) in enumerate(rows):
+            products = [poly_mul(x[i], y[j], ops) for i, j in zip(left, right)]
+            assert as_table(got[k]) == poly_combine(weights, products, width, ops), (trial, k)
+            assert_normal(R, got[k])
+        held = seen[-1][1]
+        assert 0 < held <= min(sum(map(len, x + y)), rings._MAX_SUMS), trial

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from itertools import repeat
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from hwtaylor.rings import (
     DomainError,
     PolynomialRing,
     PrimeField,
+    Ring,
     constant_structure,
     differential_polynomial_carrier,
     is_differential_hom,
@@ -38,6 +40,87 @@ class TestRationals:
         assert QQ.render(Fraction(5, 10)) == "1/2"
         with pytest.raises(ValueError):
             QQ.parse("1.5")
+
+
+def rational_or_zero(rng):
+    if rng.random() < 0.3:
+        return Fraction(0)
+    return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6, 9, 12)))
+
+
+class TestRationalDot:
+    """``RationalField.dot`` sums each row over the lcm of its denominators
+    and makes one ``Fraction``; ``Ring.dot`` multiplies and adds pair by
+    pair.  The two must give the same rows exactly."""
+
+    @staticmethod
+    def random_rows(rng, n):
+        """Rows as ``(left, right, weights)``; unit weights come as ``repeat(1)``."""
+        rows = [((), (), ()), ((), (), repeat(1))]
+        for _ in range(12):
+            k = rng.randint(1, 5)
+            left = [rng.randrange(n) for _ in range(k)]
+            right = [rng.randrange(n) for _ in range(k)]
+            if rng.random() < 0.3:
+                weights = repeat(1)
+            else:
+                # sometimes longer than the positions: the extra weights are unused
+                weights = [rng.randint(-6, 6) for _ in range(k + rng.randint(0, 2))]
+            rows.append((left, right, weights))
+        return rows
+
+    def test_matches_the_generic_form_on_random_rows(self):
+        rng = random.Random(2323)
+        for trial in range(60):
+            n = rng.randint(1, 6)
+            x = [rational_or_zero(rng) for _ in range(n)]
+            y = [rational_or_zero(rng) for _ in range(n)]
+            if trial % 5 == 0:
+                y = [Fraction(0)] * n  # every row sums products by zero
+            state = rng.getstate()
+            got = list(QQ.dot(x, y, self.random_rows(rng, n)))
+            rng.setstate(state)
+            want = list(Ring.dot(QQ, x, y, self.random_rows(rng, n)))
+            assert got == want, trial
+            assert all(type(v) is Fraction for v in got), trial
+
+    def test_single_pairs_and_mixed_denominators(self):
+        x = [Fraction(-3, 4), Fraction(5, 6), Fraction(7), Fraction(0)]
+        y = [Fraction(2, 9), Fraction(-1, 10), Fraction(0), Fraction(4, 3)]
+        rows = [
+            ((0,), (0,), (1,)),
+            ((1,), (1,), (-5,)),
+            ((3,), (3,), repeat(1)),
+            ((0, 1, 2), (1, 0, 3), (2, 3, 1)),
+            ((2, 2), (2, 1), repeat(1)),
+        ]
+        assert list(QQ.dot(x, y, rows)) == [
+            Fraction(-1, 6),
+            Fraction(5, 12),
+            Fraction(0),
+            Fraction(3, 20) + Fraction(5, 9) + Fraction(28, 3),
+            Fraction(-7, 10),
+        ]
+
+    def test_rows_read_operands_filled_from_earlier_yields(self):
+        # as in series inversion, row k reads y[k], which is set from the
+        # value row k - 1 yielded, after that row and before this one is pulled
+        x = [Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4), Fraction(3, 7)]
+        rows = [((0,), (0,), (1,))] + [((0, k), (k, 0), (k, 1)) for k in range(1, len(x))]
+
+        def run(dot):
+            y = [Fraction(1, 3)] + [Fraction(0)] * (len(x) - 1)
+            out = []
+            for k, v in enumerate(dot(x, y, rows)):
+                out.append(v)
+                if k + 1 < len(y):
+                    y[k + 1] = v + Fraction(1, k + 2)
+            return out, y
+
+        got = run(QQ.dot)
+        assert got == run(lambda *args: Ring.dot(QQ, *args))
+        # row 0 is 1/2 * 1/3, so y[1] = 1/6 + 1/2; row 1 is 1/2 * 2/3 - 2/3 * 1/3
+        assert got[1][1] == Fraction(2, 3) and got[0][1] == Fraction(1, 9)
 
 
 class TestPrimeField:

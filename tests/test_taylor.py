@@ -516,6 +516,62 @@ class TestRawSeriesMemo:
         assert shorter.target.eq(got, twisted_hurwitz(fresh, b))
 
 
+class TestUntwistMemo:
+    """``twisted_hurwitz`` and ``twisted_taylor`` share one untwisted series
+    per spec and argument.  The coefficient derivation u -> 1 makes the
+    untwist move the series, so a stale or shared entry would show."""
+
+    @staticmethod
+    def _spec(trunc=4):
+        """x*x' + u*x over (Q[u], d/du) in Taylor mode, symbols up to order 6 valued."""
+        K = rational_poly_carrier()
+        R = K.ring
+        A = DiffPolyRing(K, ["x"])
+        rng = random.Random(23)
+        values = {(0, alpha): R.sample(rng) for alpha in enumerate_upto(1, 6)}
+        spec = MorphismSpec(
+            source=A.differential_ring(), coefficients=K, phi=A.value_hom(values), trunc=trunc
+        )
+        x = A.gen("x")
+        a = A.add(A.mul(x, A.symbol("x", (1,))), A.mul(A.constant(R.gen("u")), x))
+        return spec, a
+
+    @pytest.fixture
+    def untwist_calls(self, monkeypatch):
+        calls = []
+        untwist = taylor.ev_untwist
+
+        def counting(a, family):
+            calls.append(a)
+            return untwist(a, family)
+
+        monkeypatch.setattr(taylor, "ev_untwist", counting)
+        return calls
+
+    def test_twisted_constructors_untwist_once(self, untwist_calls):
+        spec, a = self._spec()
+        plain = twisted_hurwitz(spec, a)
+        divided = twisted_taylor(spec, a)
+        assert twisted_hurwitz(spec, a) is plain
+        assert len(untwist_calls) == 1 and untwist_calls[0] is spec._raw[a]
+        assert not spec.target.eq(plain, spec._raw[a])
+        fresh, b = self._spec()
+        assert spec.target.eq(divided, twisted_taylor(fresh, b))
+        fresh, b = self._spec()
+        assert spec.target.eq(plain, twisted_hurwitz(fresh, b))
+
+    def test_replace_starts_an_empty_memo(self, untwist_calls):
+        spec, a = self._spec()
+        twisted_taylor(spec, a)
+        shorter = dataclasses.replace(spec, trunc=3)
+        assert shorter._untwisted == {} and shorter._raw == {}
+        got = twisted_hurwitz(shorter, a)
+        assert len(untwist_calls) == 2
+        fresh, b = self._spec(trunc=3)
+        assert got.trunc == 3
+        assert shorter.target.eq(got, twisted_hurwitz(fresh, b))
+
+
 class TestGuards:
     def test_classical_needs_char_zero(self):
         K = constant_structure(PrimeField(3), 1)
