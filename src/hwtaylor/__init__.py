@@ -24,21 +24,12 @@ Layers, bottom up:
 ``taylor``
     The four expansion constructions and the evaluation twist maps.
 ``checks``
-    Seeded, shrinking, byte-deterministic identity checks.
+    Seeded, shrinking, byte-deterministic identity checks.  Loaded on first
+    use: importing the package or running ``expand`` does not import it.
 ``cli``
     ``hwtaylor expand | check | selftest``.
 """
 
-from .checks import (
-    CheckConfig,
-    CheckReport,
-    Failure,
-    UnknownCheckError,
-    check_names,
-    reports_to_jsonl,
-    run_check,
-    run_suite,
-)
 from .diffpoly import DiffPolynomial, DiffPolyRing, UncoveredSymbolError
 from .hurwitz import (
     HurwitzRing,
@@ -123,3 +114,29 @@ __all__ = [
     "twisted_hurwitz",
     "twisted_taylor",
 ]
+
+# the check suite and its names, resolved on first access (PEP 562)
+_CHECK_NAMES = frozenset(
+    {
+        "checks",
+        "CheckConfig",
+        "CheckReport",
+        "Failure",
+        "UnknownCheckError",
+        "check_names",
+        "reports_to_jsonl",
+        "run_check",
+        "run_suite",
+    }
+)
+
+
+def __getattr__(name: str) -> object:
+    if name in _CHECK_NAMES:
+        from importlib import import_module
+
+        # ``from . import checks`` would look ``checks`` up on this module
+        # and land here again
+        checks = import_module(".checks", __name__)
+        return checks if name == "checks" else getattr(checks, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

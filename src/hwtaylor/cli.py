@@ -29,9 +29,8 @@ import json
 import sys
 from dataclasses import replace
 from functools import lru_cache, partial
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
-from .checks import CheckConfig, reports_to_jsonl, run_suite
 from .diffpoly import DiffPolyRing, UncoveredSymbolError
 from .hurwitz import MAX_TRUNC, MAX_WIDTH, HurwitzRing, HurwitzSeries, series_to_json
 from .multiindex import MultiIndex
@@ -55,6 +54,9 @@ from .rings import (
     ring_from_json,
 )
 from .taylor import CONSTRUCTIONS, MorphismSpec, classical_taylor, ev_twist, twisted_hurwitz
+
+if TYPE_CHECKING:
+    from .checks import CheckConfig
 
 _CONSTRUCTORS = {name: fn for name, fn, *_ in CONSTRUCTIONS}
 
@@ -229,6 +231,9 @@ def cmd_expand(args: argparse.Namespace) -> int:
 
 
 def _load_check_config(args: argparse.Namespace) -> CheckConfig:
+    # the check suite loads here, on first use, not when the CLI is imported
+    from .checks import CheckConfig
+
     doc = {} if args.config is None else _read_json(args.config)
     flags = {"seed": args.seed, "instances": args.instances}
     if args.checks is not None:
@@ -248,6 +253,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     # refuse an unwritable --out before the suite runs
     if _write_output("", args.out):
         return 2
+    from .checks import reports_to_jsonl, run_suite
+
     reports = run_suite(config)
     if _write_output(reports_to_jsonl(reports), args.out):
         return 2

@@ -82,36 +82,36 @@ class Plan:
       alpha - e_slot.  A prefix of it serves every smaller truncation.
     * ``factorials[p]``: alpha!.
 
-    Only this constructor does multi-index arithmetic, and it is the one
-    reader of ``MultiIndex.binomial``: the weights are fixed when the plan
-    is built.
+    The constructor works on entry tuples: positions are keyed by
+    ``alpha.entries``, the positions of alpha +- e_slot come from tuple
+    arithmetic, and no alpha - beta is built.  ``iter_dominated`` runs
+    through the box below alpha in ``itertools.product`` order, and
+    beta -> alpha - beta reverses that order, so the second tuple of each row
+    is the first one reversed.  The constructor is the one reader of
+    ``MultiIndex.binomial``: the weights are fixed when the plan is built.
     """
 
     def __init__(self, width: int, trunc: int):
         binomial = MultiIndex.binomial
         self.indices = enumerate_upto(width, trunc)
-        pos = {alpha: p for p, alpha in enumerate(self.indices)}
-        self.rows = tuple(
-            tuple(
-                zip(
-                    *(
-                        (pos[beta], pos[alpha - beta], binomial(alpha, beta))
-                        for beta in iter_dominated(alpha)
-                    )
-                )
-            )
-            for alpha in self.indices
-        )
-        units = [MultiIndex.unit(width, slot) for slot in range(width)]
-        below_top = self.indices[: count_upto(width, trunc - 1)] if trunc else ()
+        entries = [alpha.entries for alpha in self.indices]
+        pos = {e: p for p, e in enumerate(entries)}
+
+        def moved(e: tuple[int, ...], slot: int, step: int) -> int:
+            return pos[(*e[:slot], e[slot] + step, *e[slot + 1 :])]
+
+        rows = []
+        for alpha in self.indices:
+            betas = iter_dominated(alpha)
+            left = tuple([pos[beta.entries] for beta in betas])
+            rows.append((left, left[::-1], tuple([binomial(alpha, beta) for beta in betas])))
+        self.rows = tuple(rows)
+        below_top = entries[: count_upto(width, trunc - 1)] if trunc else ()
         self.shifts = tuple(
-            tuple((pos[alpha + unit], alpha[slot] + 1) for alpha in below_top)
-            for slot, unit in enumerate(units)
+            tuple((moved(e, slot, 1), e[slot] + 1) for e in below_top) for slot in range(width)
         )
-        first_slots = (
-            (alpha, next(s for s, e in enumerate(alpha) if e)) for alpha in self.indices[1:]
-        )
-        self.parents = tuple((pos[alpha - units[s]], s) for alpha, s in first_slots)
+        first_slots = ((e, next(s for s, k in enumerate(e) if k)) for e in entries[1:])
+        self.parents = tuple((moved(e, s, -1), s) for e, s in first_slots)
         self.factorials = tuple(alpha.factorial() for alpha in self.indices)
 
 

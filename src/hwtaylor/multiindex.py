@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import product, repeat
 from typing import Iterator, Sequence
 
 
@@ -22,10 +22,11 @@ class MultiIndex:
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not self.entries:
+        entries = self.entries
+        if not entries:
             raise ValueError("multi-index needs at least one slot")
-        if any(not isinstance(e, int) or e < 0 for e in self.entries):
-            raise ValueError(f"multi-index entries must be nonnegative ints: {self.entries!r}")
+        if not all(map(isinstance, entries, repeat(int))) or min(entries) < 0:
+            raise ValueError(f"multi-index entries must be nonnegative ints: {entries!r}")
         # the value a generated dataclass hash would give, computed once:
         # symbols keyed by a MultiIndex are hashed on every dict lookup of
         # the diffpoly kernel
@@ -96,11 +97,10 @@ class MultiIndex:
     def binomial(self, lower: MultiIndex) -> int:
         """Product of componentwise binomials; requires ``lower`` <= self."""
         self._same_width(lower)
-        if not lower.le(self):
+        # comb(n, k) is 0 exactly when k > n, so a zero product means lower is not below
+        out = math.prod(map(math.comb, self.entries, lower.entries))
+        if not out:
             raise ValueError(f"binomial needs {lower.entries} componentwise <= {self.entries}")
-        out = 1
-        for n, k in zip(self.entries, lower.entries):
-            out *= math.comb(n, k)
         return out
 
     def __getitem__(self, slot: int) -> int:

@@ -54,6 +54,52 @@ def tuple_sub(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     return tuple(x - y for x, y in zip(a, b))
 
 
+def grlex_tuples(width: int, bound: int) -> list[tuple[int, ...]]:
+    """``tuples_upto`` in graded-lex order: lexicographically descending, then
+    stably sorted by degree."""
+    return sorted(sorted(tuples_upto(width, bound), reverse=True), key=sum)
+
+
+def naive_plan(width: int, trunc: int) -> dict[str, Any]:
+    """The tables of a convolution plan, by list lookups over ``grlex_tuples``.
+
+    ``rows[p]`` runs over ``dominated(alpha)``: the positions of beta and of
+    alpha - beta, and the binomial; ``shifts[slot]`` pairs each index below
+    the top grade with the position of its step up in ``slot`` and the new
+    entry there; ``parents`` pairs each nonzero index with the position of
+    its step down in its first nonzero slot, and that slot.
+    """
+    indices = grlex_tuples(width, trunc)
+
+    def step(alpha: tuple[int, ...], slot: int, by: int) -> int:
+        return indices.index(tuple(e + by if i == slot else e for i, e in enumerate(alpha)))
+
+    rows = []
+    for alpha in indices:
+        betas = dominated(alpha)
+        rows.append((
+            tuple(indices.index(beta) for beta in betas),
+            tuple(indices.index(tuple_sub(alpha, beta)) for beta in betas),
+            tuple(tuple_binomial(alpha, beta) for beta in betas),
+        ))
+    below_top = [alpha for alpha in indices if sum(alpha) < trunc]
+    shifts = tuple(
+        tuple((step(alpha, slot, 1), alpha[slot] + 1) for alpha in below_top)
+        for slot in range(width)
+    )
+    parents = []
+    for alpha in indices[1:]:
+        slot = min(i for i, e in enumerate(alpha) if e > 0)
+        parents.append((step(alpha, slot, -1), slot))
+    return {
+        "indices": indices,
+        "rows": tuple(rows),
+        "shifts": shifts,
+        "parents": tuple(parents),
+        "factorials": tuple(tuple_factorial(alpha) for alpha in indices),
+    }
+
+
 @dataclass(frozen=True)
 class Ops:
     """Minimal coefficient arithmetic handed to the oracle loops."""

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import hwtaylor
-from hwtaylor import cli, taylor
+from hwtaylor import checks, cli, taylor
 from hwtaylor.cli import main
 from hwtaylor.diffpoly import DiffPolyRing
 from hwtaylor.hurwitz import HurwitzRing
@@ -595,7 +595,7 @@ class TestCheck:
         assert "tm1: pass" in err
         # an unwritable --out is refused before the suite runs
         runs = []
-        monkeypatch.setattr(cli, "run_suite", lambda config: runs.append(config) or [])
+        monkeypatch.setattr(checks, "run_suite", lambda config: runs.append(config) or [])
         rc = main(
             ["check", "--instances", "1", "--checks", "tm1", "--out", "/nonexistent/x.json"]
         )
@@ -839,3 +839,42 @@ class TestHashSeed:
         for args in (["check", "--seed", "0", "--instances", "4"], ["expand", "--spec", spec]):
             outputs = [self.run(args, seed) for seed in (0, 1)]
             assert outputs[0] and outputs[0] == outputs[1], args
+
+
+class TestImports:
+    """``import hwtaylor`` and ``expand`` do not load the check suite; its
+    names resolve on first access."""
+
+    def run(self, code):
+        # -S: site-packages may import ``random`` at start-up on its own
+        src = str(Path(hwtaylor.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", code],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    def test_expand_leaves_the_check_suite_unloaded(self):
+        out = self.run(
+            "import contextlib, io, sys\n"
+            "import hwtaylor, hwtaylor.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    rc = hwtaylor.cli.main(['expand', '--spec', {str(QPOLY)!r}])\n"
+            "print(rc, 'hwtaylor.checks' in sys.modules, 'random' in sys.modules)\n"
+            "print(hwtaylor.run_suite is hwtaylor.checks.run_suite)\n"
+        )
+        assert out == "0 False False\nTrue\n"
+
+    def test_submodule_and_star_import_resolve_every_name(self):
+        out = self.run(
+            "import hwtaylor\n"
+            "print(hwtaylor.checks.run_suite is hwtaylor.run_suite)\n"
+            "from hwtaylor import *\n"
+            "print(all(globals()[n] is getattr(hwtaylor, n) for n in hwtaylor.__all__))\n"
+        )
+        assert out == "True\nTrue\n"
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            hwtaylor.no_such_name

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from hwtaylor.hurwitz import (
     HurwitzRing,
     HurwitzSeries,
+    Plan,
     TruncationError,
     plan_for,
     series_from_json,
@@ -31,7 +32,7 @@ from hwtaylor.rings import (
 )
 from hwtaylor.taylor import MorphismSpec, ev_twist, ev_untwist, twisted_hurwitz
 
-from oracles import FRACTION_OPS, fp_ops, hurwitz_product, poly_ops, tuples_upto
+from oracles import FRACTION_OPS, fp_ops, hurwitz_product, naive_plan, poly_ops, tuples_upto
 
 
 def table_of(a):
@@ -185,6 +186,20 @@ class TestProduct:
         rng = random.Random(17)
         H.mul(H.sample(rng), H.sample(rng))
         assert calls == []
+
+    @pytest.mark.parametrize(
+        "width, trunc", [(w, t) for w in (1, 2, 3) for t in range(9)] + [(3, 12)]
+    )
+    def test_plan_matches_the_naive_oracle(self, width, trunc):
+        plan = Plan(width, trunc)
+        want = naive_plan(width, trunc)
+        assert [alpha.entries for alpha in plan.indices] == want["indices"]
+        assert plan.rows == want["rows"]
+        assert plan.shifts == want["shifts"]
+        assert plan.parents == want["parents"]
+        assert plan.factorials == want["factorials"]
+        # alpha - beta runs through the box below alpha backwards
+        assert all(right == left[::-1] for left, right, _ in plan.rows)
 
 
 class TestDerivations:

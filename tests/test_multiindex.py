@@ -34,12 +34,17 @@ class TestBasics:
         assert MultiIndex.of(2, 0, 1).degree == 3
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^multi-index needs at least one slot$"):
             MultiIndex(())
-        with pytest.raises(ValueError):
-            MultiIndex((1, -1))
+        for entries in [(1.5,), ("1",), (None,), (1, -1)]:
+            message = f"multi-index entries must be nonnegative ints: {entries!r}"
+            with pytest.raises(ValueError) as exc:
+                MultiIndex(entries)
+            assert str(exc.value) == message
         with pytest.raises(ValueError):
             MultiIndex.unit(2, 2)
+        # bool is an int subclass, and always was accepted
+        assert MultiIndex((True, 0)).entries == (True, 0)
 
     @given(multiindices())
     def test_hash_and_equality_follow_the_entries(self, alpha):
@@ -76,8 +81,12 @@ class TestBinomial:
         assert MultiIndex.of(4, 4).binomial(MultiIndex.of(2, 2)) == 36
 
     def test_needs_domination(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             MultiIndex.of(1, 1).binomial(MultiIndex.of(2, 0))
+        assert str(exc.value) == "binomial needs (2, 0) componentwise <= (1, 1)"
+        with pytest.raises(ValueError) as exc:
+            MultiIndex.of(1, 2).binomial(MultiIndex.of(1))
+        assert str(exc.value) == "width mismatch: (1, 2) vs (1,)"
 
     @given(multiindices(), st.data())
     def test_against_pascal(self, alpha, data):
