@@ -193,7 +193,10 @@ def check_names() -> tuple[str, ...]:
 
 
 def _require_known(names: Sequence[str], path: str | None = None) -> None:
-    """Refuse the first unregistered name; a wire list names its ``path[i]``."""
+    """Refuse an empty selection, named by ``path`` (``checks`` in process),
+    and the first unregistered name; a wire list names its ``path[i]``."""
+    if not names:
+        raise ValueError(f"{path or 'checks'}: must name at least one check")
     for i, name in enumerate(names):
         if name not in _CHECKS:
             where = "" if path is None else f"{path}[{i}]: "

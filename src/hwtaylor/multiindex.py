@@ -183,7 +183,6 @@ def count_upto(width: int, bound: int) -> int:
     return math.comb(bound + width, width)
 
 
-@lru_cache(maxsize=None)
 def iter_dominated(alpha: MultiIndex) -> tuple[MultiIndex, ...]:
     """All beta componentwise <= alpha, in a fixed deterministic order."""
     return tuple(

@@ -19,10 +19,7 @@ yields ``sum of w * x[i] * y[j]`` for each ``(left, right, weights)`` row of
 index pairs: the generic form is one ``mul`` per pair and one ``combine``
 per row, ``Q`` sums a row's products as one integer over the lcm of their
 denominators, and the polynomial rings put a whole row's products into one
-integer table and reduce it once.  One ``dot`` call meets few distinct
-exponent pairs, so the polynomial form builds each exponent sum once, in a
-memo of its own that holds at most as many sums as its operands hold terms,
-and never more than ``_MAX_SUMS``, and is dropped when the call returns.
+integer table and reduce it once.
 
 Integers cross the wire as decimal text of at most ``MAX_DIGITS`` digits,
 Python's default conversion limit.  A longer literal is a parse error that
@@ -505,17 +502,6 @@ MAX_EXPONENT = 64
 # rows of a value table, that a wire document may hold.
 MAX_TERMS = 10000
 
-# The exponent-sum memo of a product that keeps none: ``_multiply_into``
-# writes to a memo only while it has room, so this one stays empty.
-_NO_SUMS: dict = {}
-# Most exponent sums one ``dot`` call keeps, about 100 bytes each.  The
-# calls of the benchmark workloads and of the capped problem document meet
-# at most 350 distinct exponent pairs.  Bounded by its operands' terms
-# alone, the memo of one product on a document of degree-128 coefficients
-# (``x^64`` at the caps) held 24 MB.
-_MAX_SUMS = 4096
-
-
 # Exponent sums ``ea + eb`` by number of generators: written out for one, two
 # and three, each costs a quarter to a third of ``tuple(map(_add, ea, eb))``.
 _EXPONENT_ADDERS: dict[int, Callable[[tuple[int, ...], tuple[int, ...]], tuple[int, ...]]] = {
@@ -527,11 +513,6 @@ _EXPONENT_ADDERS: dict[int, Callable[[tuple[int, ...], tuple[int, ...]], tuple[i
 
 def _add_exponents(ea: tuple[int, ...], eb: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(map(_add, ea, eb))
-
-
-def _exponent_adder(width: int) -> Callable[[tuple[int, ...], tuple[int, ...]], tuple[int, ...]]:
-    """The exponent-sum function for ``width`` generators."""
-    return _EXPONENT_ADDERS.get(width, _add_exponents)
 
 
 class PolynomialRing(Ring):
@@ -564,6 +545,7 @@ class PolynomialRing(Ring):
         self._rational = isinstance(base, RationalField)
         self._modulus = base.p if isinstance(base, PrimeField) else None
         self._unit_den = 1 if self._rational else None
+        self._exponent_sum = _EXPONENT_ADDERS.get(len(names), _add_exponents)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -664,40 +646,17 @@ class PolynomialRing(Ring):
                 table[e] = get(e, 0) + w * n
         return self._reduce(table, den)
 
-    @staticmethod
     def _multiply_into(
-        table: dict[tuple[int, ...], int],
-        a: Poly,
-        b: Poly,
-        scale: int,
-        sums: dict[tuple[int, ...], dict[tuple[int, ...], tuple[int, ...]]] = _NO_SUMS,
-        room: int = 0,
-    ) -> int:
-        """Add ``scale * a * b`` to an integer table: the one monomial-product loop.
-
-        ``sums[ea][eb]`` is the exponent sum ``ea + eb`` if an earlier product
-        built it; a sum built here is stored while ``room`` lasts, so the
-        memo holds at most ``room`` more sums.  Sums are built by the adder
-        for the exponent width of ``a``'s keys.  Returns the room left.
-        """
-        get = table.get
-        left = a.table
-        add = _exponent_adder(len(next(iter(left), ())))
+        self, table: dict[tuple[int, ...], int], a: Poly, b: Poly, scale: int
+    ) -> None:
+        """Add ``scale * a * b`` to an integer table: the one monomial-product loop."""
+        get, add = table.get, self._exponent_sum
         right = b.table.items()
-        for ea, ca in left.items():
+        for ea, ca in a.table.items():
             ca *= scale
-            known = sums.get(ea, _NO_SUMS)
-            if known is _NO_SUMS and room:
-                known = sums[ea] = {}
             for eb, cb in right:
-                key = known.get(eb)
-                if key is None:
-                    key = add(ea, eb)
-                    if room:
-                        known[eb] = key
-                        room -= 1
+                key = add(ea, eb)
                 table[key] = get(key, 0) + ca * cb
-        return room
 
     def mul(self, a: Poly, b: Poly) -> Poly:
         if not a.table or not b.table:
@@ -716,15 +675,9 @@ class PolynomialRing(Ring):
 
         Pairs with a zero operand are skipped.  Over ``Q`` the table is over
         the lcm of the products' denominators ``a.den * b.den``; over
-        ``F_p`` it holds residues times weights.  A call meets few distinct
-        exponent pairs, so it keeps the sums it builds in one memo, read by
-        every later row: at most as many sums as ``x`` and ``y`` hold terms
-        when the call starts, and at most ``_MAX_SUMS`` (past that, sums are
-        built and not stored), dropped when the call returns.
+        ``F_p`` it holds residues times weights.
         """
         multiply_into, rational = self._multiply_into, self._rational
-        sums: dict[tuple[int, ...], dict[tuple[int, ...], tuple[int, ...]]] = {}
-        room = min(_MAX_SUMS, sum(len(a.table) for a in x) + sum(len(b.table) for b in y))
         for left, right, weights in rows:
             pairs = [
                 (w, a, b)
@@ -736,11 +689,11 @@ class PolynomialRing(Ring):
                 dens = [a.den * b.den for _, a, b in pairs]
                 den = lcm(*dens)
                 for (w, a, b), d in zip(pairs, dens):
-                    room = multiply_into(table, a, b, w * (den // d), sums, room)
+                    multiply_into(table, a, b, w * (den // d))
             else:
                 den = None
                 for w, a, b in pairs:
-                    room = multiply_into(table, a, b, w, sums, room)
+                    multiply_into(table, a, b, w)
             yield self._reduce(table, den)
 
     def eq(self, a: Poly, b: Poly) -> bool:
@@ -845,7 +798,7 @@ class PolynomialRing(Ring):
             for j, g in enumerate(images)
         )
 
-        add = _exponent_adder(len(self.generators))
+        add = self._exponent_sum
 
         def derive(a: Poly) -> Poly:
             table: dict[tuple[int, ...], int] = {}

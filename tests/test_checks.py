@@ -51,6 +51,12 @@ class TestRegistry:
         with pytest.raises(UnknownCheckError, match="unknown check 'nope'"):
             CheckConfig(checks=("nope",))
 
+    def test_empty_check_list_rejected(self):
+        with pytest.raises(ValueError, match="^checks: must name at least one check$"):
+            CheckConfig(checks=())
+        with pytest.raises(ValueError, match="^config.checks: must name at least one check$"):
+            CheckConfig.from_json({"checks": []})
+
     def test_unknown_check_rejected_by_run(self):
         with pytest.raises(UnknownCheckError, match="twist-composition"):
             run_check("lemma", SMALL)

@@ -512,6 +512,13 @@ class TestCheck:
         assert out == ""
         assert "unknown check 'lemma'" in err
 
+    @pytest.mark.parametrize("names", ["", ",", ",,"])
+    def test_empty_check_list_is_refused(self, capsys, names):
+        rc = main(["check", "--checks", names])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err == "error: checks: must name at least one check\n"
+
     def test_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"
         cfg.write_text(
@@ -563,6 +570,7 @@ class TestCheck:
         for doc, message in [
             ({"instances": 0}, "error: config.instances: must be between 1 and 10000"),
             ({"checks": ["tm1", "nope"]}, "error: config.checks[1]: unknown check 'nope'; known: "),
+            ({"checks": []}, "error: config.checks: must name at least one check\n"),
         ]:
             cfg.write_text(json.dumps(doc))
             rc = main(["check", "--config", str(cfg), "--instances", "1", "--checks", "tm1"])

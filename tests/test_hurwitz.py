@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import math
 import random
@@ -200,6 +201,18 @@ class TestProduct:
         assert plan.factorials == want["factorials"]
         # alpha - beta runs through the box below alpha backwards
         assert all(right == left[::-1] for left, right, _ in plan.rows)
+
+    def test_a_plan_keeps_no_betas(self):
+        """Building a plan leaves at most its own indices alive: the betas it
+        walks to read the weights are garbage once it is built."""
+
+        def live() -> int:
+            gc.collect()
+            return sum(isinstance(o, MultiIndex) for o in gc.get_objects())
+
+        before = live()
+        plan = Plan(3, 9)
+        assert live() - before <= count_upto(3, 9) == len(plan.indices)
 
 
 class TestDerivations:

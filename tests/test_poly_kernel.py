@@ -5,14 +5,13 @@ denominator, over ``F_p`` residues; both are compared here, operation by
 operation, with ``tests/oracles.py`` on seeded inputs that mix denominators
 and cancel terms.  ``combine`` (weighted sums, reduced once), ``dot`` (rows
 of weighted products, reduced once) and products with a zero, constant or
-one-term operand are compared the same way.  ``dot`` keeps the exponent sums
-it builds in a memo bounded by its operands' terms and by a fixed cap: it is
-compared here past both bounds, and the memo against them, the cap also at
-its production value on ``tests/data/power_past_memo.json``.  One derivation
-is compared on many polynomials in turn, so state it carried from one to the
-next would show.  Exponent sums are built by a function chosen by the number
-of generators, so products, ``dot`` and derivations are also compared at one
-to four generators.
+one-term operand are compared the same way, ``dot`` also on operands that
+meet more distinct exponent pairs than they hold terms.  The output bytes of
+``tests/data/power_past_memo.json``, whose products have many terms, are
+pinned.  One derivation is compared on many polynomials in turn, so state it
+carried from one to the next would show.  Exponent sums are built by a
+function chosen by the number of generators, so products, ``dot`` and
+derivations are also compared at one to four generators.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from pathlib import Path
 
 import pytest
 
-from hwtaylor import rings
 from hwtaylor.cli import main
 from hwtaylor.rings import QQ, PolynomialRing, PrimeField, Ring
 from oracles import (
@@ -331,27 +329,9 @@ def spread(rng, field, terms):
     return table
 
 
-def memo_spy(monkeypatch):
-    """Record, after every monomial-product loop that gets a memo, the memo and
-    the number of sums it holds."""
-    seen = []
-    loop = PolynomialRing._multiply_into
-
-    def spy(*args):
-        room = loop(*args)
-        if len(args) > 4:
-            sums = args[4]
-            seen.append((sums, sum(map(len, sums.values()))))
-        return room
-
-    monkeypatch.setattr(PolynomialRing, "_multiply_into", staticmethod(spy))
-    return seen
-
-
 @pytest.mark.parametrize("field, ops, inverse", FIELDS)
-def test_dot_past_its_memo_bound_matches_the_oracle(field, ops, inverse, monkeypatch):
-    """More distinct exponent pairs than operand terms: some sums are not kept."""
-    seen = memo_spy(monkeypatch)
+def test_dot_past_its_memo_bound_matches_the_oracle(field, ops, inverse):
+    """More distinct exponent pairs than operand terms, each row twice."""
     R = PolynomialRing(field, GENERATORS)
     rng = random.Random(1813)
     for trial in range(TRIALS // 4):
@@ -360,99 +340,27 @@ def test_dot_past_its_memo_bound_matches_the_oracle(field, ops, inverse, monkeyp
         terms = sum(map(len, x + y))
         pairs = {(ea, eb) for a in x for ea in a for b in y for eb in b}
         assert len(pairs) > terms
-        # every pair of positions, each row twice, so rows reread the memo
+        # every pair of positions, each row twice
         rows = [((0, 1), (1, 0), (1, 2)), ((0, 1, 0, 1), (0, 0, 1, 1), (3, 1, 1, 5))] * 2
         got = list(R.dot([build(R, t) for t in x], [build(R, t) for t in y], rows))
         for k, (left, right, weights) in enumerate(rows):
             products = [poly_mul(x[i], y[j], ops) for i, j in zip(left, right)]
             assert as_table(got[k]) == poly_combine(weights, products, 2, ops), (trial, k)
             assert_normal(R, got[k])
-        # the memo filled up to the operands' terms and no further
-        assert seen[-1][1] == terms, trial
-
-
-@pytest.mark.parametrize("field, ops, inverse", FIELDS)
-def test_dot_memo_stops_at_its_fixed_cap(field, ops, inverse, monkeypatch):
-    """Operands with more terms than ``_MAX_SUMS``: the memo stops at the cap."""
-    monkeypatch.setattr(rings, "_MAX_SUMS", 10)
-    seen = memo_spy(monkeypatch)
-    R = PolynomialRing(field, GENERATORS)
-    rng = random.Random(1815)
-    for trial in range(TRIALS // 4):
-        x = [spread(rng, field, 6) for _ in range(2)]
-        y = [spread(rng, field, 6) for _ in range(2)]
-        rows = [((0, 1), (1, 0), (1, 2)), ((0, 1, 0, 1), (0, 0, 1, 1), (3, 1, 1, 5))] * 2
-        got = list(R.dot([build(R, t) for t in x], [build(R, t) for t in y], rows))
-        for k, (left, right, weights) in enumerate(rows):
-            products = [poly_mul(x[i], y[j], ops) for i, j in zip(left, right)]
-            assert as_table(got[k]) == poly_combine(weights, products, 2, ops), (trial, k)
-        assert max(count for _, count in seen) == 10, trial
 
 
 POWER_PAST_MEMO = Path(__file__).parent / "data" / "power_past_memo.json"
 
 
-def test_dot_memo_stops_at_its_production_cap(monkeypatch, capsys):
-    """``x^24`` on the capped document's value table, at trunc 4: one series
-    product has more operand terms than ``_MAX_SUMS`` and keeps that many sums.
-    The output bytes are pinned."""
-    seen = memo_spy(monkeypatch)
-    calls = []  # (operand terms, sums held at the end) of each call
-    dot = PolynomialRing.dot
-
-    def spy(self, x, y, rows):
-        start = len(seen)
-        yield from dot(self, x, y, rows)
-        held = seen[-1][1] if len(seen) > start else 0
-        calls.append((sum(len(p.table) for p in (*x, *y)), held))
-
-    monkeypatch.setattr(PolynomialRing, "dot", spy)
+def test_power_past_memo_document_is_pinned(capsys):
+    """``x^24`` on the capped document's value table, at trunc 4: the output
+    bytes are pinned."""
     assert main(["expand", "--spec", str(POWER_PAST_MEMO)]) == 0
     out, err = capsys.readouterr()
     assert err == "" and len(out) == 323_088
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "2dda16daa9525f2c74657bc12b265b691f01bcb4b3eff5b0131c752b48e26017"
     )
-    assert rings._MAX_SUMS == 4096
-    assert all(held <= min(terms, rings._MAX_SUMS) for terms, held in calls)
-    assert [held for terms, held in calls if terms > rings._MAX_SUMS] == [rings._MAX_SUMS]
-
-
-@pytest.mark.parametrize("field, ops, inverse", FIELDS)
-def test_dot_memo_never_outgrows_its_operands(field, ops, inverse, monkeypatch):
-    """Each call has its own memo, holding at most as many sums as its operands' terms."""
-    seen = memo_spy(monkeypatch)
-    R = PolynomialRing(field, GENERATORS)
-    rng = random.Random(1814)
-    memos = []  # (memo, sums it held) of each call, kept alive so no id is reused
-    for trial in range(TRIALS):
-        x, y = (
-            [
-                rng.choice(({}, one_term(rng, field), random_table(rng, field, terms=6)))
-                for _ in range(4)
-            ]
-            for _ in range(2)
-        )
-        X, Y = [build(R, t) for t in x], [build(R, t) for t in y]
-        terms = sum(len(p.table) for p in X + Y)
-        rows = []
-        for _ in range(6):
-            n = rng.randint(1, 6)
-            pick = [rng.randrange(4) for _ in range(2 * n)]
-            rows.append((pick[:n], pick[n:], repeat(1)))
-        del seen[:]
-        list(R.dot(X, Y, rows))
-        assert all(count <= terms for _, count in seen), trial
-        # one memo per call, which no other call reads or grows
-        assert len({id(sums) for sums, _ in seen}) <= 1, trial
-        assert all(sums is not old for sums, _ in seen for old, _ in memos), trial
-        assert all(sum(map(len, old.values())) == count for old, count in memos), trial
-        memos += seen[-1:]
-        # a plain product keeps no memo
-        del seen[:]
-        R.mul(X[0], Y[0])
-        assert not seen and not rings._NO_SUMS
-    assert len(memos) > TRIALS // 2
 
 
 # Exponent sums are written out for one, two and three generators; four and
@@ -486,26 +394,18 @@ def test_mul_and_derivation_match_the_oracle_at_each_width(field, ops, inverse, 
         assert_normal(R, got)
 
 
-@pytest.mark.parametrize("cap", [None, 3])
 @pytest.mark.parametrize("width", WIDTHS)
 @pytest.mark.parametrize("field, ops, inverse", FIELDS)
-def test_dot_matches_the_oracle_at_each_width(field, ops, inverse, width, cap, monkeypatch):
-    """Each row twice, so later rows read sums from the memo; with the cap
-    patched to 3 most sums are built past it and not kept."""
-    if cap is not None:
-        monkeypatch.setattr(rings, "_MAX_SUMS", cap)
-    seen = memo_spy(monkeypatch)
+def test_dot_matches_the_oracle_at_each_width(field, ops, inverse, width):
+    """Each row twice, at one to four generators."""
     R = PolynomialRing(field, [f"u{k}" for k in range(width)])
     rng = random.Random(2310 + width)
     rows = [((0, 1), (1, 0), (1, 2)), ((0, 1, 0, 1), (0, 0, 1, 1), (3, 1, 1, 5))] * 2
     for trial in range(TRIALS // 4):
         x = [wide_table(rng, field, width) for _ in range(2)]
         y = [wide_table(rng, field, width) for _ in range(2)]
-        del seen[:]
         got = list(R.dot([build(R, t) for t in x], [build(R, t) for t in y], rows))
         for k, (left, right, weights) in enumerate(rows):
             products = [poly_mul(x[i], y[j], ops) for i, j in zip(left, right)]
             assert as_table(got[k]) == poly_combine(weights, products, width, ops), (trial, k)
             assert_normal(R, got[k])
-        held = seen[-1][1]
-        assert 0 < held <= min(sum(map(len, x + y)), rings._MAX_SUMS), trial
