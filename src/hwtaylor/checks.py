@@ -25,7 +25,6 @@ the homomorphism laws of all four constructors.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, replace
 from functools import reduce
@@ -42,6 +41,7 @@ from .rings import (
     PolynomialRing,
     PrimeField,
     Ring,
+    _canonical_json,
     _expect_int,
     _expect_object,
     _reject_unknown,
@@ -263,10 +263,7 @@ def run_suite(config: CheckConfig) -> list[CheckReport]:
 
 def reports_to_jsonl(reports: Sequence[CheckReport]) -> str:
     """One canonical JSON object per line; same reports, same bytes."""
-    return "".join(
-        json.dumps(r.to_json(), sort_keys=True, separators=(",", ":")) + "\n"
-        for r in reports
-    )
+    return "".join(_canonical_json(r.to_json()) + "\n" for r in reports)
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ from .rings import (
     PolynomialRing,
     PrimeField,
     Ring,
+    _canonical_json,
     _echo,
     _expect_element,
     _expect_int,
@@ -61,18 +62,15 @@ if TYPE_CHECKING:
 _CONSTRUCTORS = {name: fn for name, fn, *_ in CONSTRUCTIONS}
 
 
-def _canonical(doc: Any) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
 # ---------------------------------------------------------------------------
 # problem documents
 
 
-def _parse_family(ring: Ring, rows: Any, width: int, path: str) -> DifferentialRing:
-    """The coefficient carrier with its derivation family."""
-    if rows is None:
+def _parse_family(ring: Ring, ring_doc: dict, width: int, path: str) -> DifferentialRing:
+    """The carrier with its derivation family; ``derivations`` is read whenever present."""
+    if "derivations" not in ring_doc:
         return constant_structure(ring, width)
+    rows = ring_doc["derivations"]
     if not isinstance(ring, PolynomialRing):
         raise ValueError(f"{path}: only polynomial rings carry derivation tables")
     if not isinstance(rows, list) or len(rows) != width:
@@ -106,11 +104,10 @@ def load_problem(
         trunc = _expect_int(trunc_override, "trunc-override", 0, MAX_TRUNC)
 
     ring_doc = _expect_object(_field(doc, "ring", "problem"), "problem.ring")
-    rows = ring_doc.get("derivations")
     ring = ring_from_json(
         {k: v for k, v in ring_doc.items() if k != "derivations"}, "problem.ring"
     )
-    K = _parse_family(ring, rows, width, "problem.ring.derivations")
+    K = _parse_family(ring, ring_doc, width, "problem.ring.derivations")
 
     name = _expect_string(_field(doc, "morphism", "problem"), "problem.morphism")
     if name not in _CONSTRUCTORS:
@@ -217,7 +214,7 @@ def _write_output(text: str, out: str | None) -> int:
 def cmd_expand(args: argparse.Namespace) -> int:
     try:
         series = load_problem(_read_json(args.spec), trunc_override=args.trunc_override)()
-        text = _canonical(series_to_json(series)) + "\n"
+        text = _canonical_json(series_to_json(series)) + "\n"
     except DomainError as exc:
         print(f"error: out of domain: {exc}", file=sys.stderr)
         return 3
@@ -376,8 +373,8 @@ _EXAMPLES: tuple[tuple[str, Callable, dict], ...] = (
 def cmd_selftest(args: argparse.Namespace) -> int:
     all_ok = True
     for name, build, expected in _EXAMPLES:
-        got = _canonical(series_to_json(build()))
-        want = _canonical(expected)
+        got = _canonical_json(series_to_json(build()))
+        want = _canonical_json(expected)
         if got == want:
             line: dict = {"example": name, "status": "pass"}
         else:
@@ -388,7 +385,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
                 "expected": expected,
                 "actual": json.loads(got),
             }
-        sys.stdout.write(_canonical(line) + "\n")
+        sys.stdout.write(_canonical_json(line) + "\n")
     return 0 if all_ok else 1
 
 

@@ -8,15 +8,17 @@ the result is again a differential ring of the same width.
 
 Inside the ring a symbol is one int, its id: ``grlex_rank(order)`` times the
 number of indeterminates, plus the variable slot.  Ids sort like
-``(grlex_key(order), var)``, so a monomial is its sorted ``(id, power)``
-pairs and terms sort by total degree, then by monomial, in plain tuple
-order.  ``SymbolCodec`` turns ids into symbols and back; it depends on the
-width and the number of indeterminates only, so equal rings read each
-other's elements.  Each ring keeps a shift table per derivation slot, from
-an id to the id one order step up, which is all that ``derive`` and Taylor
-mode need of orders.  The public symbol stays ``(var, MultiIndex)``: it is
-what ``symbol``, the callback of ``substitution``, value tables,
-``DiffPolynomial.terms``, ``render`` and the JSON forms take and give.
+``(grlex_rank(order), var)``: by degree, then with larger leading entries
+first, then by variable.  So a monomial is its sorted ``(id, power)`` pairs
+and terms sort by total degree, then by monomial, in plain tuple order; only
+``_make`` merges like terms.  ``SymbolCodec`` turns ids into symbols and
+back; it depends on the width and the number of indeterminates only, so
+equal rings read each other's elements.  Each ring keeps a shift table per
+derivation slot, from an id to the id one order step up, which is all that
+``derive`` and Taylor mode need of orders.  The public symbol stays
+``(var, MultiIndex)``: it is what ``symbol``, the callback of
+``substitution``, value tables, ``DiffPolynomial.terms``, ``render`` and
+the JSON forms take and give.
 
 The carrier is free on its symbols, so a ring map out of it is fixed by
 where coefficients and symbols go: ``substitution`` is that map, the one
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import starmap
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .multiindex import MultiIndex, grlex_rank, grlex_unrank
 from .rings import (
@@ -161,9 +163,17 @@ class DiffPolyRing(Ring):
     def width(self) -> int:
         return self.base.width
 
-    def _make(self, table: Mapping[Monomial, Element]) -> DiffPolynomial:
+    def _make(self, terms: Iterable[tuple[Monomial, Element]]) -> DiffPolynomial:
+        """The sum of ``(monomial, coefficient)`` terms: one ``K.sum`` per monomial."""
         K = self.base.ring
-        items = [(m, c) for m, c in table.items() if not K.is_zero(c)]
+        groups: dict[Monomial, list[Element]] = {}
+        for m, c in terms:
+            groups.setdefault(m, []).append(c)
+        items = []
+        for m, cs in groups.items():
+            c = cs[0] if len(cs) == 1 else K.sum(cs)
+            if not K.is_zero(c):
+                items.append((m, c))
         items.sort(key=_term_key)
         return DiffPolynomial(tuple(items), self._codec)
 
@@ -195,9 +205,7 @@ class DiffPolyRing(Ring):
         return self.symbol(var, MultiIndex.zero(self.width))
 
     def constant(self, c: Element) -> DiffPolynomial:
-        if self.base.ring.is_zero(c):
-            return self.zero()
-        return DiffPolynomial((((), c),), self._codec)
+        return self._make((((), c),))
 
     def zero(self) -> DiffPolynomial:
         return DiffPolynomial((), self._codec)
@@ -206,11 +214,7 @@ class DiffPolyRing(Ring):
         return self.constant(self._one)
 
     def add(self, a: DiffPolynomial, b: DiffPolynomial) -> DiffPolynomial:
-        K = self.base.ring
-        table: dict[Monomial, Element] = dict(a.id_terms)
-        for mon, c in b.id_terms:
-            table[mon] = K.add(table[mon], c) if mon in table else c
-        return self._make(table)
+        return self._make(a.id_terms + b.id_terms)
 
     def neg(self, a: DiffPolynomial) -> DiffPolynomial:
         K = self.base.ring
@@ -218,16 +222,14 @@ class DiffPolyRing(Ring):
 
     def mul(self, a: DiffPolynomial, b: DiffPolynomial) -> DiffPolynomial:
         K = self.base.ring
-        table: dict[Monomial, Element] = {}
+        terms = []
         for ma, ca in a.id_terms:
             for mb, cb in b.id_terms:
                 counts = dict(ma)
                 for i, p in mb:
                     counts[i] = counts.get(i, 0) + p
-                key = _normalize_monomial(counts)
-                prod = K.mul(ca, cb)
-                table[key] = K.add(table[key], prod) if key in table else prod
-        return self._make(table)
+                terms.append((_normalize_monomial(counts), K.mul(ca, cb)))
+        return self._make(terms)
 
     def eq(self, a: DiffPolynomial, b: DiffPolynomial) -> bool:
         return a == b
@@ -246,20 +248,19 @@ class DiffPolyRing(Ring):
         if not 0 <= slot < self.width:
             raise ValueError(f"slot {slot} out of range for width {self.width}")
         K = self.base.ring
-        table: dict[Monomial, Element] = {}
+        terms = []
         for mon, c in a.id_terms:
             dc = self.base.derive(c, slot)
             if not K.is_zero(dc):
-                table[mon] = K.add(table[mon], dc) if mon in table else dc
+                terms.append((mon, dc))
             for i, power in mon:
                 shifted = self._shift(i, slot)
                 counts = dict(mon)
                 counts[i] -= 1
                 counts[shifted] = counts.get(shifted, 0) + 1
-                key = _normalize_monomial(counts)
                 term = K.mul(c, K.embed_int(power)) if power > 1 else c
-                table[key] = K.add(table[key], term) if key in table else term
-        return self._make(table)
+                terms.append((_normalize_monomial(counts), term))
+        return self._make(terms)
 
     def differential_ring(self) -> DifferentialRing:
         """The ring with its slot derivations; the same object on every call."""
@@ -400,19 +401,18 @@ class DiffPolyRing(Ring):
         count = len(self.variables)
         # the zero order and the units have graded-lex ranks 0, 1, ..., width
         ranks = range(self.width + 1)
-        table: dict[Monomial, Element] = {}
+        terms = []
         for _ in range(rng.randint(1, 3)):
             counts: dict[int, int] = {}
             for _ in range(rng.randint(0, 2)):
                 var = rng.randrange(count)
                 i = rng.choice(ranks) * count + var
                 counts[i] = counts.get(i, 0) + 1
-            mon = _normalize_monomial(counts)
             c = K.sample(rng, degree)
             if K.is_zero(c):
                 c = K.one()
-            table[mon] = K.add(table[mon], c) if mon in table else c
-        return self._make(table)
+            terms.append((_normalize_monomial(counts), c))
+        return self._make(terms)
 
     def values_to_json(self, values: Mapping[Symbol, Element]) -> list:
         """A value table as sorted ``[variable, order, value]`` rows."""
@@ -464,7 +464,7 @@ class DiffPolyRing(Ring):
         if len(doc) > MAX_TERMS:
             raise ValueError(f"{path}: more than {MAX_TERMS} terms")
         K = self.base.ring
-        table: dict[Monomial, Element] = {}
+        terms = []
         for pos, item in enumerate(doc):
             where = f"{path}[{pos}]"
             _expect_object(item, where)
@@ -493,6 +493,5 @@ class DiffPolyRing(Ring):
                 if i in counts:
                     raise ValueError(f"{spath}: duplicate symbol in monomial")
                 counts[i] = power
-            mon = _normalize_monomial(counts)
-            table[mon] = K.add(table[mon], c) if mon in table else c
-        return self._make(table)
+            terms.append((_normalize_monomial(counts), c))
+        return self._make(terms)

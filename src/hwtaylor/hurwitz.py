@@ -48,6 +48,7 @@ from .rings import (
     NotUnitError,
     Ring,
     RingError,
+    _canonical_json,
     _expect_element,
     _expect_int,
     _expect_object,
@@ -445,7 +446,7 @@ class HurwitzRing(Ring):
         return DifferentialRing(self, tuple(make(i) for i in range(self.width)))
 
     def render(self, a: HurwitzSeries) -> str:
-        return json.dumps(series_to_json(a), sort_keys=True, separators=(",", ":"))
+        return _canonical_json(series_to_json(a))
 
     def parse(self, text: str) -> HurwitzSeries:
         a = series_from_json(json.loads(text))

@@ -113,24 +113,18 @@ class MultiIndex:
         return f"MultiIndex{self.entries!r}"
 
 
-def grlex_key(alpha: MultiIndex) -> tuple[int, tuple[int, ...]]:
-    """Sort key for graded-lex order: by total degree, then earlier slots first.
-
-    Within a grade the order puts weight on the leading slots, so for width 2
-    the grade-1 indices come as (1,0) then (0,1).
-    """
-    return (alpha.degree, tuple(-e for e in alpha.entries))
-
-
 def grlex_rank(entries: Sequence[int]) -> int:
     """Position of the index with these entries in graded-lex order, in O(width).
 
-    It is the index's position in ``enumerate_upto`` for every bound at least
-    its degree d.  Before it come the binom(d - 1 + w, w) indices of lower
-    degree, then, for each slot i but the last, the indices of degree d that
-    agree with it before slot i and are larger at i.  Their entries after i
-    sum to less than s, the sum of its own entries after i, so there are
-    binom(s - 1 + k, k) of them for the k = w - 1 - i slots after i.
+    Graded-lex order sorts indices by total degree, and within a degree by
+    their entries in descending lexicographic order, so the leading slots
+    weigh most: for width 2 the grade-1 indices come as (1,0) then (0,1).
+    For an index of degree d, before it come the binom(d - 1 + w, w)
+    indices of lower degree, then, for each slot i but the last, the
+    indices of degree d that agree with it before slot i and are larger at
+    i.  Their entries after i sum to less than s, the sum of its own entries
+    after i, so there are binom(s - 1 + k, k) of them for the k = w - 1 - i
+    slots after i.
     """
     width = len(entries)
     suffix = sum(entries)
@@ -169,13 +163,12 @@ def grlex_unrank(width: int, rank: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def enumerate_upto(width: int, bound: int) -> tuple[MultiIndex, ...]:
-    """All indices of total degree <= bound in graded-lex order."""
+    """All indices of total degree <= bound in graded-lex order, by unranking."""
     if width < 1:
         raise ValueError("width must be at least 1")
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    box = (MultiIndex(e) for e in product(range(bound + 1), repeat=width) if sum(e) <= bound)
-    return tuple(sorted(box, key=grlex_key))
+    return tuple(MultiIndex(grlex_unrank(width, r)) for r in range(count_upto(width, bound)))
 
 
 def count_upto(width: int, bound: int) -> int:

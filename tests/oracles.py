@@ -54,6 +54,13 @@ def tuple_sub(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     return tuple(x - y for x, y in zip(a, b))
 
 
+def grlex_key(alpha: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+    """Sort key for graded-lex order: by total degree, then lexicographically
+    descending, so the leading slots weigh most."""
+    entries = tuple(alpha)
+    return (sum(entries), tuple(-e for e in entries))
+
+
 def grlex_tuples(width: int, bound: int) -> list[tuple[int, ...]]:
     """``tuples_upto`` in graded-lex order: lexicographically descending, then
     stably sorted by degree."""
@@ -225,7 +232,7 @@ def twisted_divided_coeff(
 # residue, per ``ops``), zero coefficients dropped.
 
 
-def _nonzero(table: Mapping[tuple[int, ...], Any], ops: Ops) -> dict[tuple[int, ...], Any]:
+def _nonzero(table: Mapping[tuple, Any], ops: Ops) -> dict[tuple, Any]:
     return {e: c for e, c in table.items() if c != ops.zero}
 
 
@@ -300,6 +307,65 @@ def poly_ops(base: Ops, width: int) -> Ops:
         neg=lambda a: poly_neg(a, base),
         embed=lambda n: _nonzero({(0,) * width: base.embed(n)}, base),
     )
+
+
+# Differential polynomials as plain dicts from monomials to coefficients (per
+# ``ops``), zero coefficients dropped.  A monomial is the sorted tuple of its
+# ``((var, order), power)`` factors, with ``order`` a tuple and every power
+# positive.
+
+
+def _monomial(factors: Mapping[tuple[int, tuple[int, ...]], int]) -> tuple:
+    return tuple(sorted((s, p) for s, p in factors.items() if p))
+
+
+def diffpoly_from_terms(terms: Sequence[tuple[Sequence, Any]], ops: Ops) -> dict:
+    """The sum of ``([var, order, power] factors, coefficient)`` terms, added in turn."""
+    out: dict = {}
+    for factors, c in terms:
+        key = _monomial({(var, tuple(order)): power for var, order, power in factors})
+        out[key] = ops.add(out.get(key, ops.zero), c)
+    return _nonzero(out, ops)
+
+
+def diffpoly_add(a: Mapping, b: Mapping, ops: Ops) -> dict:
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = ops.add(out.get(m, ops.zero), c)
+    return _nonzero(out, ops)
+
+
+def diffpoly_mul(a: Mapping, b: Mapping, ops: Ops) -> dict:
+    out: dict = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            factors = dict(ma)
+            for s, p in mb:
+                factors[s] = factors.get(s, 0) + p
+            key = _monomial(factors)
+            out[key] = ops.add(out.get(key, ops.zero), ops.mul(ca, cb))
+    return _nonzero(out, ops)
+
+
+def diffpoly_derive(
+    a: Mapping, slot: int, derive_coefficient: Callable[[Any], Any], ops: Ops
+) -> dict:
+    """Leibniz: ``c' m`` plus, for each factor ``s^p``, ``p c s^(p-1) s' (rest)``,
+    where ``s'`` is ``s`` with its order one higher in ``slot``."""
+    out: dict = {}
+
+    def put(key: tuple, c: Any) -> None:
+        out[key] = ops.add(out.get(key, ops.zero), c)
+
+    for m, c in a.items():
+        put(m, derive_coefficient(c))
+        for (var, order), p in m:
+            factors = dict(m)
+            factors[(var, order)] -= 1
+            up = (var, tuple(e + 1 if i == slot else e for i, e in enumerate(order)))
+            factors[up] = factors.get(up, 0) + 1
+            put(_monomial(factors), ops.mul(ops.embed(p), c))
+    return _nonzero(out, ops)
 
 
 def diffpoly_json_canonical(terms: Sequence[Mapping]) -> list[dict]:

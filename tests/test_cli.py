@@ -189,6 +189,11 @@ class TestExpand:
                 "problem.element[0].monomial[0][2] power: expected an integer",
             ),
             (lambda d: d.__setitem__("m", True), "problem.m: expected an integer"),
+            # a present field is read, even when it is null
+            (
+                lambda d: d["ring"].__setitem__("derivations", None),
+                "error: problem.ring.derivations: expected a list of m objects",
+            ),
             (
                 non_commuting_family,
                 "error: problem.ring.derivations: derivations 0 and 1 do not commute"

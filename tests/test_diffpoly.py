@@ -12,7 +12,6 @@ from hwtaylor.diffpoly import DiffPolyRing, SymbolCodec, UncoveredSymbolError
 from hwtaylor.multiindex import (
     MultiIndex,
     enumerate_upto,
-    grlex_key,
     grlex_rank,
     grlex_unrank,
 )
@@ -26,7 +25,20 @@ from hwtaylor.rings import (
     differential_polynomial_carrier,
 )
 
-from oracles import diffpoly_json_canonical, tuples_upto
+from oracles import (
+    FRACTION_OPS,
+    diffpoly_add,
+    diffpoly_derive,
+    diffpoly_from_terms,
+    diffpoly_json_canonical,
+    diffpoly_mul,
+    fp_ops,
+    grlex_key,
+    grlex_tuples,
+    poly_derive,
+    poly_ops,
+    tuples_upto,
+)
 
 
 @pytest.fixture
@@ -112,9 +124,9 @@ class TestSymbolIds:
 
     def test_rank_is_the_enumeration_position(self):
         for width in (1, 2, 3):
-            for rank, alpha in enumerate(enumerate_upto(width, 9)):
-                assert grlex_rank(alpha.entries) == rank
-                assert grlex_unrank(width, rank) == alpha.entries
+            for rank, entries in enumerate(grlex_tuples(width, 9)):
+                assert grlex_rank(entries) == rank
+                assert grlex_unrank(width, rank) == entries
 
     def test_high_orders_rank_in_graded_lex_order(self):
         rng = random.Random(27)
@@ -371,3 +383,113 @@ def value_table(draw):
 def test_values_json_roundtrip_hypothesis(data):
     A, table = data
     assert A.values_from_json(A.values_to_json(table)) == table
+
+
+# u' = u^2 + 1 in slot 0 and twice that in slot 1: one derivation and a
+# multiple of it, so the family commutes
+MERGE_IMAGES = ({(2,): 1, (0,): 1}, {(2,): 2, (0,): 2})
+MERGE_FIELDS = {
+    "Q": (QQ, FRACTION_OPS, lambda rng: Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3)))),
+    "F3": (PrimeField(3), fp_ops(3), lambda rng: rng.randrange(3)),
+}
+
+
+def coeff_text(c: dict) -> str:
+    """The element string of a dict polynomial in ``u``."""
+    if not c:
+        return "0"
+    return " + ".join(f"{v}*u^{e}" for (e,), v in c.items()).replace("+ -", "- ")
+
+
+class TestTermMerging:
+    """``add``, ``mul``, ``derive`` and ``element_from_json`` merge like terms as
+    the dict-of-monomials oracle does, over ``Q[u]`` and ``F_3[u]``, when terms
+    repeat and when they cancel."""
+
+    @pytest.fixture(params=list(MERGE_FIELDS))
+    def setup(self, request):
+        field, base, coeff = MERGE_FIELDS[request.param]
+        images = [{e: base.embed(n) for e, n in image.items()} for image in MERGE_IMAGES]
+        K = differential_polynomial_carrier(field, ["u"], [[coeff_text(g)] for g in images])
+        derivations = [lambda c, g=g: poly_derive(c, [g], base) for g in images]
+        return DiffPolyRing(K, ["x", "y"]), poly_ops(base, 1), coeff, derivations
+
+    @staticmethod
+    def random_terms(rng, coeff, count):
+        """``(factors, coefficient)`` terms over a pool of three monomials, so
+        monomials repeat; factor order is shuffled and coefficients may be zero."""
+        symbols = [(v, (a, b)) for v in range(2) for a in range(2) for b in range(2)]
+        pool = [
+            [[v, list(o), rng.randint(1, 2)] for v, o in rng.sample(symbols, rng.randint(0, 2))]
+            for _ in range(3)
+        ]
+        terms = []
+        for _ in range(count):
+            factors = rng.choice(pool)
+            c = {(e,): coeff(rng) for e in rng.sample(range(3), rng.randint(1, 2))}
+            terms.append((rng.sample(factors, len(factors)), {e: v for e, v in c.items() if v}))
+        return terms
+
+    @staticmethod
+    def element(A, terms):
+        doc = [{"coeff": coeff_text(c), "monomial": factors} for factors, c in terms]
+        return A.element_from_json(doc)
+
+    @staticmethod
+    def as_dict(e) -> dict:
+        return {
+            tuple(sorted(((var, order.entries), p) for (var, order), p in mon)): dict(c.terms)
+            for mon, c in e.terms
+        }
+
+    def test_element_from_json_sums_repeated_monomials(self, setup):
+        A, ops, coeff, _ = setup
+        rng = random.Random(41)
+        merged = 0
+        for trial in range(100):
+            terms = self.random_terms(rng, coeff, rng.randint(1, 6))
+            want = diffpoly_from_terms(terms, ops)
+            merged += len(want) < len(terms)
+            assert self.as_dict(self.element(A, terms)) == want, trial
+        assert merged > 50
+        # one monomial three times, its factors in two orders, summing to zero
+        m = [[0, [1, 0], 2], [1, [0, 1], 1]]
+        doc = [
+            {"coeff": "u", "monomial": m},
+            {"coeff": "2*u", "monomial": m[::-1]},
+            {"coeff": "-3*u", "monomial": m},
+        ]
+        assert A.element_from_json(doc) == A.zero()
+
+    def test_add_mul_derive_match_the_oracle(self, setup):
+        A, ops, coeff, derivations = setup
+        rng = random.Random(42)
+        for trial in range(60):
+            ta, tb = (self.random_terms(rng, coeff, rng.randint(1, 5)) for _ in "ab")
+            a, b = self.element(A, ta), self.element(A, tb)
+            da, db = diffpoly_from_terms(ta, ops), diffpoly_from_terms(tb, ops)
+            assert self.as_dict(A.add(a, b)) == diffpoly_add(da, db, ops), trial
+            assert self.as_dict(A.mul(a, b)) == diffpoly_mul(da, db, ops), trial
+            for slot, derive in enumerate(derivations):
+                want = diffpoly_derive(da, slot, derive, ops)
+                assert self.as_dict(A.derive(a, slot)) == want, (trial, slot)
+            assert A.add(a, A.neg(a)) == A.zero(), trial
+
+    def test_cross_terms_cancel(self, setup):
+        """``(p + q)(p - q) = p^2 - q^2`` for one-term ``p`` and ``q``."""
+        A, ops, coeff, _ = setup
+        rng = random.Random(43)
+        ran = 0
+        for trial in range(100):
+            p, q = self.random_terms(rng, coeff, 2)
+            factors = [sorted((v, tuple(o), k) for v, o, k in t[0]) for t in (p, q)]
+            if not p[1] or not q[1] or factors[0] == factors[1]:
+                continue
+            minus_q = (q[0], ops.neg(q[1]))
+            want = diffpoly_mul(
+                diffpoly_from_terms([p, q], ops), diffpoly_from_terms([p, minus_q], ops), ops
+            )
+            got = A.mul(self.element(A, [p, q]), self.element(A, [p, minus_q]))
+            assert self.as_dict(got) == want and len(want) == 2, trial
+            ran += 1
+        assert ran > 20

@@ -10,11 +10,10 @@ from hwtaylor.multiindex import (
     MultiIndex,
     count_upto,
     enumerate_upto,
-    grlex_key,
     iter_dominated,
 )
 
-from oracles import pascal_binomial, tuple_binomial, tuples_upto
+from oracles import grlex_key, pascal_binomial, tuple_binomial, tuples_upto
 
 
 indices = st.integers(min_value=0, max_value=6)

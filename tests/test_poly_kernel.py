@@ -7,11 +7,12 @@ and cancel terms.  ``combine`` (weighted sums, reduced once), ``dot`` (rows
 of weighted products, reduced once) and products with a zero, constant or
 one-term operand are compared the same way, ``dot`` also on operands that
 meet more distinct exponent pairs than they hold terms.  The output bytes of
-``tests/data/power_past_memo.json``, whose products have many terms, are
-pinned.  One derivation is compared on many polynomials in turn, so state it
-carried from one to the next would show.  Exponent sums are built by a
-function chosen by the number of generators, so products, ``dot`` and
-derivations are also compared at one to four generators.
+``tests/data/capped_values_x24.json`` (``x^24`` on the capped document's
+value table), whose products have many terms, are pinned.  One derivation
+is compared on many polynomials in turn, so state it carried from one to
+the next would show.  Exponent sums are built by a function chosen by the
+number of generators, so products, ``dot`` and derivations are also
+compared at one to four generators.
 """
 
 from __future__ import annotations
@@ -330,7 +331,7 @@ def spread(rng, field, terms):
 
 
 @pytest.mark.parametrize("field, ops, inverse", FIELDS)
-def test_dot_past_its_memo_bound_matches_the_oracle(field, ops, inverse):
+def test_dot_with_more_exponent_pairs_than_terms_matches_the_oracle(field, ops, inverse):
     """More distinct exponent pairs than operand terms, each row twice."""
     R = PolynomialRing(field, GENERATORS)
     rng = random.Random(1813)
@@ -349,13 +350,13 @@ def test_dot_past_its_memo_bound_matches_the_oracle(field, ops, inverse):
             assert_normal(R, got[k])
 
 
-POWER_PAST_MEMO = Path(__file__).parent / "data" / "power_past_memo.json"
+CAPPED_VALUES_X24 = Path(__file__).parent / "data" / "capped_values_x24.json"
 
 
-def test_power_past_memo_document_is_pinned(capsys):
+def test_x24_on_the_capped_values_document_is_pinned(capsys):
     """``x^24`` on the capped document's value table, at trunc 4: the output
     bytes are pinned."""
-    assert main(["expand", "--spec", str(POWER_PAST_MEMO)]) == 0
+    assert main(["expand", "--spec", str(CAPPED_VALUES_X24)]) == 0
     out, err = capsys.readouterr()
     assert err == "" and len(out) == 323_088
     assert hashlib.sha256(out.encode()).hexdigest() == (
