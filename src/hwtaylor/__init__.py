@@ -52,7 +52,6 @@ from .rings import (
     RingError,
     constant_structure,
     differential_polynomial_carrier,
-    is_differential_hom,
     is_ring_hom,
     ring_from_json,
 )
@@ -102,7 +101,6 @@ __all__ = [
     "ev_twist",
     "ev_untwist",
     "hurwitz_morphism",
-    "is_differential_hom",
     "is_ring_hom",
     "iter_dominated",
     "reports_to_jsonl",

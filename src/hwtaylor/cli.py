@@ -46,6 +46,7 @@ from .rings import (
     _echo,
     _expect_element,
     _expect_int,
+    _expect_names,
     _expect_object,
     _expect_string,
     _field,
@@ -133,12 +134,7 @@ def load_problem(
     elif kind == "diffpoly":
         _reject_unknown(source_doc, {"kind", "vars"}, "problem.source")
         var_names = _field(source_doc, "vars", "problem.source")
-        if (
-            not isinstance(var_names, list)
-            or not var_names
-            or not all(isinstance(v, str) for v in var_names)
-        ):
-            raise ValueError("problem.source.vars: expected a nonempty list of names")
+        _expect_names(var_names, "problem.source.vars")
         try:
             A = DiffPolyRing(K, var_names)
         except ValueError as exc:

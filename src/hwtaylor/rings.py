@@ -134,16 +134,18 @@ class Ring:
         """``sum of w * v`` over the pairs of integer ``weights`` and ``values``.
 
         The pairs are zipped, so ``weights`` may be longer than ``values``.
-        This generic form adds one term at a time and scales by
-        ``embed_int(w)`` when w is not 1; ``F_p`` and the polynomial rings
-        override it to accumulate the whole sum and normalise once.
+        This generic form starts from the first term, adds the rest one at a
+        time and scales by ``embed_int(w)`` when w is not 1, so one term
+        costs no ``add`` and none gives ``zero()``; ``F_p`` and the
+        polynomial rings override it to accumulate the whole sum and
+        normalise once.
         """
-        acc = self.zero()
+        acc = None
         for w, v in zip(weights, values):
             if w != 1:
                 v = self.mul(self.embed_int(w), v)
-            acc = self.add(acc, v)
-        return acc
+            acc = v if acc is None else self.add(acc, v)
+        return self.zero() if acc is None else acc
 
     def sum(self, items: Iterable[Element]) -> Element:
         return self.combine(repeat(1), items)
@@ -575,20 +577,29 @@ class PolynomialRing(Ring):
                 den //= g
         return Poly(table, den)
 
-    def _make(self, table: Mapping[tuple[int, ...], Element]) -> Poly:
-        """The value of a table of base elements; zero entries are dropped."""
-        if self._rational:
-            den = lcm(*(c.denominator for c in table.values()))
-            return self._reduce(
-                {e: c.numerator * (den // c.denominator) for e, c in table.items()}, den
-            )
-        return self._reduce(table, None)
+    def _sum_terms(self, terms: Sequence[tuple[tuple[int, ...], int, int]]) -> Poly:
+        """The sum of ``(exponents, numerator, denominator)`` terms.
+
+        The one place that merges like terms of a polynomial: one integer
+        table over the lcm of the denominators (all 1 over ``F_p``), reduced
+        once.
+        """
+        den = lcm(*[d for _, _, d in terms]) if self._rational else 1
+        table: dict[tuple[int, ...], int] = {}
+        get = table.get
+        for e, n, d in terms:
+            table[e] = get(e, 0) + n * (den // d)
+        return self._reduce(table, den)
+
+    def _make(self, terms: Iterable[tuple[tuple[int, ...], Element]]) -> Poly:
+        """The sum of ``(exponents, base element)`` terms; ints have a denominator too."""
+        return self._sum_terms([(e, c.numerator, c.denominator) for e, c in terms])
 
     def monomial(self, exps: tuple[int, ...], c: Element) -> Poly:
         """The single term ``c * u^exps`` for a base element ``c``."""
         if len(exps) != len(self.generators):
             raise ValueError(f"need {len(self.generators)} exponents, got {len(exps)}")
-        return self._make({tuple(exps): c})
+        return self._make(((tuple(exps), c),))
 
     def constant(self, c: Element) -> Poly:
         return self.monomial((0,) * len(self.generators), c)
@@ -753,17 +764,14 @@ class PolynomialRing(Ring):
         return _parse_poly(self, text)
 
     def sample(self, rng, degree: int = 2) -> Poly:
-        table: dict[tuple[int, ...], Element] = {}
+        terms = []
         for _ in range(rng.randint(1, 3)):
             exps = [0] * len(self.generators)
             for _ in range(rng.randint(0, degree)):
                 exps[rng.randrange(len(self.generators))] += 1
-            key = tuple(exps)
             c = self.base.sample(rng, degree)
-            if self.base.is_zero(c):
-                c = self.base.one()
-            table[key] = self.base.add(table[key], c) if key in table else c
-        return self._make(table)
+            terms.append((tuple(exps), self.base.one() if self.base.is_zero(c) else c))
+        return self._make(terms)
 
     def to_json(self) -> dict:
         doc: dict = {"kind": "poly", "generators": list(self.generators)}
@@ -822,8 +830,7 @@ def _parse_poly(ring: PolynomialRing, text: str) -> Poly:
     One scan makes every token, and the first bad one is reported before any
     grammar error.  Without parentheses every term is a monomial: its numeric
     factors multiply into one integer numerator and denominator over ``Q``, or
-    one residue over ``F_p``, and the terms are summed over the lcm of their
-    denominators and normalised once.
+    one residue over ``F_p``, and ``PolynomialRing._sum_terms`` sums the terms.
     """
     tokens = list(_TOKEN_RE.finditer(text))
     kinds = [t.lastindex for t in tokens]
@@ -889,12 +896,7 @@ def _parse_poly(ring: PolynomialRing, text: str) -> Poly:
             raise ValueError(f"expected + or - but found {_echo(sign)} {_where(text, at)}")
         if len(terms) == MAX_TERMS:
             raise ValueError(f"more than {MAX_TERMS} terms")
-    common = lcm(*(d for _, _, d in terms))
-    table: dict[tuple[int, ...], int] = {}
-    get = table.get
-    for key, n, d in terms:
-        table[key] = get(key, 0) + n * (common // d)
-    return ring._reduce(table, common if p is None else None)
+    return ring._sum_terms(terms)
 
 
 @dataclass(frozen=True, eq=False)
@@ -984,24 +986,6 @@ def is_ring_hom(
     return True
 
 
-def is_differential_hom(
-    domain: DifferentialRing,
-    codomain: DifferentialRing,
-    phi: Callable[[Element], Element],
-    samples: Sequence[Element],
-) -> bool:
-    """True iff ``phi`` commutes with every derivation slot on the samples."""
-    if domain.width != codomain.width:
-        raise ValueError(f"derivation width mismatch: {domain.width} vs {codomain.width}")
-    for a in samples:
-        for slot in range(domain.width):
-            lhs = phi(domain.derive(a, slot))
-            rhs = codomain.derive(phi(a), slot)
-            if not codomain.ring.agree(lhs, rhs):
-                return False
-    return True
-
-
 def ring_from_json(doc: Any, path: str = "ring") -> Ring:
     """Rebuild a coefficient ring descriptor from its JSON form."""
     _expect_object(doc, path)
@@ -1020,13 +1004,7 @@ def ring_from_json(doc: Any, path: str = "ring") -> Ring:
         raise ValueError(f"{path}.p: expected a prime integer below {_PRIME_BOUND}")
     if kind == "poly":
         _reject_unknown(doc, {"kind", "p", "base", "generators"}, path)
-        gens = doc.get("generators")
-        if (
-            not isinstance(gens, list)
-            or not gens
-            or not all(isinstance(g, str) for g in gens)
-        ):
-            raise ValueError(f"{path}.generators: expected a nonempty list of names")
+        gens = _expect_names(doc.get("generators"), f"{path}.generators")
         if "base" in doc:
             base = ring_from_json(doc["base"], f"{path}.base")
             if not isinstance(base, (RationalField, PrimeField)):
@@ -1064,6 +1042,13 @@ def _field(doc: dict, key: str, path: str) -> Any:
 def _expect_string(value: Any, path: str) -> str:
     if not isinstance(value, str):
         raise ValueError(f"{path}: expected a string")
+    return value
+
+
+def _expect_names(value: Any, path: str) -> list[str]:
+    """A nonempty JSON list of strings."""
+    if not isinstance(value, list) or not value or not all(isinstance(v, str) for v in value):
+        raise ValueError(f"{path}: expected a nonempty list of names")
     return value
 
 

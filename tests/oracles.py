@@ -256,6 +256,33 @@ def poly_mul(a: Mapping, b: Mapping, ops: Ops) -> dict:
     return _nonzero(out, ops)
 
 
+def poly_from_terms(terms: Sequence[tuple[tuple[int, ...], Any]], ops: Ops) -> dict:
+    """The sum of ``(exponents, coefficient)`` terms, added in turn; a key keeps
+    the place of its first term."""
+    out: dict = {}
+    for e, c in terms:
+        out[e] = ops.add(out.get(e, ops.zero), c)
+    return _nonzero(out, ops)
+
+
+def poly_sample(rng, width: int, degree: int, p: int | None) -> dict:
+    """``PolynomialRing.sample`` over ``Q`` (``p`` None) or ``F_p``, replayed.
+
+    The same draws in the same order: the number of terms, then per term its
+    exponent steps and its coefficient (``Fraction(randint(-4, 4),
+    randint(1, 3))`` or ``randrange(p)``), a zero coefficient made 1.
+    """
+    ops = FRACTION_OPS if p is None else fp_ops(p)
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        exps = [0] * width
+        for _ in range(rng.randint(0, degree)):
+            exps[rng.randrange(width)] += 1
+        c = Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if p is None else rng.randrange(p)
+        terms.append((tuple(exps), c or ops.embed(1)))
+    return poly_from_terms(terms, ops)
+
+
 def poly_combine(weights: Sequence[int], values: Sequence[Mapping], width: int, ops: Ops) -> dict:
     """Sum of w * v, each value scaled by the constant w and added in turn."""
     out: dict = {}

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import itertools
 import json
 import math
 import random
@@ -268,6 +269,30 @@ class TestDerivations:
         # derivative of the constant series u is the constant series 1
         assert R.eq(d.coeff(MultiIndex.of(0)), R.one())
         assert d.valid == 2
+
+
+class TestCofreeInCharacteristicP:
+    """Over ``F_3`` the differential maps ``F_3[u] -> H(F_3)`` with ``u' = u^2 + 1``
+    are the series solving ``D s = s^2 + 1``, one per initial value: Hurwitz
+    series are cofree in characteristic p.  Ordinary power series with
+    ``d/dt`` are not, since their recursion needs ``3 s_3 = (s^2 + 1)_2``."""
+
+    def test_riccati_solutions_are_counted_over_every_series(self):
+        F3 = PrimeField(3)
+        H = HurwitzRing(F3, 1, 6)
+        one = H.one()
+        every = [HurwitzSeries(F3, 1, 6, 6, e) for e in itertools.product(range(3), repeat=7)]
+        assert len(every) == 3**7
+
+        def solutions(derive, mul):
+            # derive costs one grade, so the comparison runs through order 5
+            return [s.entries for s in every if H.agree(derive(s, 0), H.add(mul(s, s), one))]
+
+        hurwitz = solutions(H.shift_derive, H.mul)
+        assert sorted(s[0] for s in hurwitz) == [0, 1, 2]
+        # the tangent numbers 0, 1, 0, 2, 0, 16, 0 mod 3
+        assert (0, 1, 0, 2, 0, 1, 0) in hurwitz
+        assert solutions(H.formal_derive, H.cauchy_mul) == []
 
 
 class TestEvAndUnits:

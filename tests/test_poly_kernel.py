@@ -6,9 +6,11 @@ operation, with ``tests/oracles.py`` on seeded inputs that mix denominators
 and cancel terms.  ``combine`` (weighted sums, reduced once), ``dot`` (rows
 of weighted products, reduced once) and products with a zero, constant or
 one-term operand are compared the same way, ``dot`` also on operands that
-meet more distinct exponent pairs than they hold terms.  The output bytes of
-``tests/data/capped_values_x24.json`` (``x^24`` on the capped document's
-value table), whose products have many terms, are pinned.  One derivation
+meet more distinct exponent pairs than they hold terms.  ``_make``, the sum
+of ``(exponents, coefficient)`` terms, and ``sample``, which draws such
+terms, are compared with the oracle's own merge of repeated exponents.  The
+output bytes of ``tests/data/capped_values_x24.json`` (``x^24`` on the
+capped document's value table), whose products have many terms, are pinned.  One derivation
 is compared on many polynomials in turn, so state it carried from one to
 the next would show.  Exponent sums are built by a function chosen by the
 number of generators, so products, ``dot`` and derivations are also
@@ -34,10 +36,12 @@ from oracles import (
     poly_add,
     poly_combine,
     poly_derive,
+    poly_from_terms,
     poly_invert,
     poly_mul,
     poly_neg,
     poly_pow,
+    poly_sample,
 )
 
 FIELDS = [
@@ -156,6 +160,57 @@ def test_insertion_order_is_invisible(field, ops, inverse):
         assert hash(forward) == hash(backward)
         assert R.render(forward) == R.render(backward)
     assert seen_reordered > TRIALS // 2
+
+
+@pytest.mark.parametrize("field, ops, inverse", FIELDS)
+def test_make_merges_repeated_and_cancelling_terms(field, ops, inverse):
+    """``_make`` sums like terms once; a key keeps the place of its first term."""
+    R = PolynomialRing(field, GENERATORS)
+    rng = random.Random(27)
+    for trial in range(TRIALS):
+        terms = [
+            ((rng.randint(0, 2), rng.randint(0, 2)), random_coeff(rng, field))
+            for _ in range(rng.randint(0, 8))
+        ]
+        # cancel some groups: append the negation of what the group sums to so far
+        for e in {e for e, _ in terms[: rng.randint(0, len(terms))]}:
+            total = poly_from_terms([t for t in terms if t[0] == e], ops).get(e, ops.zero)
+            terms.append((e, ops.neg(total)))
+        got = R._make(terms)
+        assert list(got.terms) == list(poly_from_terms(terms, ops).items()), trial
+        assert_normal(R, got)
+    c = ops.embed(2)
+    assert as_table(R._make([((1, 0), c), ((0, 1), c), ((1, 0), c)])) == poly_from_terms(
+        [((1, 0), ops.add(c, c)), ((0, 1), c)], ops
+    )
+    assert R._make([((1, 0), c), ((1, 0), ops.neg(c))]) == R.zero()
+    assert R._make([]) == R.zero()
+
+
+SAMPLE_FIELDS = [
+    pytest.param(QQ, None, id="Q"),
+    pytest.param(PrimeField(2), 2, id="F2"),
+    pytest.param(PrimeField(5), 5, id="F5"),
+]
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+@pytest.mark.parametrize("field, p", SAMPLE_FIELDS)
+def test_sample_matches_its_replayed_draws(field, p, width):
+    """``sample`` makes the same draws as the oracle and merges repeated exponents."""
+    R = PolynomialRing(field, ("u", "v", "w")[:width])
+    merged = 0
+    for degree in range(7):
+        for seed in range(20):
+            rng, replay = random.Random(seed), random.Random(seed)
+            got = R.sample(rng, degree)
+            want = poly_sample(replay, width, degree, p)
+            assert list(got.terms) == list(want.items()), (degree, seed)
+            assert rng.random() == replay.random(), (degree, seed)
+            assert_normal(R, got)
+            # a zero draw is made 1, so only repeated exponents leave fewer terms
+            merged += len(want) < random.Random(seed).randint(1, 3)
+    assert merged >= 10
 
 
 def test_render_is_graded_lex():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hwtaylor.hurwitz import HurwitzRing
 from hwtaylor.multiindex import MultiIndex
 from hwtaylor.rings import (
     MAX_DIGITS,
@@ -18,10 +19,10 @@ from hwtaylor.rings import (
     DomainError,
     PolynomialRing,
     PrimeField,
+    RationalField,
     Ring,
     constant_structure,
     differential_polynomial_carrier,
-    is_differential_hom,
     is_ring_hom,
     ring_from_json,
 )
@@ -121,6 +122,51 @@ class TestRationalDot:
         assert got == run(lambda *args: Ring.dot(QQ, *args))
         # row 0 is 1/2 * 1/3, so y[1] = 1/6 + 1/2; row 1 is 1/2 * 2/3 - 2/3 * 1/3
         assert got[1][1] == Fraction(2, 3) and got[0][1] == Fraction(1, 9)
+
+
+class TestGenericCombine:
+    """``Ring.combine`` starts from its first term: k terms cost k - 1 ``add``
+    calls, one term comes back itself, and no terms give ``zero()``."""
+
+    RINGS = [
+        pytest.param(RationalField, id="Q"),
+        pytest.param(lambda: HurwitzRing(QQ, 2, 3), id="H(Q)"),
+        pytest.param(lambda: HurwitzRing(PrimeField(5), 1, 4), id="H(F5)"),
+    ]
+
+    @staticmethod
+    def counted(ring):
+        """``ring`` with its ``add`` counted, and the list that counts."""
+        calls = []
+        add = ring.add
+
+        def counting_add(a, b):
+            calls.append((a, b))
+            return add(a, b)
+
+        ring.add = counting_add
+        return ring, calls
+
+    @pytest.mark.parametrize("make", RINGS)
+    def test_k_terms_cost_k_minus_one_adds(self, make):
+        ring, calls = self.counted(make())
+        rng = random.Random(27)
+        for k in range(6):
+            items = [ring.sample(rng) for _ in range(k)]
+            weights = [rng.choice((1, 1, 2, -3)) for _ in range(k)]
+            want = ring.zero()
+            for w, v in zip(weights, items):
+                want = ring.add(want, ring.mul(ring.embed_int(w), v))
+            calls.clear()
+            got = ring.sum(items)
+            assert len(calls) == max(k - 1, 0)
+            if k == 1:
+                assert got is items[0]
+            calls.clear()
+            assert ring.eq(ring.combine(weights, items), want)
+            assert len(calls) == max(k - 1, 0)
+        assert ring.eq(ring.sum([]), ring.zero())
+        assert ring.eq(ring.combine([2, 3], []), ring.zero())
 
 
 class TestPrimeField:
@@ -586,20 +632,6 @@ class TestHoms:
         with pytest.raises(ZeroDivisionError, match="sample 2"):
             is_ring_hom(R, QQ, ev_at_2, samples)
         assert seen == want[: len(seen)] and seen[-1] is samples[2]
-
-    def test_is_differential_hom(self):
-        D = differential_polynomial_carrier(QQ, ["u"], [["1"]])
-        rng = random.Random(5)
-        samples = [D.ring.sample(rng) for _ in range(6)]
-        assert is_differential_hom(D, D, lambda a: a, samples)
-        # squaring is not even additive, and certainly not differential
-        assert not is_differential_hom(D, D, lambda a: D.ring.mul(a, a), [D.ring.gen("u")])
-
-    def test_width_mismatch_errors(self):
-        D1 = differential_polynomial_carrier(QQ, ["u"], [["1"]])
-        D2 = differential_polynomial_carrier(QQ, ["u"], [["1", ], ["0"]][:1] * 2)
-        with pytest.raises(ValueError, match="width"):
-            is_differential_hom(D1, D2, lambda a: a, [])
 
 
 class TestJson:
