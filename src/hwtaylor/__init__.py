@@ -52,7 +52,6 @@ from .rings import (
     RingError,
     constant_structure,
     differential_polynomial_carrier,
-    is_ring_hom,
     ring_from_json,
 )
 from .taylor import (
@@ -101,7 +100,6 @@ __all__ = [
     "ev_twist",
     "ev_untwist",
     "hurwitz_morphism",
-    "is_ring_hom",
     "iter_dominated",
     "reports_to_jsonl",
     "ring_from_json",

@@ -18,9 +18,10 @@ the generated carriers, series ring axioms, shift and lifted derivations),
 the characteristic-p structure, series inversion, the divided-power bridge,
 and the expansion identities: constant-embedding collapse for differential
 maps and the differential value maps behind it (tm1), stability under
-differential factorizations (tm2), constant-term recovery (ev1), expansion
-of a series ring over itself (ev2), twist composition and inversion, and
-the homomorphism laws of all four constructors.
+differential factorizations (tm2), the value maps' ring map laws and
+constant-term recovery (ev1), expansion of a series ring over itself (ev2),
+twist composition and inversion, and the homomorphism laws of all four
+constructors.
 """
 
 from __future__ import annotations
@@ -651,11 +652,8 @@ def _applicable(
         yield name, fn, needs_constant, divided
 
 
-def _self_spec(
-    K: DifferentialRing, trunc: int, rng: random.Random, degree: int
-) -> tuple[MorphismSpec, dict]:
-    samples = tuple(K.ring.sample(rng, degree) for _ in range(3))
-    spec = MorphismSpec(source=K, coefficients=K, phi=lambda a: a, trunc=trunc, samples=samples)
+def _self_spec(K: DifferentialRing, trunc: int) -> tuple[MorphismSpec, dict]:
+    spec = MorphismSpec(source=K, coefficients=K, phi=lambda a: a, trunc=trunc)
     return spec, {"kind": "self", "source_constant": False}
 
 
@@ -672,14 +670,8 @@ def _diffpoly_spec(
         values = _chain_value_table(K, [K.ring.sample(rng, degree)], max_order)
     else:
         values = _value_table(rng, K, 1, max_order, degree)
-    phi = A.value_hom(values)
-    samples = tuple(A.sample(rng, degree) for _ in range(3))
     spec = MorphismSpec(
-        source=A.differential_ring(),
-        coefficients=K,
-        phi=phi,
-        trunc=trunc,
-        samples=samples,
+        source=A.differential_ring(), coefficients=K, phi=A.value_hom(values), trunc=trunc
     )
     desc = {
         "kind": "diffpoly",
@@ -701,16 +693,27 @@ def _symbolic(A: DiffPolyRing) -> DifferentialRing:
 
 @_register("ev1")
 def _check_ev1(rng: random.Random, size: Size, ordinal: int) -> Laws:
-    """Constant term of every expansion is phi of the argument."""
+    """Constant term of every expansion is phi of the argument.
+
+    The first laws state the premise of every expansion check once: the value
+    map phi is a ring map.
+    """
     constant_coeffs = ordinal % 2 == 0
     K, kdesc = _random_structure(rng, size, constant=constant_coeffs)
     spec, A, sdesc = _diffpoly_spec(K, size.trunc, rng, size.degree, chain=False)
     a = A.sample(rng, size.degree)
-    inputs = {"coefficients": kdesc, "source": sdesc, "argument": A.element_to_json(a)}
-    expected = spec.phi(a)
+    b = A.sample(rng, size.degree)
+    R, phi = K.ring, spec.phi
+    pa, pb = phi(a), phi(b)
+    arguments = [A.element_to_json(a), A.element_to_json(b)]
+    case = {"coefficients": kdesc, "source": sdesc, "arguments": arguments}
+    yield _law(R, {**case, "law": "phi_unital"}, R.one(), phi(A.one()))
+    yield _law(R, {**case, "law": "phi_additive"}, R.add(pa, pb), phi(A.add(a, b)))
+    yield _law(R, {**case, "law": "phi_multiplicative"}, R.mul(pa, pb), phi(A.mul(a, b)))
+    inputs = {"coefficients": kdesc, "source": sdesc, "argument": arguments[0]}
     for name, fn, *_ in _applicable(constant_coeffs, K):
         got = spec.target.ev(fn(spec, a))
-        yield _law(K.ring, {**inputs, "constructor": name}, expected, got)
+        yield _law(R, {**inputs, "constructor": name}, pa, got)
 
 
 @_register("ev2")
@@ -724,10 +727,7 @@ def _check_ev2(rng: random.Random, size: Size, ordinal: int) -> Laws:
         K, kdesc = _random_structure(rng, size)
     H = HurwitzRing(K.ring, K.width, size.trunc)
     source = H.differential_structure(K.derivations)
-    samples = tuple(H.sample(rng, size.degree) for _ in range(2))
-    spec = MorphismSpec(
-        source=source, coefficients=K, phi=H.ev, trunc=size.trunc, samples=samples
-    )
+    spec = MorphismSpec(source=source, coefficients=K, phi=H.ev, trunc=size.trunc)
     a = H.sample(rng, size.degree)
     inputs = {"coefficients": kdesc, "argument": series_to_json(a)}
     yield _law(H, inputs, a, twisted_hurwitz(spec, a), size.trunc)
@@ -748,7 +748,7 @@ def _check_tm1(rng: random.Random, size: Size, ordinal: int) -> Laws:
         a = A.sample(rng, size.degree)
         argument = A.element_to_json(a)
     else:
-        spec, sdesc = _self_spec(K, size.trunc, rng=rng, degree=size.degree)
+        spec, sdesc = _self_spec(K, size.trunc)
         a = K.ring.sample(rng, size.degree)
         argument = K.ring.render(a)
     H = spec.target
@@ -785,21 +785,8 @@ def _check_tm2(rng: random.Random, size: Size, ordinal: int) -> Laws:
     values = _value_table(rng, K, 2, max_order, size.degree)
     psi = B.value_hom(values)
     phi = A.value_hom({sym: v for sym, v in values.items() if sym[0] == 0})
-    rngA = random.Random(rng.randrange(2**32))
-    spec_a = MorphismSpec(
-        source=A.differential_ring(),
-        coefficients=K,
-        phi=phi,
-        trunc=size.trunc,
-        samples=tuple(A.sample(rngA, size.degree) for _ in range(2)),
-    )
-    spec_b = MorphismSpec(
-        source=_symbolic(B),
-        coefficients=K,
-        phi=psi,
-        trunc=size.trunc,
-        samples=tuple(B.sample(rngA, size.degree) for _ in range(2)),
-    )
+    spec_a = MorphismSpec(source=A.differential_ring(), coefficients=K, phi=phi, trunc=size.trunc)
+    spec_b = MorphismSpec(source=_symbolic(B), coefficients=K, phi=psi, trunc=size.trunc)
     a = A.sample(rng, size.degree)
     included = A.substitution(B, B.constant, lambda sym: B.symbol(*sym))(a)  # A in B
     inputs = {

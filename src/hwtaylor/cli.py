@@ -151,8 +151,7 @@ def load_problem(
     else:
         raise ValueError('problem.source.kind: expected "self" or "diffpoly"')
 
-    # phi is the identity or a value_hom, a ring map by construction, so
-    # MorphismSpec checks only 0 and 1
+    # phi is the identity or a value_hom, a ring map by construction
     spec = MorphismSpec(source=source, coefficients=K, phi=phi, trunc=trunc)
     return partial(_CONSTRUCTORS[name], spec, element)
 

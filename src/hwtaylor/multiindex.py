@@ -28,8 +28,10 @@ class MultiIndex:
         if not all(map(isinstance, entries, repeat(int))) or min(entries) < 0:
             raise ValueError(f"multi-index entries must be nonnegative ints: {entries!r}")
         # the value a generated dataclass hash would give, computed once:
-        # symbols keyed by a MultiIndex are hashed on every dict lookup of
-        # the diffpoly kernel
+        # value tables are keyed by (variable, order) pairs, and a lookup
+        # hashes the order (about 550 times per check-suite request and 220
+        # per expand-qpoly request); a dict lookup by such a pair took about
+        # 0.18 us with this hash and 0.27 us with a generated one
         object.__setattr__(self, "_hash", hash((self.entries,)))
 
     def __hash__(self) -> int:
@@ -73,20 +75,12 @@ class MultiIndex:
         if self.width != other.width:
             raise ValueError(f"width mismatch: {self.entries} vs {other.entries}")
 
-    def le(self, other: MultiIndex) -> bool:
-        """Componentwise comparison; the partial order of the summation lattice."""
-        self._same_width(other)
-        return all(a <= b for a, b in zip(self.entries, other.entries))
-
-    def __add__(self, other: MultiIndex) -> MultiIndex:
-        self._same_width(other)
-        return MultiIndex(tuple(a + b for a, b in zip(self.entries, other.entries)))
-
     def __sub__(self, other: MultiIndex) -> MultiIndex:
         self._same_width(other)
-        if not other.le(self):
+        entries = tuple(a - b for a, b in zip(self.entries, other.entries))
+        if min(entries) < 0:
             raise ValueError(f"{other.entries} is not componentwise <= {self.entries}")
-        return MultiIndex(tuple(a - b for a, b in zip(self.entries, other.entries)))
+        return MultiIndex(entries)
 
     def factorial(self) -> int:
         out = 1

@@ -119,14 +119,6 @@ class Ring:
     def try_invert(self, a: Element) -> Element | None:
         return None
 
-    def agree(self, a: Element, b: Element) -> bool:
-        """Equality up to whatever bookkeeping the carrier tracks.
-
-        Plain rings compare exactly; truncated carriers override this to
-        compare up to the shared valid order.
-        """
-        return self.eq(a, b)
-
     def is_zero(self, a: Element) -> bool:
         return self.eq(a, self.zero())
 
@@ -955,35 +947,6 @@ def differential_polynomial_carrier(
                         f"derivations {i} and {j} do not commute on generator {name!r}"
                     )
     return DifferentialRing(ring, family)
-
-
-def is_ring_hom(
-    domain: Ring, codomain: Ring, phi: Callable[[Element], Element], samples: Sequence[Element]
-) -> bool:
-    """Spot-check that ``phi`` keeps 0, 1, and + and * on every sample pair.
-
-    Each sample's image is computed once, when a law first needs it, so
-    ``phi`` runs in the order the laws are written and a map that raises
-    raises at the same call as without the memo.
-    """
-    if not codomain.agree(phi(domain.zero()), codomain.zero()):
-        return False
-    if not codomain.agree(phi(domain.one()), codomain.one()):
-        return False
-    images: dict[int, Element] = {}
-
-    def image(k: int) -> Element:
-        if k not in images:
-            images[k] = phi(samples[k])
-        return images[k]
-
-    for i, a in enumerate(samples):
-        for j, b in enumerate(samples):
-            if not codomain.agree(phi(domain.add(a, b)), codomain.add(image(i), image(j))):
-                return False
-            if not codomain.agree(phi(domain.mul(a, b)), codomain.mul(image(i), image(j))):
-                return False
-    return True
 
 
 def ring_from_json(doc: Any, path: str = "ring") -> Ring:

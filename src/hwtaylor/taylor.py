@@ -38,27 +38,22 @@ index it writes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .diffpoly import DiffPolyRing, UncoveredSymbolError
 from .hurwitz import HurwitzRing, HurwitzSeries, plan_for
 from .multiindex import MultiIndex, count_upto
-from .rings import (
-    Derivation,
-    DifferentialRing,
-    DomainError,
-    Element,
-    is_ring_hom,
-)
+from .rings import Derivation, DifferentialRing, DomainError, Element
 
 
 @dataclass(frozen=True, eq=False)
 class MorphismSpec:
     """A source structure, a coefficient structure, and a ring map between.
 
-    ``phi`` is spot-checked on ``samples`` (plus 0 and 1) at construction;
-    a full proof of the hom property is the caller's business.  Both
-    structures must have the same number of derivation slots.
+    That ``phi`` is a ring map is the caller's premise and is not checked
+    here: the check suite states it once, as ``ev1``'s laws on the value maps
+    it draws.  Both structures must have the same number of derivation
+    slots.
 
     ``_raw`` maps each argument to its raw series, so the four constructors
     applied to one argument compute it once, and ``_untwisted`` maps it to
@@ -73,7 +68,6 @@ class MorphismSpec:
     coefficients: DifferentialRing
     phi: Callable[[Element], Element]
     trunc: int
-    samples: tuple = ()
     _raw: dict = field(default_factory=dict, init=False, repr=False)
     _untwisted: dict = field(default_factory=dict, init=False, repr=False)
     _symbols: dict = field(default_factory=dict, init=False, repr=False)
@@ -86,8 +80,6 @@ class MorphismSpec:
             )
         if self.trunc < 0:
             raise ValueError("truncation order must be nonnegative")
-        if not is_ring_hom(self.source.ring, self.coefficients.ring, self.phi, self.samples):
-            raise ValueError("phi fails the ring map spot check on the samples")
 
     @property
     def width(self) -> int:
@@ -108,17 +100,26 @@ def derivative_table(
 
 def _derivatives(
     structure: DifferentialRing, a: Element, parents: Sequence[tuple[int, int]]
-) -> list[Element]:
+) -> Iterator[Element]:
     """Iterated derivatives of ``a`` by position: ``a``, then one per parent.
 
     Graded-lex order puts each index after its parent (the index with one
     step less in its first nonzero slot), so every value is derived exactly
-    once, from an already computed one.
+    once, from an already computed one.  A value is let go once its last
+    child is derived, so about two grades are held at a time, not all: the
+    high derivatives of a differential polynomial are the largest values the
+    check suite builds.
     """
-    values = [a]
-    for q, slot in parents:
-        values.append(structure.derive(values[q], slot))
-    return values
+    last_child = {q: p for p, (q, _) in enumerate(parents, 1)}
+    live = {0: a}
+    yield a
+    for p, (q, slot) in enumerate(parents, 1):
+        value = structure.derive(live[q], slot)
+        if last_child[q] == p:
+            del live[q]
+        if p in last_child:
+            live[p] = value
+        yield value
 
 
 def _taylor_raw(spec: MorphismSpec, a: Element) -> HurwitzSeries | None:
@@ -259,9 +260,9 @@ def ev_twist(a: HurwitzSeries, family: Sequence[Derivation]) -> HurwitzSeries:
     plan = H.plan
     # position j needs family^gamma of its coefficient for |gamma| <= trunc - |alpha_j|
     tables = [
-        _derivatives(
+        list(_derivatives(
             structure, c, plan.parents[: count_upto(a.width, a.trunc - alpha.degree) - 1]
-        )
+        ))
         for alpha, c in zip(plan.indices, a.entries)
     ]
     combine = K.combine

@@ -89,7 +89,6 @@ def value_table_spec(K, rng, trunc):
         coefficients=K,
         phi=A.value_hom(values),
         trunc=trunc,
-        samples=(A.one(), A.sample(rng)),
     )
     return spec, A
 
@@ -103,7 +102,6 @@ def test_criterion_01_golden_twisted_linear():
         coefficients=K,
         phi=lambda a: a,
         trunc=8,
-        samples=(R.one(), R.gen("u")),
     )
     H = spec.target
     u = R.gen("u")
@@ -147,7 +145,6 @@ def test_criterion_02_golden_classical_and_hurwitz():
         coefficients=K,
         phi=A.value_hom(values),
         trunc=10,
-        samples=(A.one(), A.gen("x")),
     )
     H = spec.target
     x = A.gen("x")
@@ -223,7 +220,6 @@ def test_criterion_05_ev2_series_ring_identity():
                 coefficients=K,
                 phi=H.ev,
                 trunc=trunc,
-                samples=(H.one(), H.sample(rng)),
             )
             a = H.sample(rng)
             got = twisted_hurwitz(spec, a)

@@ -153,6 +153,16 @@ class TestMutationsAreCaught:
         assert report.status == "fail"
         assert any(f.inputs["law"] == "multiplicative" for f in report.failures)
 
+    def test_lossy_product_fails_ev1_by_a_ring_map_law_of_phi(self, monkeypatch):
+        # ev1 states once that the value map is a ring map, on its own draws
+        _drop_last_product_term(monkeypatch)
+        report = run_check("ev1", CheckConfig(seed=0, instances=4, width_max=2, trunc=4))
+        assert report.status == "fail" and report.failures
+        for failure in report.failures:
+            assert failure.inputs is not None
+            assert failure.inputs["law"] in ("phi_additive", "phi_multiplicative")
+            assert len(failure.inputs["arguments"]) == 2 and failure.inputs["source"]["values"]
+
     def test_identity_untwist_breaks_inversion_law(self, monkeypatch):
         monkeypatch.setattr(checks, "ev_untwist", lambda a, family: a)
         report = run_check("twist-inverse", SMALL)
@@ -225,7 +235,6 @@ def _derive_into_last_variable(monkeypatch):
         def accumulate(mon, c):
             table[mon] = K.add(table[mon], c) if mon in table else c
 
-        unit = MultiIndex.unit(self.width, slot)
         last = len(self.variables) - 1
         codec = a.codec
         for mon, c in a.id_terms:
@@ -235,7 +244,8 @@ def _derive_into_last_variable(monkeypatch):
             for i, power in mon:
                 counts = dict(mon)
                 counts[i] -= 1
-                shifted = codec.encode(last, (codec.decode(i)[1] + unit).entries)
+                order = codec.decode(i)[1].entries
+                shifted = codec.encode(last, tuple(e + (j == slot) for j, e in enumerate(order)))
                 counts[shifted] = counts.get(shifted, 0) + 1
                 monomial = tuple(sorted((j, p) for j, p in counts.items() if p))
                 accumulate(monomial, K.mul(c, K.embed_int(power)))
@@ -283,7 +293,7 @@ GOLDEN_FAILURES = [
         lambda mp: mp.setattr(HurwitzRing, "mul", HurwitzRing.cauchy_mul),
         None,
         ("hurwitz-derivations", "char-p-nilpotency", "inversion", "tm2", "morphism-laws"),
-        "f1a0cbe31fffbc4c2ffcfeeeca63a4d5120796979d4edb4a80369519ae77d2ef",
+        "b4c3328cd076f31ea903180d87abea4a44a7cb6f8e53b995809c9e0ac47225f7",
     ),
     (
         _inflate_binomials,
@@ -300,31 +310,31 @@ GOLDEN_FAILURES = [
             "twist-inverse",
             "morphism-laws",
         ),
-        "99fd72b7afdb9b92fe85e0a2dfa8c9c6fdd0969f3a91bccea8b11ec28101c929",
+        "6b18ae9b10128da16d8bd33f0c827555272d123f7e6b24176789263b65395335",
     ),
     (
         _shift_slot_zero,
         None,
         ("ev2", "divided-derivative"),
-        "0b7343bfeb3592fbd7acb8000358c8e2b2af02a2d997c08c5b4fc31571194f01",
+        "b5464b884a05b1891dacf918aadcc03662be1cc165af8322ef01b9a09c246fd8",
     ),
     (
         _derive_into_last_variable,
         None,
         ("tm1", "tm2"),
-        "02c4d514ff2758ec7572f3c1f4519533db9f539b91ab5187b10a38e269081048",
+        "a5d068ad36cdb70083e929e4033ba17735d14393d43d4353d9c23fef80f35287",
     ),
     (
         lambda mp: mp.setattr(checks, "twisted_taylor", checks.twisted_hurwitz),
         None,
         ("divided-bridge",),
-        "ff81cfde2250ca32bde16e3857534dc2c624fa13fc43a9480d1bfff4755b9591",
+        "419cc8b56861b1e40f9a0eb0729dd5f37b4fc15aa255a11637f796866d01c37b",
     ),
     (
         _constructors_plus_one,
         None,
         ("ev1", "tm1", "morphism-laws"),
-        "f2f8db67465b65fbb9b8d5afcb9dc68d6a6d38c36f9700702585cf15a5961e79",
+        "9629f1c27fb5003fcb13028981e7e2dcf2d127b4d9eb0190135cf93fa0ce0005",
     ),
     (
         lambda mp: mp.setattr(checks, "ev_untwist", lambda a, family: a),

@@ -619,19 +619,24 @@ class TestCheck:
         assert runs == []
 
     def test_raising_instance_is_reported(self, capsys, monkeypatch):
-        from test_checks import _drop_last_product_term
+        def withdrawn(self, values, default_zero=False):
+            def phi(e):
+                raise ValueError("value map withdrawn")
 
-        # the lossy product makes MorphismSpec reject phi in five checks
-        _drop_last_product_term(monkeypatch)
+            return phi
+
+        # every value map raises, so the five checks that draw one fail
+        monkeypatch.setattr(DiffPolyRing, "value_hom", withdrawn)
         rc = main(["check", "--seed", "0", "--instances", "4"])
         out, _ = capsys.readouterr()
         assert rc == 1
         docs = [json.loads(line) for line in out.strip().split("\n")]
         assert len(docs) == 15
+        failing = [d["check_name"] for d in docs if d["status"] == "fail"]
+        assert failing == ["ev1", "tm1", "tm2", "divided-bridge", "morphism-laws"]
         ev1 = next(d for d in docs if d["check_name"] == "ev1")
-        assert ev1["status"] == "fail"
         failure = ev1["failures"][0]
-        assert failure["actual"].startswith("ValueError: phi fails")
+        assert failure["actual"] == "ValueError: value map withdrawn"
         assert failure["inputs"] is failure["expected"] is None
         assert failure["comparison_order"] is None
 
@@ -780,8 +785,8 @@ CAPPED = Path(__file__).parent / "data" / "capped_twisted.json"
 
 @pytest.mark.parametrize("path", [QPOLY, CAPPED], ids=["qpoly_values", "capped_twisted"])
 def test_expand_forms_no_sums_or_products_in_the_source(capsys, monkeypatch, path):
-    """A document's phi is a ring map by construction: ``expand`` checks only
-    0 and 1, so it adds and multiplies no source elements to spot-check it."""
+    """A document's phi is a ring map by construction: ``expand`` checks
+    nothing about it, so it adds and multiplies no source elements."""
     calls = []
 
     def counting(name):

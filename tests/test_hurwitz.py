@@ -534,8 +534,7 @@ class TestValidOrder:
 
                 def expand(trunc, element=element):
                     spec = MorphismSpec(
-                        source=constant_structure(R, 2), coefficients=K,
-                        phi=lambda x: x, trunc=trunc, samples=(R.one(), element),
+                        source=constant_structure(R, 2), coefficients=K, phi=lambda x: x, trunc=trunc
                     )
                     return spec.target, twisted_hurwitz(spec, element)
 

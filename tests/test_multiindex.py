@@ -13,7 +13,7 @@ from hwtaylor.multiindex import (
     iter_dominated,
 )
 
-from oracles import grlex_key, pascal_binomial, tuple_binomial, tuples_upto
+from oracles import dominated, grlex_key, pascal_binomial, tuple_binomial, tuples_upto
 
 
 indices = st.integers(min_value=0, max_value=6)
@@ -59,10 +59,10 @@ class TestBasics:
         assert MultiIndex.of(1, 2) != MultiIndex.of(1, 2, 0)
 
     def test_width_mismatch(self):
-        with pytest.raises(ValueError):
-            MultiIndex.of(1, 2) + MultiIndex.of(1)
-        with pytest.raises(ValueError):
-            MultiIndex.of(1, 2).le(MultiIndex.of(1, 2, 3))
+        with pytest.raises(ValueError, match="width mismatch"):
+            MultiIndex.of(1, 2) - MultiIndex.of(1)
+        with pytest.raises(ValueError, match="width mismatch"):
+            MultiIndex.of(1, 2) - MultiIndex.of(1, 2, 0)
 
     def test_sub_needs_domination(self):
         with pytest.raises(ValueError):
@@ -134,8 +134,9 @@ class TestDominated:
         n = 1
         for e in alpha:
             n *= e + 1
-        assert len(list(iter_dominated(alpha))) == n
-        assert all(b.le(alpha) for b in iter_dominated(alpha))
+        got = [b.entries for b in iter_dominated(alpha)]
+        assert len(got) == n
+        assert sorted(got) == sorted(dominated(alpha.entries))
 
 
 def test_pascal_oracle_sanity():

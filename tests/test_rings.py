@@ -23,7 +23,6 @@ from hwtaylor.rings import (
     Ring,
     constant_structure,
     differential_polynomial_carrier,
-    is_ring_hom,
     ring_from_json,
 )
 from hwtaylor.rings import _PRIME_BOUND, _is_prime
@@ -584,54 +583,6 @@ class TestDerivations:
         differential_polynomial_carrier(QQ, ["u", "v"], [["1", "2"], ["3", "0"]])
         # diagonal families always pass
         differential_polynomial_carrier(QQ, ["u", "v"], [["u", "0"], ["0", "2*v"]])
-
-
-class TestHoms:
-    def test_is_ring_hom(self):
-        R = PolynomialRing(QQ, ["u"])
-
-        def ev_at_2(p):
-            return sum((c * Fraction(2) ** e[0] for e, c in p.terms), Fraction(0))
-
-        rng = random.Random(3)
-        samples = [R.sample(rng) for _ in range(6)]
-        assert is_ring_hom(R, QQ, ev_at_2, samples)
-        assert not is_ring_hom(R, QQ, lambda p: Fraction(len(p.terms)), samples)
-
-    def test_is_ring_hom_maps_each_sample_once(self):
-        R = PolynomialRing(QQ, ["u"])
-        rng = random.Random(4)
-        samples = [R.sample(rng) for _ in range(4)]
-        # the laws' order: 0, 1, then per pair a + b, each sample the first
-        # time a law reads it, and a * b
-        want, mapped = [R.zero(), R.one()], set()
-        for i, a in enumerate(samples):
-            for j, b in enumerate(samples):
-                want.append(R.add(a, b))
-                for k in (i, j):
-                    if k not in mapped:
-                        mapped.add(k)
-                        want.append(samples[k])
-                want.append(R.mul(a, b))
-        seen = []
-
-        def ev_at_2(p):
-            seen.append(p)
-            if p is samples[2] and raising:
-                raise ZeroDivisionError("sample 2")
-            return sum((c * Fraction(2) ** e[0] for e, c in p.terms), Fraction(0))
-
-        raising = False
-        assert is_ring_hom(R, QQ, ev_at_2, samples)
-        n = len(samples)
-        assert len(seen) == 2 + 2 * n * n + n
-        assert seen == want
-        # a map that raises on a sample raises at the same call as without the memo
-        seen.clear()
-        raising = True
-        with pytest.raises(ZeroDivisionError, match="sample 2"):
-            is_ring_hom(R, QQ, ev_at_2, samples)
-        assert seen == want[: len(seen)] and seen[-1] is samples[2]
 
 
 class TestJson:

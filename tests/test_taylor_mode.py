@@ -252,15 +252,16 @@ class TestSymbolTable:
     def _spec(self, values, trunc):
         A = DiffPolyRing(constant_structure(QQ, 1), ["x", "y"])
         value = A.value_hom(values)
-        symbols = []
+        applied, symbols = [], []
 
         def phi(e):
+            applied.append(e)
             if len(e.terms) == 1 and len(e.terms[0][0]) == 1 and e.terms[0][0][0][1] == 1:
                 symbols.append(e.terms[0][0][0][0])
             return value(e)
 
         spec = MorphismSpec(source=A.differential_ring(), coefficients=A.base, phi=phi, trunc=trunc)
-        symbols.clear()  # the spot check's calls
+        assert applied == []  # building a spec applies phi to nothing
         return A, spec, symbols
 
     @staticmethod

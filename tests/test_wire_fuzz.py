@@ -232,7 +232,8 @@ def problem_documents(draw):
             if action == "drop" and rows:
                 rows.pop(draw(st.integers(0, len(rows) - 1)))
             elif action == "repeat" and rows:
-                rows.append(list(draw(st.sampled_from(rows))))
+                # a copy of any row, which an earlier round may have made a non-list
+                rows.append(json.loads(json.dumps(draw(st.sampled_from(rows)))))
             else:
                 invented = [draw(small_ints), draw(st.lists(small_ints, max_size=3))]
                 rows.append([*invented, draw(token_texts)])
