@@ -125,8 +125,6 @@ class DiffPolynomial:
 class DiffPolyRing(Ring):
     """Free differential polynomial algebra on named indeterminates."""
 
-    is_field = False
-
     def __init__(self, base: DifferentialRing, variables: Sequence[str]):
         names = tuple(variables)
         if not names:

@@ -174,8 +174,6 @@ class HurwitzSeries:
 class HurwitzRing(Ring):
     """Descriptor for truncated Hurwitz series over ``coeff_ring``."""
 
-    is_field = False
-
     def __init__(self, coeff_ring: Ring, width: int, trunc: int):
         if width < 1:
             raise ValueError("need at least one series variable")
@@ -318,21 +316,15 @@ class HurwitzRing(Ring):
         return self.coeff_ring.try_invert(a.constant_term()) is not None
 
     def try_invert(self, a: HurwitzSeries) -> HurwitzSeries | None:
-        if not self.coeff_ring.is_field:
-            return None
-        if not self.is_unit(a):
-            return None
-        return self.invert(a)
+        return self.invert(a) if self.is_unit(a) else None
 
     def invert(self, a: HurwitzSeries) -> HurwitzSeries:
-        """Grade-by-grade solve of the convolution equation a * b = 1."""
+        """Grade-by-grade solve of a * b = 1; needs only a unit constant term."""
         self._check(a)
-        if not self.coeff_ring.is_field:
-            raise DomainError("series inversion supported over field coefficients only")
         K = self.coeff_ring
         c0inv = K.try_invert(a.constant_term())
         if c0inv is None:
-            raise NotUnitError("not a unit: constant term is zero")
+            raise NotUnitError("not a unit: the constant term is not invertible")
         # for alpha > 0, a * b = 1 reads a[0] * b[alpha] + (row alpha of
         # (a - a[0]) * b) = 0: with a zero at position 0, row alpha reads only
         # the entries of ``table`` already solved, and the rest are zero

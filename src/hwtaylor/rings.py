@@ -70,13 +70,13 @@ class DomainError(RingError):
 class Ring:
     """Descriptor for a commutative unital ring with exact elements.
 
-    ``characteristic`` is 0 or a prime p (p * 1 == 0).  ``try_invert``
+    ``characteristic`` is 0 or a prime p (p * 1 == 0).  ``try_invert`` is
+    the one question asked about units, series inversion included: it
     returns None when the element is not a unit or when deciding that is
     unsupported; it never guesses.
     """
 
     characteristic: int
-    is_field: bool = False
 
     def zero(self) -> Element:
         raise NotImplementedError
@@ -242,7 +242,6 @@ class RationalField(Ring):
     """The rationals; elements are ``fractions.Fraction``."""
 
     characteristic = 0
-    is_field = True
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, RationalField)
@@ -358,8 +357,6 @@ def _is_prime(n: int) -> bool:
 
 class PrimeField(Ring):
     """Integers mod a prime p; elements are canonical residues in [0, p)."""
-
-    is_field = True
 
     def __init__(self, p: int):
         if not _is_prime(p):
@@ -519,8 +516,6 @@ class PolynomialRing(Ring):
     for a whole row of weighted products.  ``mul`` and ``dot`` share one
     monomial-product loop and skip zero factors.
     """
-
-    is_field = False
 
     def __init__(self, base: Ring, generators: Sequence[str]):
         if not isinstance(base, (RationalField, PrimeField)):

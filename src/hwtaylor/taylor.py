@@ -188,13 +188,14 @@ def _raw_series(spec: MorphismSpec, a: Element) -> HurwitzSeries:
 
 def _require_constant_coefficients(spec: MorphismSpec, raw: HurwitzSeries) -> None:
     K = spec.coefficients.ring
-    for beta, v in raw.coeffs.items():
+    for p, v in enumerate(raw.entries):
         for slot, d in enumerate(spec.coefficients.derivations):
             if not K.is_zero(d(v)):
+                beta = spec.target.plan.indices[p].entries
                 raise DomainError(
                     "constructor needs constant coefficients: derivation slot"
                     f" {slot} does not vanish on phi applied to the derivative"
-                    f" at order {tuple(beta.entries)}"
+                    f" at order {beta}"
                 )
 
 

@@ -160,6 +160,19 @@ def hurwitz_product(
     return out
 
 
+def series_ops(base: Ops, width: int, bound: int) -> Ops:
+    """Arithmetic on dense series tables over ``base``, for series of series."""
+    indices = tuples_upto(width, bound)
+    zero = dict.fromkeys(indices, base.zero)
+    return Ops(
+        zero=zero,
+        add=lambda a, b: {i: base.add(a[i], b[i]) for i in indices},
+        mul=lambda a, b: hurwitz_product(a, b, width, bound, base),
+        neg=lambda a: {i: base.neg(a[i]) for i in indices},
+        embed=lambda n: {**zero, indices[0]: base.embed(n)},
+    )
+
+
 def apply_family(value: Any, family: Sequence[Callable[[Any], Any]], gamma: Sequence[int]) -> Any:
     """Apply family[i] gamma[i] times, slots in reverse order.
 

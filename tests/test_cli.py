@@ -816,6 +816,42 @@ def test_self_source_output_bytes_are_pinned(capsys):
     )
 
 
+SELF_RING_TM1 = Path(__file__).parent / "data" / "self_ring_tm1.json"
+
+
+def test_self_source_with_ring_derivations_is_the_constant_embedding(capsys):
+    """Law tm1 in closed form at the caps' shape: for a differential phi (here
+    the identity of Q[u,v,w] with d/du, v*d/dv, w*d/dw, the ring's own
+    derivations) ``twisted_hurwitz`` is the constant embedding, so the output
+    at m = 3, trunc 12 is one coefficient, at [0, 0, 0], equal to the element.
+    The element is 10 terms c*u^a*v^b*w^e from ``random.Random(3)``, with c in
+    1..9 and exponents in 0..64; its terms are compared by a parser of their
+    own, not by the library's."""
+
+    def terms(text):
+        out = {}
+        for term in text.split(" + "):
+            c, exps = 1, dict.fromkeys("uvw", 0)
+            for factor in term.split("*"):
+                if factor.isdigit():
+                    c = int(factor)
+                else:
+                    name, _, power = factor.partition("^")
+                    exps[name] = int(power or 1)
+            out[tuple(exps.values())] = c
+        return out
+
+    rc = main(["expand", "--spec", str(SELF_RING_TM1)])
+    out, err = capsys.readouterr()
+    assert (rc, err) == (0, "")
+    doc = json.loads(out)
+    assert (doc["m"], doc["trunc"], doc["valid"]) == (3, 12, 12)
+    [(index, coefficient)] = doc["coeffs"]
+    element = json.loads(SELF_RING_TM1.read_text())["element"]
+    assert index == [0, 0, 0] and len(terms(element)) == 10
+    assert terms(coefficient) == terms(element)
+
+
 HIGH_ORDER = Path(__file__).parent / "data" / "high_order_symbols.json"
 
 

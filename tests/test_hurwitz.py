@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hwtaylor.diffpoly import DiffPolyRing
 from hwtaylor.hurwitz import (
     HurwitzRing,
     HurwitzSeries,
@@ -34,7 +35,16 @@ from hwtaylor.rings import (
 )
 from hwtaylor.taylor import MorphismSpec, ev_twist, ev_untwist, twisted_hurwitz
 
-from oracles import FRACTION_OPS, fp_ops, hurwitz_product, naive_plan, poly_ops, tuples_upto
+from oracles import (
+    FRACTION_OPS,
+    fp_ops,
+    hurwitz_product,
+    naive_plan,
+    poly_ops,
+    series_ops,
+    tuple_factorial,
+    tuples_upto,
+)
 
 
 def table_of(a):
@@ -328,16 +338,119 @@ class TestEvAndUnits:
         t = H.indeterminate(0)
         with pytest.raises(NotUnitError, match="not a unit"):
             H.invert(t)
-        Hpoly = HurwitzRing(PolynomialRing(QQ, ["u"]), 1, 3)
-        with pytest.raises(DomainError, match="field coefficients"):
-            Hpoly.invert(Hpoly.one())
-        assert Hpoly.try_invert(Hpoly.one()) is None
+        # over Q[u] a series is a unit exactly when its constant term is
+        R = PolynomialRing(QQ, ["u"])
+        Hpoly = HurwitzRing(R, 1, 3)
+        u = Hpoly.embed(R.parse("u"))
+        assert not Hpoly.is_unit(u) and Hpoly.try_invert(u) is None
+        with pytest.raises(NotUnitError, match="not a unit"):
+            Hpoly.invert(u)
+        assert Hpoly.is_unit(Hpoly.one())
+        assert Hpoly.eq(Hpoly.invert(Hpoly.one()), Hpoly.one())
+        assert Hpoly.eq(Hpoly.try_invert(Hpoly.one()), Hpoly.one())
 
     def test_unit_iff_constant_term_unit(self):
         H = HurwitzRing(PrimeField(5), 1, 3)
         t = H.indeterminate(0)
         assert not H.is_unit(t)
         assert H.is_unit(H.add(t, H.one()))
+
+
+def _nested(a, depth):
+    """A series of series, ``depth`` levels deep over Q, as dense oracle tables."""
+    if depth == 0:
+        return a
+    return {idx: _nested(c, depth - 1) for idx, c in table_of(a).items()}
+
+
+def _with_constant(H, a, c):
+    """``a`` with its constant term replaced by ``c``."""
+    K = H.coeff_ring
+    return H.add(a, H.embed(K.sub(c, H.ev(a))))
+
+
+class TestInversionOverRings:
+    """A series is a unit exactly when its constant term is (Keigher 1997):
+    inversion asks the coefficient ring about that term and nothing else."""
+
+    @pytest.mark.parametrize("case", ["Q[u,v]", "F_3[u]", "H(Q)"])
+    def test_inverse_matches_the_oracle_product(self, case):
+        def terms(c):
+            return dict(c.terms)
+
+        if case == "Q[u,v]":
+            K = PolynomialRing(QQ, ("u", "v"))
+            ops, convert, unit = poly_ops(FRACTION_OPS, 2), terms, K.constant(Fraction(-3, 2))
+        elif case == "F_3[u]":
+            K = PolynomialRing(PrimeField(3), ("u",))
+            ops, convert, unit = poly_ops(fp_ops(3), 1), terms, K.constant(2)
+        else:
+            K = HurwitzRing(QQ, 1, 3)
+            ops, convert = series_ops(FRACTION_OPS, 1, 3), lambda c: _nested(c, 1)
+            unit = _with_constant(K, K.sample(random.Random(31)), Fraction(2))
+        H = HurwitzRing(K, 2, 3)
+        one = {idx: ops.embed(int(not any(idx))) for idx in tuples_upto(2, 3)}
+        rng = random.Random(30)
+        for trial in range(4):
+            a = _with_constant(H, H.sample(rng), unit)
+            b = H.invert(a)
+            assert b.valid == a.valid
+            a_table = {idx: convert(c) for idx, c in table_of(a).items()}
+            b_table = {idx: convert(c) for idx, c in table_of(b).items()}
+            assert hurwitz_product(a_table, b_table, 2, 3, ops) == one, (case, trial)
+
+    def test_is_unit_iff_try_invert_on_every_coefficient_ring(self):
+        rings = [
+            QQ,
+            *(PrimeField(p) for p in (2, 3, 5, 7)),
+            PolynomialRing(QQ, ["u"]),
+            PolynomialRing(QQ, ["u", "v"]),
+            PolynomialRing(PrimeField(3), ["u"]),
+            PolynomialRing(PrimeField(5), ["u", "v"]),
+            DiffPolyRing(constant_structure(QQ, 1), ["x"]),
+            HurwitzRing(QQ, 1, 2),
+            HurwitzRing(PrimeField(3), 2, 2),
+            HurwitzRing(PolynomialRing(QQ, ["u"]), 1, 2),
+            HurwitzRing(HurwitzRing(QQ, 1, 2), 1, 2),
+        ]
+        rng = random.Random(32)
+        for K in rings:
+            H = HurwitzRing(K, 1, 2)
+            constants = [K.zero(), K.one(), K.embed_int(2), K.embed_int(3), K.sample(rng)]
+            seen = set()
+            for c in constants:
+                a = _with_constant(H, H.sample(rng), c)
+                inverse = H.try_invert(a)
+                assert H.is_unit(a) == (inverse is not None), (K, c)
+                if inverse is None:
+                    with pytest.raises(NotUnitError, match="not a unit"):
+                        H.invert(a)
+                else:
+                    assert H.eq(H.mul(a, inverse), H.one()), (K, c)
+                    assert H.eq(H.invert(a), inverse), (K, c)
+                seen.add(inverse is None)
+            assert seen == {True, False}, K
+
+    def test_series_three_levels_deep_invert_and_divide(self):
+        H1 = HurwitzRing(QQ, 1, 2)
+        H2 = HurwitzRing(H1, 1, 2)
+        H3 = HurwitzRing(H2, 1, 2)
+        ops2 = series_ops(series_ops(FRACTION_OPS, 1, 2), 1, 2)
+        assert H3.is_unit(H3.one())
+        rng = random.Random(33)
+        for trial in range(3):
+            a = H3.sample(rng)
+            divided = H3.to_divided(a)
+            assert H3.eq(H3.from_divided(divided), a), trial
+            a_table, d_table = _nested(a, 3), _nested(divided, 3)
+            for idx, c in d_table.items():
+                f = ops2.embed(tuple_factorial(idx))
+                assert ops2.mul(f, c) == a_table[idx], (trial, idx)
+            inner = _with_constant(H1, H1.sample(rng), Fraction(trial + 1, 2))
+            a = _with_constant(H3, a, _with_constant(H2, H2.sample(rng), inner))
+            b = H3.invert(a)
+            one = {idx: ops2.embed(int(not any(idx))) for idx in tuples_upto(1, 2)}
+            assert hurwitz_product(_nested(a, 3), _nested(b, 3), 1, 2, ops2) == one, trial
 
 
 class TestDividedBridge:
@@ -486,8 +599,7 @@ def _valid_order_operations(H, family):
     for slot in range(H.width):
         ops[f"shift_derive({slot})"] = lambda a, b, s=slot: H.shift_derive(a, s)
         ops[f"formal_derive({slot})"] = lambda a, b, s=slot: H.formal_derive(a, s)
-    if H.coeff_ring.is_field:
-        ops["invert"] = lambda a, b: H.invert(a)
+    ops["invert"] = lambda a, b: H.invert(a)
     if H.characteristic == 0:
         ops["to_divided"] = lambda a, b: H.to_divided(a)
     return ops
@@ -513,8 +625,8 @@ class TestValidOrder:
                     H.from_table(H.sample(rng).coeffs, rng.randint(1, H.trunc - 1))
                     for _ in range(2)
                 )
-                if H.coeff_ring.is_field and H.coeff_ring.is_zero(H.ev(a)):
-                    a = H.add(a, H.one())
+                # a unit constant term, so that ``invert`` runs on every case
+                a = _with_constant(H, a, H.coeff_ring.one())
                 a2, b2 = _redraw_above_valid(H, a, rng), _redraw_above_valid(H, b, rng)
                 for name, op in ops.items():
                     got, again = op(a, b), op(a2, b2)

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import hwtaylor.taylor as taylor
+from hwtaylor.checks import Size, _random_structure
 from hwtaylor.diffpoly import DiffPolyRing
 from hwtaylor.hurwitz import HurwitzRing
 from hwtaylor.multiindex import MultiIndex, enumerate_upto
@@ -298,6 +299,41 @@ class TestEvTwist:
         H = HurwitzRing(QQ, 2, 2)
         with pytest.raises(ValueError, match="twisting derivations"):
             ev_twist(H.zero(), [lambda x: x])
+
+
+class TestTwistLemma:
+    """The twist lemma, the first law of the paper's adjunction: untwisting by
+    the coefficient derivations is a differential ring isomorphism from H(K)
+    with the shift derivations to H(K) with the twisted structure (shift
+    plus the coefficientwise lift of K's derivations)."""
+
+    def failures(self, twist):
+        """(product, derivation) law failures of ``twist`` over 40 instances."""
+        size = Size(2, 4, 2)
+        product = derivation = 0
+        for k in range(40):
+            rng = random.Random(f"lemma/{k}")
+            structure, _ = _random_structure(rng, size)
+            family = structure.derivations
+            H = HurwitzRing(structure.ring, structure.width, size.trunc)
+            twisted = H.differential_structure(family)
+            a, b = H.sample(rng, size.degree), H.sample(rng, size.degree)
+            ta = twist(a, family)
+            product += not H.agree_up_to(twist(H.mul(a, b), family), H.mul(ta, twist(b, family)), 4)
+            derivation += not all(
+                H.agree_up_to(twist(H.shift_derive(a, i), family), twisted.derive(ta, i), 3)
+                for i in range(H.width)
+            )
+        return product, derivation
+
+    def test_untwist_is_a_differential_ring_map(self):
+        assert self.failures(ev_untwist) == (0, 0)
+
+    def test_twisting_the_wrong_way_fails_the_derivation_law(self):
+        # a twist is a ring automorphism in either direction, so only the
+        # derivation law tells the directions apart
+        product, derivation = self.failures(ev_twist)
+        assert product == 0 and derivation >= 20
 
 
 class TestAxioms:
