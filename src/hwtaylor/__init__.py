@@ -9,11 +9,10 @@ identities all of this rests on.
 Layers, bottom up:
 
 ``multiindex``
-    Exponent tuples: componentwise order, factorials, binomials, graded
-    enumeration.
+    Exponent tuples and their graded-lex enumeration.
 ``rings``
     Coefficient carriers as descriptor objects over plain values, with
-    derivations, differential structures, ring-map checks, and JSON descriptors.
+    derivations, differential structures, and JSON descriptors.
 ``hurwitz``
     The truncated series ring: binomial-convolution product, shift and
     lifted derivations, inversion, the divided-power bridge, twist maps'

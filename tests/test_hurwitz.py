@@ -22,7 +22,7 @@ from hwtaylor.hurwitz import (
     series_from_json,
     series_to_json,
 )
-from hwtaylor.multiindex import MultiIndex, count_upto, iter_dominated
+from hwtaylor.multiindex import MultiIndex, count_upto, enumerate_upto, iter_dominated
 from hwtaylor.rings import (
     QQ,
     DomainError,
@@ -181,23 +181,21 @@ class TestProduct:
             assert w == 2 ** alpha.degree
             assert c == math.prod(e + 1 for e in alpha)
 
-    def test_a_wrapped_binomial_keeps_the_plan(self, monkeypatch):
-        # a plan depends on its shape alone: wrapping the binomial in a
-        # counting pass-through, as a tracer does, rebuilds nothing
-        plan = plan_for(2, 4)
-        calls = []
-        binomial = MultiIndex.binomial
+    def test_a_plan_is_kept_and_builds_no_multi_index(self, monkeypatch):
+        # a plan depends on its shape alone, and its tables come from entry
+        # tuples: past the (cached) indices, building one makes no MultiIndex
+        assert plan_for(2, 4) is plan_for(2, 4)
+        enumerate_upto(3, 6)
+        built = []
+        post_init = MultiIndex.__post_init__
 
-        def counting(self, lower):
-            calls.append(lower)
-            return binomial(self, lower)
+        def counting(self):
+            built.append(self)
+            post_init(self)
 
-        monkeypatch.setattr(MultiIndex, "binomial", counting)
-        assert plan_for(2, 4) is plan
-        H = HurwitzRing(PrimeField(5), 2, 4)
-        rng = random.Random(17)
-        H.mul(H.sample(rng), H.sample(rng))
-        assert calls == []
+        monkeypatch.setattr(MultiIndex, "__post_init__", counting)
+        Plan(3, 6)
+        assert built == []
 
     @pytest.mark.parametrize(
         "width, trunc", [(w, t) for w in (1, 2, 3) for t in range(9)] + [(3, 12)]
@@ -215,7 +213,7 @@ class TestProduct:
 
     def test_a_plan_keeps_no_betas(self):
         """Building a plan leaves at most its own indices alive: the betas it
-        walks to read the weights are garbage once it is built."""
+        walks to form the weights are entry tuples, not kept."""
 
         def live() -> int:
             gc.collect()

@@ -13,7 +13,7 @@ from hwtaylor.multiindex import (
     iter_dominated,
 )
 
-from oracles import dominated, grlex_key, pascal_binomial, tuple_binomial, tuples_upto
+from oracles import dominated, grlex_key, pascal_binomial, tuples_upto
 
 
 indices = st.integers(min_value=0, max_value=6)
@@ -47,7 +47,7 @@ class TestBasics:
 
     @given(multiindices())
     def test_hash_and_equality_follow_the_entries(self, alpha):
-        # the cached hash keeps the dataclass value, so set and dict order do not move
+        # the generated dataclass hash, so set and dict order follow the entries
         twin = MultiIndex(tuple(alpha.entries))
         assert twin is not alpha
         assert twin == alpha and not twin != alpha
@@ -68,37 +68,6 @@ class TestBasics:
         with pytest.raises(ValueError):
             MultiIndex.of(1, 0) - MultiIndex.of(0, 1)
         assert (MultiIndex.of(3, 2) - MultiIndex.of(1, 2)).entries == (2, 0)
-
-    def test_factorial(self):
-        assert MultiIndex.of(3, 0, 2).factorial() == 12
-        assert MultiIndex.zero(2).factorial() == 1
-
-
-class TestBinomial:
-    def test_frozen_value(self):
-        # independent Pascal oracle gives 6 * 6 = 36
-        assert MultiIndex.of(4, 4).binomial(MultiIndex.of(2, 2)) == 36
-
-    def test_needs_domination(self):
-        with pytest.raises(ValueError) as exc:
-            MultiIndex.of(1, 1).binomial(MultiIndex.of(2, 0))
-        assert str(exc.value) == "binomial needs (2, 0) componentwise <= (1, 1)"
-        with pytest.raises(ValueError) as exc:
-            MultiIndex.of(1, 2).binomial(MultiIndex.of(1))
-        assert str(exc.value) == "width mismatch: (1, 2) vs (1,)"
-
-    @given(multiindices(), st.data())
-    def test_against_pascal(self, alpha, data):
-        lower = MultiIndex(
-            tuple(data.draw(st.integers(min_value=0, max_value=e)) for e in alpha)
-        )
-        assert alpha.binomial(lower) == tuple_binomial(alpha.entries, lower.entries)
-
-    @given(multiindices())
-    def test_factorial_quotient(self, alpha):
-        # binom(alpha, beta) * beta! * (alpha - beta)! == alpha!
-        for beta in iter_dominated(alpha):
-            assert alpha.binomial(beta) * beta.factorial() * (alpha - beta).factorial() == alpha.factorial()
 
 
 class TestEnumeration:

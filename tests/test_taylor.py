@@ -668,6 +668,15 @@ class TestGuards:
         with pytest.raises(DomainError, match="constant coefficients"):
             classical_taylor(spec, K.ring.gen("u"))
 
+    def test_target_is_built_once_and_checks_the_truncation(self):
+        K = constant_structure(QQ, 2)
+        spec = MorphismSpec(source=K, coefficients=K, phi=lambda a: a, trunc=3)
+        assert spec.target is spec.target
+        assert spec.target == HurwitzRing(QQ, 2, 3)
+        assert dataclasses.replace(spec, trunc=4).target.trunc == 4
+        with pytest.raises(ValueError, match=r"^truncation order must be nonnegative$"):
+            MorphismSpec(source=K, coefficients=K, phi=lambda a: a, trunc=-1)
+
     def test_width_mismatch_rejected(self):
         with pytest.raises(ValueError, match="width mismatch"):
             MorphismSpec(
