@@ -11,7 +11,9 @@ that raises fails with the exception as its ``actual`` side.
 
 Each check is a generator over its laws: it yields ``None`` for a law that
 holds and the failure detail for one that does not, and ``_law`` does the
-comparing and the rendering.
+comparing and the rendering.  A check keeps its instance's raw values and
+hands ``_law`` a function that renders them, so only a failing law pays for
+its inputs as JSON.
 
 The registry covers the arithmetic substrate (ring and derivation axioms on
 the generated carriers, series ring axioms, shift and lifted derivations),
@@ -170,6 +172,8 @@ class CheckReport:
 
 # a check's laws, in order: None for one that holds, else its failure detail
 Laws = Iterator[dict | None]
+# renders an instance's inputs as JSON; called only for a failing law
+Inputs = Callable[[], dict]
 LawsFn = Callable[[random.Random, Size, int], Laws]
 # instance builder: (rng, size, ordinal) -> None on success, detail dict on failure
 InstanceFn = Callable[[random.Random, Size, int], dict | None]
@@ -390,14 +394,21 @@ _CONSTRUCTORS = CONSTRUCTIONS
 
 
 def _law(
-    ring: Ring, inputs: dict, expected: Any, actual: Any, order: int | None = None
+    ring: Ring,
+    inputs: Inputs,
+    expected: Any,
+    actual: Any,
+    order: int | None = None,
+    **case: Any,
 ) -> dict | None:
     """None when the two sides agree, else the failure detail.
 
     Without an order the sides are elements of ``ring``, compared by
     ``ring.eq`` and rendered by ``ring.render``; with one they are series of
     the Hurwitz ring ``ring``, compared up to total degree ``order`` and
-    rendered as JSON.
+    rendered as JSON.  The detail's inputs are ``inputs()`` with the law's
+    own ``case`` keys (``law``, ``slot``, ``constructor``, ...) added; they
+    are rendered here, and only here.
     """
     if order is None:
         if ring.eq(expected, actual):
@@ -408,7 +419,7 @@ def _law(
             return None
         render = series_to_json
     return {
-        "inputs": inputs,
+        "inputs": {**inputs(), **case},
         "expected": render(expected),
         "actual": render(actual),
         "comparison_order": order,
@@ -431,7 +442,7 @@ def _check_ring_axioms(rng: random.Random, size: Size, ordinal: int) -> Laws:
     else:
         ring = HurwitzRing(base, rng.randint(1, size.width), size.trunc)
     a, b, c = (ring.sample(rng, size.degree) for _ in range(3))
-    inputs = {"ring": ring.to_json(), "elements": [ring.render(x) for x in (a, b, c)]}
+    inputs = lambda: {"ring": ring.to_json(), "elements": [ring.render(x) for x in (a, b, c)]}
     pairs = [
         ("add_comm", ring.add(a, b), ring.add(b, a)),
         ("add_assoc", ring.add(ring.add(a, b), c), ring.add(a, ring.add(b, c))),
@@ -455,7 +466,7 @@ def _check_ring_axioms(rng: random.Random, size: Size, ordinal: int) -> Laws:
             )
         )
     for law, lhs, rhs in pairs:
-        yield _law(ring, {**inputs, "law": law}, lhs, rhs)
+        yield _law(ring, inputs, lhs, rhs, law=law)
     if kind == 1:
         # a product is the sum of the products with the right factor's terms;
         # its operands come after every other draw, so the laws above see the
@@ -463,9 +474,10 @@ def _check_ring_axioms(rng: random.Random, size: Size, ordinal: int) -> Laws:
         x, y = _several_terms(ring, rng, size.degree), _several_terms(ring, rng, size.degree)
         yield _law(
             ring,
-            {**inputs, "elements": [ring.render(x), ring.render(y)], "law": "mul_term_split"},
+            lambda: {**inputs(), "elements": [ring.render(x), ring.render(y)]},
             ring.mul(x, y),
             ring.sum(ring.mul(x, ring.monomial(e, c)) for e, c in y.terms),
+            law="mul_term_split",
         )
 
 
@@ -482,24 +494,27 @@ def _check_derivation_axioms(rng: random.Random, size: Size, ordinal: int) -> La
     structure, desc = _random_structure(rng, size)
     R = structure.ring
     a, b = R.sample(rng, size.degree), R.sample(rng, size.degree)
-    inputs = {**desc, "elements": [R.render(a), R.render(b)]}
+    inputs = lambda: {**desc, "elements": [R.render(a), R.render(b)]}
     for slot in range(structure.width):
         d = structure.derivations[slot]
-        case = {**inputs, "slot": slot}
-        yield _law(R, {**case, "law": "additive"}, d(R.add(a, b)), R.add(d(a), d(b)))
+        yield _law(R, inputs, d(R.add(a, b)), R.add(d(a), d(b)), law="additive", slot=slot)
         yield _law(
             R,
-            {**case, "law": "leibniz"},
+            inputs,
             d(R.mul(a, b)),
             R.add(R.mul(d(a), b), R.mul(a, d(b))),
+            law="leibniz",
+            slot=slot,
         )
     for i in range(structure.width):
         for j in range(i + 1, structure.width):
             yield _law(
                 R,
-                {**inputs, "law": "commutation", "slots": [i, j]},
+                inputs,
                 structure.derivations[i](structure.derivations[j](a)),
                 structure.derivations[j](structure.derivations[i](a)),
+                law="commutation",
+                slots=[i, j],
             )
 
 
@@ -511,7 +526,7 @@ def _check_hurwitz_ring_axioms(rng: random.Random, size: Size, ordinal: int) -> 
         K = PolynomialRing(base, ["u"])
     H = HurwitzRing(K, rng.randint(1, size.width), size.trunc)
     a, b, c = (H.sample(rng, size.degree) for _ in range(3))
-    inputs = {
+    inputs = lambda: {
         "ring": H.to_json(),
         "elements": [series_to_json(x) for x in (a, b, c)],
     }
@@ -526,14 +541,14 @@ def _check_hurwitz_ring_axioms(rng: random.Random, size: Size, ordinal: int) -> 
         ("mul_identity", H.mul(a, H.one()), a),
     ]
     for law, lhs, rhs in laws:
-        yield _law(H, {**inputs, "law": law}, lhs, rhs, size.trunc)
+        yield _law(H, inputs, lhs, rhs, size.trunc, law=law)
     # the constant-term map is a ring map and retracts the constant embedding
     lhs_c, rhs_c = H.ev(H.mul(a, b)), K.mul(H.ev(a), H.ev(b))
-    yield _law(K, {**inputs, "law": "ev_multiplicative"}, lhs_c, rhs_c)
+    yield _law(K, inputs, lhs_c, rhs_c, law="ev_multiplicative")
     lhs_c, rhs_c = H.ev(H.add(a, b)), K.add(H.ev(a), H.ev(b))
-    yield _law(K, {**inputs, "law": "ev_additive"}, lhs_c, rhs_c)
+    yield _law(K, inputs, lhs_c, rhs_c, law="ev_additive")
     k = K.sample(rng, size.degree)
-    yield _law(K, {**inputs, "law": "ev_embed_identity"}, k, H.ev(H.embed(k)))
+    yield _law(K, inputs, k, H.ev(H.embed(k)), law="ev_embed_identity")
 
 
 @_register("hurwitz-derivations")
@@ -543,48 +558,55 @@ def _check_hurwitz_derivations(rng: random.Random, size: Size, ordinal: int) -> 
     delta = structure.derivations
     H = HurwitzRing(K, structure.width, size.trunc)
     a, b = H.sample(rng, size.degree), H.sample(rng, size.degree)
-    inputs = {
+    inputs = lambda: {
         "coefficients": desc,
         "trunc": size.trunc,
         "elements": [series_to_json(a), series_to_json(b)],
     }
     for slot in range(structure.width):
-        case = {**inputs, "slot": slot}
         yield _law(
             H,
-            {**case, "law": "shift_leibniz"},
+            inputs,
             H.shift_derive(H.mul(a, b), slot),
             H.add(
                 H.mul(H.shift_derive(a, slot), b), H.mul(a, H.shift_derive(b, slot))
             ),
             size.trunc - 1,
+            law="shift_leibniz",
+            slot=slot,
         )
         yield _law(
             H,
-            {**case, "law": "shift_lift_commute"},
+            inputs,
             H.shift_derive(H.coeff_derive(a, delta, slot), slot),
             H.coeff_derive(H.shift_derive(a, slot), delta, slot),
             size.trunc - 1,
+            law="shift_lift_commute",
+            slot=slot,
         )
         yield _law(
             H,
-            {**case, "law": "lift_leibniz"},
+            inputs,
             H.coeff_derive(H.mul(a, b), delta, slot),
             H.add(
                 H.mul(H.coeff_derive(a, delta, slot), b),
                 H.mul(a, H.coeff_derive(b, delta, slot)),
             ),
             size.trunc,
+            law="lift_leibniz",
+            slot=slot,
         )
     if size.trunc >= 2:
         for i in range(structure.width):
             for j in range(i + 1, structure.width):
                 yield _law(
                     H,
-                    {**inputs, "law": "shift_commute", "slots": [i, j]},
+                    inputs,
                     H.shift_derive(H.shift_derive(a, i), j),
                     H.shift_derive(H.shift_derive(a, j), i),
                     size.trunc - 2,
+                    law="shift_commute",
+                    slots=[i, j],
                 )
 
 
@@ -597,15 +619,15 @@ def _check_char_p(rng: random.Random, size: Size, ordinal: int) -> Laws:
     trunc = max(size.trunc, p)
     width = rng.randint(1, size.width)
     H = HurwitzRing(base, width, trunc)
-    inputs = {"p": p, "ring": H.to_json()}
+    inputs = lambda: {"p": p, "ring": H.to_json()}
     for slot in range(width):
         t = H.indeterminate(slot)
-        case = {**inputs, "law": "variable_pth_power_vanishes", "slot": slot}
-        yield _law(H, case, H.zero(), H.pow(t, p), trunc)
+        law = "variable_pth_power_vanishes"
+        yield _law(H, inputs, H.zero(), H.pow(t, p), trunc, law=law, slot=slot)
         below = H.pow(t, p - 1)
         if H.is_zero(below):
             yield {
-                "inputs": {**inputs, "law": "lower_power_survives", "slot": slot},
+                "inputs": {**inputs(), "law": "lower_power_survives", "slot": slot},
                 "expected": series_to_json(t),
                 "actual": series_to_json(below),
                 "comparison_order": trunc,
@@ -619,12 +641,12 @@ def _check_inversion(rng: random.Random, size: Size, ordinal: int) -> Laws:
     a = H.sample(rng, size.degree)
     if K.is_zero(H.ev(a)):
         a = H.add(a, H.one())
-    inputs = {"ring": H.to_json(), "element": series_to_json(a)}
+    inputs = lambda: {"ring": H.to_json(), "element": series_to_json(a)}
     prod = H.mul(a, H.invert(a))
-    yield _law(H, {**inputs, "law": "mul_inverse"}, H.one(), prod, a.valid)
+    yield _law(H, inputs, H.one(), prod, a.valid, law="mul_inverse")
     if H.try_invert(H.sub(a, H.embed(H.ev(a)))) is not None:
         yield {
-            "inputs": {**inputs, "law": "non_unit_rejected"},
+            "inputs": {**inputs(), "law": "non_unit_rejected"},
             "expected": "None",
             "actual": "an inverse",
             "comparison_order": None,
@@ -647,9 +669,9 @@ def _applicable(
         yield name, fn, needs_constant, divided
 
 
-def _self_spec(K: DifferentialRing, trunc: int) -> tuple[MorphismSpec, dict]:
+def _self_spec(K: DifferentialRing, trunc: int) -> tuple[MorphismSpec, Inputs]:
     spec = MorphismSpec(source=K, coefficients=K, phi=lambda a: a, trunc=trunc)
-    return spec, {"kind": "self", "source_constant": False}
+    return spec, lambda: {"kind": "self", "source_constant": False}
 
 
 def _diffpoly_spec(
@@ -658,7 +680,8 @@ def _diffpoly_spec(
     rng: random.Random,
     degree: int,
     chain: bool,
-) -> tuple[MorphismSpec, DiffPolyRing, dict]:
+) -> tuple[MorphismSpec, DiffPolyRing, Inputs]:
+    """A value map on ``K{x}`` and its source description, rendered on call."""
     A = DiffPolyRing(K, ["x"])
     max_order = trunc + 2
     if chain:
@@ -668,11 +691,7 @@ def _diffpoly_spec(
     spec = MorphismSpec(
         source=A.differential_ring(), coefficients=K, phi=A.value_hom(values), trunc=trunc
     )
-    desc = {
-        "kind": "diffpoly",
-        "values": A.values_to_json(values),
-        "chain": chain,
-    }
+    desc = lambda: {"kind": "diffpoly", "values": A.values_to_json(values), "chain": chain}
     return spec, A, desc
 
 
@@ -700,15 +719,18 @@ def _check_ev1(rng: random.Random, size: Size, ordinal: int) -> Laws:
     b = A.sample(rng, size.degree)
     R, phi = K.ring, spec.phi
     pa, pb = phi(a), phi(b)
-    arguments = [A.element_to_json(a), A.element_to_json(b)]
-    case = {"coefficients": kdesc, "source": sdesc, "arguments": arguments}
-    yield _law(R, {**case, "law": "phi_unital"}, R.one(), phi(A.one()))
-    yield _law(R, {**case, "law": "phi_additive"}, R.add(pa, pb), phi(A.add(a, b)))
-    yield _law(R, {**case, "law": "phi_multiplicative"}, R.mul(pa, pb), phi(A.mul(a, b)))
-    inputs = {"coefficients": kdesc, "source": sdesc, "argument": arguments[0]}
+    premise = lambda: {
+        "coefficients": kdesc,
+        "source": sdesc(),
+        "arguments": [A.element_to_json(a), A.element_to_json(b)],
+    }
+    yield _law(R, premise, R.one(), phi(A.one()), law="phi_unital")
+    yield _law(R, premise, R.add(pa, pb), phi(A.add(a, b)), law="phi_additive")
+    yield _law(R, premise, R.mul(pa, pb), phi(A.mul(a, b)), law="phi_multiplicative")
+    inputs = lambda: {"coefficients": kdesc, "source": sdesc(), "argument": A.element_to_json(a)}
     for name, fn, *_ in _applicable(constant_coeffs, K):
         got = spec.target.ev(fn(spec, a))
-        yield _law(R, {**inputs, "constructor": name}, pa, got)
+        yield _law(R, inputs, pa, got, constructor=name)
 
 
 @_register("ev2")
@@ -724,7 +746,7 @@ def _check_ev2(rng: random.Random, size: Size, ordinal: int) -> Laws:
     source = H.differential_structure(K.derivations)
     spec = MorphismSpec(source=source, coefficients=K, phi=H.ev, trunc=size.trunc)
     a = H.sample(rng, size.degree)
-    inputs = {"coefficients": kdesc, "argument": series_to_json(a)}
+    inputs = lambda: {"coefficients": kdesc, "argument": series_to_json(a)}
     yield _law(H, inputs, a, twisted_hurwitz(spec, a), size.trunc)
 
 
@@ -741,17 +763,17 @@ def _check_tm1(rng: random.Random, size: Size, ordinal: int) -> Laws:
     if route < 2:
         spec, A, sdesc = _diffpoly_spec(K, size.trunc, rng, size.degree, chain=True)
         a = A.sample(rng, size.degree)
-        argument = A.element_to_json(a)
+        render: Callable[[Element], Any] = A.element_to_json
     else:
         spec, sdesc = _self_spec(K, size.trunc)
         a = K.ring.sample(rng, size.degree)
-        argument = K.ring.render(a)
+        render = K.ring.render
     H = spec.target
-    inputs = {"coefficients": kdesc, "source": sdesc, "argument": argument}
+    inputs = lambda: {"coefficients": kdesc, "source": sdesc(), "argument": render(a)}
     expected = H.embed(spec.phi(a))
     for name, fn, *_ in _applicable(constant_coeffs, K):
         got = fn(spec, a)
-        yield _law(H, {**inputs, "constructor": name}, expected, got, size.trunc)
+        yield _law(H, inputs, expected, got, size.trunc, constructor=name)
     # a value map along derivation chains on two indeterminates commutes with
     # every slot, which sees DiffPolyRing.derive on its own; its draws come
     # after every other draw, so the laws above see the same instances
@@ -759,14 +781,15 @@ def _check_tm1(rng: random.Random, size: Size, ordinal: int) -> Laws:
     values = _chain_value_table(K, [K.ring.sample(rng, size.degree) for _ in range(2)], 2)
     phi = B.value_hom(values)
     e = B.sample(rng, size.degree)
-    case = {
+    premise = lambda: {
         "coefficients": kdesc,
-        "law": "value_map_differential",
         "values": B.values_to_json(values),
         "element": B.element_to_json(e),
     }
+    law = "value_map_differential"
     for slot in range(K.width):
-        yield _law(K.ring, {**case, "slot": slot}, phi(B.derive(e, slot)), K.derive(phi(e), slot))
+        lhs, rhs = phi(B.derive(e, slot)), K.derive(phi(e), slot)
+        yield _law(K.ring, premise, lhs, rhs, law=law, slot=slot)
 
 
 @_register("tm2")
@@ -784,7 +807,7 @@ def _check_tm2(rng: random.Random, size: Size, ordinal: int) -> Laws:
     spec_b = MorphismSpec(source=_symbolic(B), coefficients=K, phi=psi, trunc=size.trunc)
     a = A.sample(rng, size.degree)
     included = A.substitution(B, B.constant, lambda sym: B.symbol(*sym))(a)  # A in B
-    inputs = {
+    inputs = lambda: {
         "coefficients": kdesc,
         "values": B.values_to_json(values),
         "argument": A.element_to_json(a),
@@ -792,7 +815,7 @@ def _check_tm2(rng: random.Random, size: Size, ordinal: int) -> Laws:
     H = spec_a.target
     for name, fn, *_ in _applicable(constant_coeffs, K):
         via_a, via_b = fn(spec_a, a), fn(spec_b, included)
-        yield _law(H, {**inputs, "constructor": name}, via_a, via_b, size.trunc)
+        yield _law(H, inputs, via_a, via_b, size.trunc, constructor=name)
 
 
 @_register("twist-composition")
@@ -807,7 +830,7 @@ def _check_twist_composition(rng: random.Random, size: Size, ordinal: int) -> La
         for d1, d2 in zip(first.derivations, second.derivations)
     )
     rhs = ev_twist(a, combined)
-    yield _law(H, {**desc, "argument": series_to_json(a)}, rhs, lhs, a.valid)
+    yield _law(H, lambda: {**desc, "argument": series_to_json(a)}, rhs, lhs, a.valid)
 
 
 @_register("twist-inverse")
@@ -817,7 +840,7 @@ def _check_twist_inverse(rng: random.Random, size: Size, ordinal: int) -> Laws:
     H = HurwitzRing(K, structure.width, size.trunc)
     a = H.sample(rng, size.degree)
     back = ev_untwist(ev_twist(a, structure.derivations), structure.derivations)
-    yield _law(H, {**desc, "argument": series_to_json(a)}, a, back, a.valid)
+    yield _law(H, lambda: {**desc, "argument": series_to_json(a)}, a, back, a.valid)
 
 
 @_register("divided-bridge")
@@ -828,14 +851,14 @@ def _check_divided_bridge(rng: random.Random, size: Size, ordinal: int) -> Laws:
     spec, A, sdesc = _diffpoly_spec(K, size.trunc, rng, size.degree, chain=False)
     a = A.sample(rng, size.degree)
     H = spec.target
-    inputs = {"coefficients": kdesc, "source": sdesc, "argument": A.element_to_json(a)}
+    inputs = lambda: {"coefficients": kdesc, "source": sdesc(), "argument": A.element_to_json(a)}
     lhs, rhs = H.to_divided(twisted_hurwitz(spec, a)), twisted_taylor(spec, a)
     pair = ["twisted_hurwitz", "twisted_taylor"]
-    yield _law(H, {**inputs, "pair": pair}, rhs, lhs, size.trunc)
+    yield _law(H, inputs, rhs, lhs, size.trunc, pair=pair)
     if constant_coeffs:
         lhs, rhs = H.to_divided(hurwitz_morphism(spec, a)), classical_taylor(spec, a)
         pair = ["hurwitz_morphism", "classical_taylor"]
-        yield _law(H, {**inputs, "pair": pair}, rhs, lhs, size.trunc)
+        yield _law(H, inputs, rhs, lhs, size.trunc, pair=pair)
 
 
 @_register("divided-derivative")
@@ -845,16 +868,18 @@ def _check_divided_derivative(rng: random.Random, size: Size, ordinal: int) -> L
     K: Ring = base if rng.random() < 0.5 else PolynomialRing(base, ["u"])
     H = HurwitzRing(K, rng.randint(1, size.width), size.trunc)
     a = H.sample(rng, size.degree)
-    inputs = {"ring": H.to_json(), "element": series_to_json(a)}
+    inputs = lambda: {"ring": H.to_json(), "element": series_to_json(a)}
     back = H.from_divided(H.to_divided(a))
-    yield _law(H, {**inputs, "law": "bridge_roundtrip"}, a, back, size.trunc)
+    yield _law(H, inputs, a, back, size.trunc, law="bridge_roundtrip")
     for slot in range(H.width):
         yield _law(
             H,
-            {**inputs, "law": "derivative_intertwine", "slot": slot},
+            inputs,
             H.formal_derive(H.to_divided(a), slot),
             H.to_divided(H.shift_derive(a, slot)),
             size.trunc - 1,
+            law="derivative_intertwine",
+            slot=slot,
         )
 
 
@@ -866,9 +891,9 @@ def _check_morphism_laws(rng: random.Random, size: Size, ordinal: int) -> Laws:
     spec, A, sdesc = _diffpoly_spec(K, size.trunc, rng, size.degree, chain=False)
     a, b = A.sample(rng, size.degree), A.sample(rng, size.degree)
     H = spec.target
-    inputs = {
+    inputs = lambda: {
         "coefficients": kdesc,
-        "source": sdesc,
+        "source": sdesc(),
         "arguments": [A.element_to_json(a), A.element_to_json(b)],
     }
 
@@ -876,19 +901,18 @@ def _check_morphism_laws(rng: random.Random, size: Size, ordinal: int) -> Laws:
     twin = MorphismSpec(source=_symbolic(A), coefficients=K, phi=spec.phi, trunc=size.trunc)
     for name, fn, needs_constant, divided in _applicable(constant_coeffs, K):
         Ta, Tb = fn(spec, a), fn(spec, b)
-        case = {**inputs, "constructor": name}
         got = fn(spec, A.add(a, b))
-        yield _law(H, {**case, "law": "additive"}, H.add(Ta, Tb), got, size.trunc)
+        yield _law(H, inputs, H.add(Ta, Tb), got, size.trunc, constructor=name, law="additive")
         got = fn(twin, A.mul(a, b))
         want = (H.cauchy_mul if divided else H.mul)(Ta, Tb)
-        yield _law(H, {**case, "law": "multiplicative"}, want, got, size.trunc)
+        yield _law(H, inputs, want, got, size.trunc, constructor=name, law="multiplicative")
         got = fn(spec, A.one())
-        yield _law(H, {**case, "law": "unital"}, H.one(), got, size.trunc)
+        yield _law(H, inputs, H.one(), got, size.trunc, constructor=name, law="unital")
         structure = H.differential_structure(
             None if needs_constant else K.derivations, divided
         )
         for slot in range(H.width):
             got = fn(spec, A.derive(a, slot))
             want = structure.derive(Ta, slot)
-            slot_case = {**case, "law": "differential", "slot": slot}
-            yield _law(H, slot_case, want, got, size.trunc - 1)
+            case = {"constructor": name, "law": "differential", "slot": slot}
+            yield _law(H, inputs, want, got, size.trunc - 1, **case)

@@ -232,6 +232,9 @@ class DiffPolyRing(Ring):
     def eq(self, a: DiffPolynomial, b: DiffPolynomial) -> bool:
         return a == b
 
+    def is_zero(self, a: DiffPolynomial) -> bool:
+        return not a.id_terms
+
     def embed_int(self, n: int) -> DiffPolynomial:
         return self.constant(self.base.ring.embed_int(n))
 
@@ -242,7 +245,13 @@ class DiffPolyRing(Ring):
         return None if inv is None else self.constant(inv)
 
     def derive(self, a: DiffPolynomial, slot: int) -> DiffPolynomial:
-        """Slot derivation: base family on coefficients, shift on symbols."""
+        """Slot derivation: base family on coefficients, shift on symbols.
+
+        A shifted id is larger than its source (one order step up raises the
+        degree, and ``grlex_rank`` grows with it), so factor k's new symbol
+        is merged into, or inserted at, the first position after k whose id
+        is not smaller; the monomial stays sorted without a sort.
+        """
         if not 0 <= slot < self.width:
             raise ValueError(f"slot {slot} out of range for width {self.width}")
         K = self.base.ring
@@ -251,13 +260,19 @@ class DiffPolyRing(Ring):
             dc = self.base.derive(c, slot)
             if not K.is_zero(dc):
                 terms.append((mon, dc))
-            for i, power in mon:
+            n = len(mon)
+            for k, (i, power) in enumerate(mon):
                 shifted = self._shift(i, slot)
-                counts = dict(mon)
-                counts[i] -= 1
-                counts[shifted] = counts.get(shifted, 0) + 1
+                j = k + 1
+                while j < n and mon[j][0] < shifted:
+                    j += 1
+                head = mon[:k] + ((i, power - 1),) if power > 1 else mon[:k]
+                if j < n and mon[j][0] == shifted:
+                    tail = ((shifted, mon[j][1] + 1),) + mon[j + 1 :]
+                else:
+                    tail = ((shifted, 1),) + mon[j:]
                 term = K.mul(c, K.embed_int(power)) if power > 1 else c
-                terms.append((_normalize_monomial(counts), term))
+                terms.append((head + mon[k + 1 : j] + tail, term))
         return self._make(terms)
 
     def differential_ring(self) -> DifferentialRing:

@@ -107,16 +107,26 @@ def _derivatives(
     child is derived, so about two grades are held at a time, not all: the
     high derivatives of a differential polynomial are the largest values the
     check suite builds.
+
+    Each live value carries a zero flag, and a zero's children are that zero,
+    yielded without calling the derivation.  The premise is that the family
+    sends zero to zero, as every derivation does.  A series is the exception:
+    its derivations lower its valid order, so a zero series is a zero of
+    fewer valid grades, and over a series ring every value is derived.
     """
+    R = structure.ring
+    is_zero = (lambda _: False) if isinstance(R, HurwitzRing) else R.is_zero
     last_child = {q: p for p, (q, _) in enumerate(parents, 1)}
-    live = {0: a}
+    live = {0: (a, is_zero(a))}
     yield a
     for p, (q, slot) in enumerate(parents, 1):
-        value = structure.derive(live[q], slot)
+        value, zero = live[q]
+        if not zero:
+            value = structure.derive(value, slot)
         if last_child[q] == p:
             del live[q]
         if p in last_child:
-            live[p] = value
+            live[p] = (value, zero or is_zero(value))
         yield value
 
 
@@ -247,7 +257,9 @@ def ev_twist(a: HurwitzSeries, family: Sequence[Derivation]) -> HurwitzSeries:
     of a second factor, and each row is one ``combine`` of the coefficient
     ring with the binomials as weights.  The valid order is preserved: index
     alpha only reads indices of degree <= alpha and coefficient derivations
-    cost nothing.
+    cost nothing.  The family must send zero to zero, as every derivation
+    does: the family is never called on a zero, whose derivatives are that
+    zero (``_derivatives``).
     """
     if len(family) != a.width:
         raise ValueError(

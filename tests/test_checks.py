@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
@@ -20,7 +21,7 @@ from hwtaylor.checks import (
 from hwtaylor.diffpoly import DiffPolyRing
 from hwtaylor.hurwitz import HurwitzRing
 from hwtaylor.multiindex import iter_dominated
-from hwtaylor.rings import PolynomialRing, Ring
+from hwtaylor.rings import PolynomialRing, PrimeField, RationalField, Ring
 
 from oracles import grlex_key
 
@@ -377,6 +378,50 @@ def test_golden_failure_reports(monkeypatch, bug, names, failing, digest):
     jsonl = reports_to_jsonl(reports)
     assert tuple(r.check_name for r in reports if r.status == "fail") == failing, jsonl
     assert hashlib.sha256(jsonl.encode()).hexdigest() == digest, jsonl
+
+
+class TestInputsAreRenderedOnFailure:
+    """A check keeps its instance's raw values and renders them only for a
+    failing law, so a passing instance pays for no JSON."""
+
+    @pytest.fixture
+    def renders(self, monkeypatch):
+        calls = Counter()
+
+        def count(owner, name, key):
+            true = getattr(owner, name)
+
+            def counting(*args, **kwargs):
+                calls[key] += 1
+                return true(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counting)
+
+        # ``checks`` calls its own import; ``HurwitzRing.render`` the module's
+        count(checks, "series_to_json", "series_to_json")
+        count(hurwitz, "series_to_json", "series_to_json")
+        count(DiffPolyRing, "values_to_json", "values_to_json")
+        count(DiffPolyRing, "element_to_json", "element_to_json")
+        for ring in (PolynomialRing, RationalField, PrimeField):
+            count(ring, "render", f"{ring.__name__}.render")
+        return calls
+
+    def test_passing_instances_render_nothing(self, renders):
+        reports = run_suite(CheckConfig(seed=0, instances=2))
+        assert all(r.status == "pass" for r in reports)
+        assert sum(renders.values()) == 0, renders
+
+    def test_failing_instances_render_their_inputs(self, monkeypatch, renders):
+        bug, names, failing, digest = GOLDEN_FAILURES[0]  # cauchy-mul
+        bug(monkeypatch)
+        reports = run_suite(CheckConfig(seed=0, checks=names, instances=4, width_max=2, trunc=4))
+        assert tuple(r.check_name for r in reports if r.status == "fail") == failing
+        failures = [f for r in reports for f in r.failures]
+        # every failing law names itself in its inputs, next to the instance
+        assert failures and all({"law", "constructor"} & set(f.inputs) for f in failures)
+        assert renders["series_to_json"] and renders["values_to_json"], renders
+        jsonl = reports_to_jsonl(reports)
+        assert hashlib.sha256(jsonl.encode()).hexdigest() == digest
 
 
 def test_raising_instance_is_a_shrunk_failure(monkeypatch):

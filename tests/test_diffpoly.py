@@ -149,6 +149,17 @@ class TestSymbolIds:
             assert by_id == sorted(symbols, key=lambda s: (grlex_key(s[1]), s[0]))
             assert [codec.decode(i) for i in ids] == symbols
 
+    def test_a_shifted_id_is_larger_than_its_source(self):
+        """``derive`` keeps monomials sorted by inserting the shifted symbol
+        after its source, which needs every shift to raise the id."""
+        for width in (1, 2, 3):
+            for count in (1, 2, 3):
+                codec = SymbolCodec(width, count)
+                ids = range(len(tuples_upto(width, 8)) * count)
+                for i in ids:
+                    for slot in range(width):
+                        assert codec.shift(i, slot) > i, (width, count, i, slot)
+
     def test_decoded_symbols_are_kept_and_ignored_by_equality(self, monkeypatch):
         calls = []
         unrank = diffpoly.grlex_unrank
@@ -464,6 +475,9 @@ class TestTermMerging:
     def test_add_mul_derive_match_the_oracle(self, setup):
         A, ops, coeff, derivations = setup
         rng = random.Random(42)
+        # trials whose derivative meets a power > 1, and trials where a
+        # factor's shifted symbol is already in its monomial (a merge)
+        powered = shifted_in = 0
         for trial in range(60):
             ta, tb = (self.random_terms(rng, coeff, rng.randint(1, 5)) for _ in "ab")
             a, b = self.element(A, ta), self.element(A, tb)
@@ -474,6 +488,15 @@ class TestTermMerging:
                 want = diffpoly_derive(da, slot, derive, ops)
                 assert self.as_dict(A.derive(a, slot)) == want, (trial, slot)
             assert A.add(a, A.neg(a)) == A.zero(), trial
+            monomials = [dict(mon) for mon in da]  # (var, order) -> power
+            powered += any(p > 1 for mon in monomials for p in mon.values())
+            shifted_in += any(
+                (v, tuple(e + (j == slot) for j, e in enumerate(o))) in mon
+                for mon in monomials
+                for v, o in mon
+                for slot in range(len(derivations))
+            )
+        assert powered > 20 and shifted_in > 5
 
     def test_cross_terms_cancel(self, setup):
         """``(p + q)(p - q) = p^2 - q^2`` for one-term ``p`` and ``q``."""

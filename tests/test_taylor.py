@@ -267,6 +267,34 @@ class TestEvTwist:
         )
         assert H.eq(got, want)
 
+    def test_the_family_is_called_on_nonzero_values_only(self):
+        """Every derivation sends zero to zero, so a zero's derivatives are
+        taken to be that zero and the family never sees one."""
+        K = rational_poly_carrier()
+        R = K.ring
+        H = HurwitzRing(R, 1, 5)
+        u = R.gen("u")
+        a = H.from_table({MultiIndex.of(0): u, MultiIndex.of(2): u, MultiIndex.of(5): u})
+        seen = []
+
+        def counting(x):
+            seen.append(x)
+            return K.derivations[0](x)
+
+        got = ev_twist(a, [counting])
+        assert H.eq(got, ev_twist(a, K.derivations))
+        # coefficient k needs d^j of itself for j <= 5 - k, so its parents are
+        # d^j for j < 5 - k: u at 0 and at 2 have the nonzero parents u and 1
+        # (then d^2 u = 0), u at 5 has none, and the three zeros have none
+        assert len(seen) == 4 and not any(map(R.is_zero, seen))
+
+    def test_a_zero_series_is_still_derived(self):
+        """A series derivation lowers the valid order, so the derivatives of a
+        zero series are zeros of fewer valid grades, not that zero."""
+        H = HurwitzRing(QQ, 1, 3)
+        table = taylor.derivative_table(H.differential_structure(), H.zero(), 3)
+        assert [s.valid for s in table.values()] == [3, 2, 1, 0]
+
     def test_zero_family_is_identity(self):
         H = HurwitzRing(QQ, 2, 3)
         a = H.sample(random.Random(7))
