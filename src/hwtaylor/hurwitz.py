@@ -12,14 +12,14 @@ the shift maps into the ordinary formal partial derivatives.
 
 Every index-shaped loop runs on a ``Plan``, the integer tables of one
 (width, trunc) shape: for each output position the (beta, alpha - beta,
-binomial) positions of the convolution, for each slot the shift map, the
-parent of each index, and the factorials.  Operations never build or compare
-a ``MultiIndex``.  Both products and the inverse are one call of the
-coefficient ring's bilinear kernel ``Ring.dot`` on the plan's rows: ``mul``
-with the binomials as weights, ``cauchy_mul`` with unit weights, and
-``invert`` on the series it is solving for, one row at a time.
-``taylor.ev_twist`` reads the same rows with iterated coefficient
-derivatives in place of a second factor.
+binomial) positions of the convolution, for each slot the shift map and the
+lines of indices along it, the parent of each index, and the factorials.
+Operations never build or compare a ``MultiIndex``.  Both products and the
+inverse are one call of the coefficient ring's bilinear kernel ``Ring.dot``
+on the plan's rows: ``mul`` with the binomials as weights, ``cauchy_mul``
+with unit weights, and ``invert`` on the series it is solving for, one row
+at a time.  ``taylor.ev_twist`` runs one slot at a time along the lines,
+weighting by the binomials of the rows of pure powers.
 
 Validity bookkeeping: each series carries ``valid <= trunc``, the order up
 to which its coefficients are trustworthy.  A shift derivation consumes one
@@ -81,6 +81,10 @@ class Plan:
       product of the componentwise binomials.
     * ``shifts[slot][p]``: ``(q, k)`` with q the position of alpha + e_slot
       and k = alpha[slot] + 1, for every position p below the top grade.
+    * ``lines[slot]``: for every beta with beta[slot] = 0, in graded-lex
+      order, the positions of beta, beta + e_slot, beta + 2 e_slot, ... up to
+      the top grade.  ``lines[slot][0]`` is the line of the pure powers
+      n e_slot, whose rows hold the binomials binom(n, k).
     * ``parents[p - 1]``: ``(q, slot)`` for every position p > 0, where slot
       is the first nonzero slot of alpha and q the position of
       alpha - e_slot.  A prefix of it serves every smaller truncation.
@@ -112,6 +116,14 @@ class Plan:
         below_top = entries[: count_upto(width, trunc - 1)] if trunc else ()
         self.shifts = tuple(
             tuple((moved(e, slot, 1), e[slot] + 1) for e in below_top) for slot in range(width)
+        )
+        self.lines = tuple(
+            tuple(
+                tuple(pos[(*e[:slot], n, *e[slot + 1 :])] for n in range(trunc - sum(e) + 1))
+                for e in entries
+                if not e[slot]
+            )
+            for slot in range(width)
         )
         first_slots = ((e, next(s for s, k in enumerate(e) if k)) for e in entries[1:])
         self.parents = tuple((moved(e, s, -1), s) for e, s in first_slots)

@@ -42,8 +42,8 @@ from typing import Callable, Iterator, Sequence
 
 from .diffpoly import DiffPolyRing, UncoveredSymbolError
 from .hurwitz import HurwitzRing, HurwitzSeries, plan_for
-from .multiindex import MultiIndex, count_upto
-from .rings import Derivation, DifferentialRing, DomainError, Element
+from .multiindex import MultiIndex
+from .rings import Derivation, DifferentialRing, DomainError, Element, Ring
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,6 +96,17 @@ def derivative_table(
     return dict(zip(plan.indices, _derivatives(structure, a, plan.parents)))
 
 
+def _stays_zero(R: Ring) -> Callable[[Element], bool]:
+    """The test for a value of ``R`` whose derivatives are that value.
+
+    The premise is that a derivation sends zero to zero, as every derivation
+    does, so the family is never called on a zero.  A series is the
+    exception: its derivations lower its valid order, so a zero series is a
+    zero of fewer valid grades, and over a series ring every value is derived.
+    """
+    return (lambda _: False) if isinstance(R, HurwitzRing) else R.is_zero
+
+
 def _derivatives(
     structure: DifferentialRing, a: Element, parents: Sequence[tuple[int, int]]
 ) -> Iterator[Element]:
@@ -108,14 +119,12 @@ def _derivatives(
     high derivatives of a differential polynomial are the largest values the
     check suite builds.
 
-    Each live value carries a zero flag, and a zero's children are that zero,
-    yielded without calling the derivation.  The premise is that the family
-    sends zero to zero, as every derivation does.  A series is the exception:
-    its derivations lower its valid order, so a zero series is a zero of
-    fewer valid grades, and over a series ring every value is derived.
+    It serves the derived raw series, the coefficient series of Taylor mode
+    and ``derivative_table``.  Each live value carries a zero flag, and a
+    zero's children are that zero, yielded without calling the derivation
+    (``_stays_zero``).
     """
-    R = structure.ring
-    is_zero = (lambda _: False) if isinstance(R, HurwitzRing) else R.is_zero
+    is_zero = _stays_zero(structure.ring)
     last_child = {q: p for p, (q, _) in enumerate(parents, 1)}
     live = {0: (a, is_zero(a))}
     yield a
@@ -251,15 +260,20 @@ def ev_twist(a: HurwitzSeries, family: Sequence[Derivation]) -> HurwitzSeries:
     """Reshuffle a series by a commuting family acting on its coefficients.
 
     Coefficient alpha of the result is the sum over gamma <= alpha of
-    binom(alpha, gamma) applied-family^gamma of coefficient alpha - gamma.
-    This is a twist, not a product: it reads the rows of the plan that
-    ``HurwitzRing.mul`` reads, with the iterated family derivatives in place
-    of a second factor, and each row is one ``combine`` of the coefficient
-    ring with the binomials as weights.  The valid order is preserved: index
-    alpha only reads indices of degree <= alpha and coefficient derivations
-    cost nothing.  The family must send zero to zero, as every derivation
-    does: the family is never called on a zero, whose derivatives are that
-    zero (``_derivatives``).
+    binom(alpha, gamma) family^gamma of coefficient alpha - gamma, where
+    family^gamma applies slot 0 last.  Both the binomial and family^gamma
+    split by slot, so the twist is the one-slot twists T_0 o ... o T_{m-1},
+    and this runs them as m passes, last slot first.  Pass i walks the
+    plan's ``lines[i]`` (positions beta + n e_i for beta with beta_i = 0):
+    entry n of a line reads the chain family[i]^k of entry n - k, and is one
+    ``combine`` of the coefficient ring with the weights binom(n, k), read
+    from the plan's rows of the pure powers n e_i.  So only one line's
+    chains are live at a time, and the family is called m C(trunc + m,
+    m + 1) times at most, not once per (index, gamma) pair.
+
+    The valid order is preserved: index alpha only reads indices of degree
+    <= alpha and coefficient derivations cost nothing.  A zero's chain is
+    that zero, without a family call (``_stays_zero``).
     """
     if len(family) != a.width:
         raise ValueError(
@@ -267,21 +281,27 @@ def ev_twist(a: HurwitzSeries, family: Sequence[Derivation]) -> HurwitzSeries:
         )
     K = a.ring
     H = HurwitzRing(K, a.width, a.trunc)
-    structure = DifferentialRing(K, tuple(family))
     plan = H.plan
-    # position j needs family^gamma of its coefficient for |gamma| <= trunc - |alpha_j|
-    tables = [
-        list(_derivatives(
-            structure, c, plan.parents[: count_upto(a.width, a.trunc - alpha.degree) - 1]
-        ))
-        for alpha, c in zip(plan.indices, a.entries)
-    ]
+    is_zero = _stays_zero(K)
     combine = K.combine
-    rows = (
-        combine(binomials, [tables[j][i] for i, j in zip(left, right)])
-        for left, right, binomials in plan.rows
-    )
-    return H._from_entries(rows, a.valid)
+    entries = list(a.entries)
+    for slot in reversed(range(a.width)):
+        derive = family[slot]
+        lines = plan.lines[slot]
+        binomials = [plan.rows[p][2] for p in lines[0]]
+        for line in lines:
+            # entry n feeds the line's outputs n..top, so it needs top - n steps
+            top = len(line) - 1
+            chains = []
+            for n, p in enumerate(line):
+                chain = [entries[p]]
+                for _ in range(top - n):
+                    last = chain[-1]
+                    chain.append(last if is_zero(last) else derive(last))
+                chains.append(chain)
+            for n, p in enumerate(line):
+                entries[p] = combine(binomials[n], [chains[n - k][k] for k in range(n + 1)])
+    return H._from_entries(entries, a.valid)
 
 
 def ev_untwist(a: HurwitzSeries, family: Sequence[Derivation]) -> HurwitzSeries:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import math
 import random
 import weakref
 from fractions import Fraction
@@ -10,13 +12,14 @@ import pytest
 import hwtaylor.taylor as taylor
 from hwtaylor.checks import Size, _random_structure
 from hwtaylor.diffpoly import DiffPolyRing
-from hwtaylor.hurwitz import HurwitzRing
+from hwtaylor.hurwitz import HurwitzRing, series_to_json
 from hwtaylor.multiindex import MultiIndex, enumerate_upto
 from hwtaylor.rings import (
     QQ,
     DifferentialRing,
     DomainError,
     PrimeField,
+    _canonical_json,
     constant_structure,
     differential_polynomial_carrier,
 )
@@ -239,21 +242,25 @@ class TestOracleCrossChecks:
                     assert R.eq(got.coeff(alpha), want)
 
     def test_ev_twist_against_direct_sum(self):
-        F = PrimeField(3)
-        # diagonal commuting family on F3[u, v]
-        K = differential_polynomial_carrier(
-            F, ["u", "v"], [["u", "0"], ["0", "2*v"]]
-        )
-        R = K.ring
-        H = HurwitzRing(R, 2, 3)
-        rng = random.Random(6)
-        ops = poly_ops(R)
-        a = H.sample(rng)
-        got = ev_twist(a, K.derivations)
-        table = {alpha.entries: c for alpha, c in a.coeffs.items()}
-        for alpha in H.indices:
-            want = ev_twist_coeff(table, alpha.entries, K.derivations, ops)
-            assert R.eq(got.coeff(alpha), want)
+        families = [
+            # diagonal commuting family on K[u, v]
+            [["u", "0"], ["0", "2*v"]],
+            # width 3, where slot 2 moves u as slot 0 does
+            [["1", "0", "0"], ["0", "v", "0"], ["1", "0", "w"]],
+        ]
+        for field in (QQ, PrimeField(3)):
+            for images in families:
+                K = differential_polynomial_carrier(field, ["u", "v", "w"][: len(images)], images)
+                R = K.ring
+                H = HurwitzRing(R, len(images), 3)
+                rng = random.Random(6)
+                ops = poly_ops(R)
+                a = H.sample(rng)
+                got = ev_twist(a, K.derivations)
+                table = {alpha.entries: c for alpha, c in a.coeffs.items()}
+                for alpha in H.indices:
+                    want = ev_twist_coeff(table, alpha.entries, K.derivations, ops)
+                    assert R.eq(got.coeff(alpha), want)
 
 
 class TestEvTwist:
@@ -287,6 +294,56 @@ class TestEvTwist:
         # d^j for j < 5 - k: u at 0 and at 2 have the nonzero parents u and 1
         # (then d^2 u = 0), u at 5 has none, and the three zeros have none
         assert len(seen) == 4 and not any(map(R.is_zero, seen))
+
+    @pytest.mark.parametrize("width, trunc, calls", [(3, 4, 105), (2, 5, 70)])
+    def test_one_slot_at_a_time(self, width, trunc, calls):
+        """The twist is one one-slot twist per slot, so on a dense series whose
+        derivatives never vanish the family is called m C(trunc + m, m + 1)
+        times: once per step of each slot's chains, not once per (index,
+        gamma) pair, which made 175 and 105 calls."""
+        images = [["u", "0", "0"], ["0", "v", "0"], ["0", "0", "w"]][:width]
+        K = differential_polynomial_carrier(QQ, ["u", "v", "w"], images)
+        R = K.ring
+        H = HurwitzRing(R, width, trunc)
+        uvw = R.parse("u*v*w")
+        a = H._from_entries([uvw] * len(H.indices), trunc)
+        seen = []
+
+        def counting(d):
+            def derive(x):
+                seen.append(x)
+                return d(x)
+
+            return derive
+
+        got = ev_twist(a, [counting(d) for d in K.derivations])
+        assert len(seen) == calls == width * math.comb(trunc + width, width + 1)
+        ops = poly_ops(R)
+        table = {alpha.entries: c for alpha, c in a.coeffs.items()}
+        for alpha in H.indices:
+            want = ev_twist_coeff(table, alpha.entries, K.derivations, ops)
+            assert R.eq(got.coeff(alpha), want)
+
+    def test_nested_valid_orders_are_pinned(self):
+        """Over H(H(Q)) the family is the inner shift derivations, which lower
+        the inner valid orders, so those orders are part of the output bytes:
+        inner coefficient alpha reads min over gamma <= alpha of the valid
+        order at alpha - gamma minus |gamma|."""
+        inner = HurwitzRing(QQ, 2, 5)
+        H = HurwitzRing(inner, 2, 3)
+        rng = random.Random(11)
+        entries = []
+        for p in range(len(H.indices)):
+            s = inner.zero() if p % 4 == 3 else inner.sample(rng)
+            # inner valid orders 3..5, never below what the twist derives at p
+            entries.append(inner._from_entries(s.entries, 5 - p % 3))
+        a = H._from_entries(entries, 3)
+        got = ev_twist(a, inner.differential_structure().derivations)
+        assert [c.valid for c in got.entries] == [5, 4, 3, 3, 2, 2, 2, 1, 1, 1]
+        text = _canonical_json(series_to_json(got))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "6a8ca36ac8f73100fe8ce0adc9cd78e49725a057daefc7d77d321bd7cb76d07a"
+        )
 
     def test_a_zero_series_is_still_derived(self):
         """A series derivation lowers the valid order, so the derivatives of a
