@@ -219,6 +219,11 @@ def _reductions(size: Size):
         yield replace(size, width=size.width - 1)
 
 
+def _detail(inputs: Any, expected: Any, actual: Any, order: int | None = None) -> dict:
+    """A failure detail: rendered inputs and sides, and the comparison order."""
+    return {"inputs": inputs, "expected": expected, "actual": actual, "comparison_order": order}
+
+
 def _first_failure(
     builder: InstanceFn, seed: str, size: Size, ordinal: int
 ) -> dict | None:
@@ -226,12 +231,7 @@ def _first_failure(
     try:
         return builder(random.Random(seed), size, ordinal)
     except Exception as exc:
-        return {
-            "inputs": None,
-            "expected": None,
-            "actual": f"{type(exc).__name__}: {exc}",
-            "comparison_order": None,
-        }
+        return _detail(None, None, f"{type(exc).__name__}: {exc}")
 
 
 def _shrink(
@@ -418,12 +418,7 @@ def _law(
         if ring.agree_up_to(expected, actual, order):
             return None
         render = series_to_json
-    return {
-        "inputs": {**inputs(), **case},
-        "expected": render(expected),
-        "actual": render(actual),
-        "comparison_order": order,
-    }
+    return _detail({**inputs(), **case}, render(expected), render(actual), order)
 
 
 # ---------------------------------------------------------------------------
@@ -626,12 +621,8 @@ def _check_char_p(rng: random.Random, size: Size, ordinal: int) -> Laws:
         yield _law(H, inputs, H.zero(), H.pow(t, p), trunc, law=law, slot=slot)
         below = H.pow(t, p - 1)
         if H.is_zero(below):
-            yield {
-                "inputs": {**inputs(), "law": "lower_power_survives", "slot": slot},
-                "expected": series_to_json(t),
-                "actual": series_to_json(below),
-                "comparison_order": trunc,
-            }
+            case = {**inputs(), "law": "lower_power_survives", "slot": slot}
+            yield _detail(case, series_to_json(t), series_to_json(below), trunc)
 
 
 @_register("inversion")
@@ -645,12 +636,7 @@ def _check_inversion(rng: random.Random, size: Size, ordinal: int) -> Laws:
     prod = H.mul(a, H.invert(a))
     yield _law(H, inputs, H.one(), prod, a.valid, law="mul_inverse")
     if H.try_invert(H.sub(a, H.embed(H.ev(a)))) is not None:
-        yield {
-            "inputs": {**inputs(), "law": "non_unit_rejected"},
-            "expected": "None",
-            "actual": "an inverse",
-            "comparison_order": None,
-        }
+        yield _detail({**inputs(), "law": "non_unit_rejected"}, "None", "an inverse")
 
 
 # ---------------------------------------------------------------------------

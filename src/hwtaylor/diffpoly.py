@@ -13,12 +13,12 @@ first, then by variable.  So a monomial is its sorted ``(id, power)`` pairs
 and terms sort by total degree, then by monomial, in plain tuple order; only
 ``_make`` merges like terms.  ``SymbolCodec`` turns ids into symbols and
 back; it depends on the width and the number of indeterminates only, so
-equal rings read each other's elements.  Each ring keeps a shift table per
-derivation slot, from an id to the id one order step up, which is all that
-``derive`` and Taylor mode need of orders.  The public symbol stays
-``(var, MultiIndex)``: it is what ``symbol``, the callback of
-``substitution``, value tables, ``DiffPolynomial.terms``, ``render`` and
-the JSON forms take and give.
+equal rings read each other's elements.  It also shifts ids, from an id to
+the id one order step up in a slot, which is all that ``derive`` and Taylor
+mode need of orders.  The public symbol stays ``(var, MultiIndex)``: it is
+what ``symbol``, the callback of ``substitution``, value tables,
+``DiffPolynomial.terms``, ``render`` and the JSON forms take and give, and
+the only reason an id is decoded.
 
 The carrier is free on its symbols, so a ring map out of it is fixed by
 where coefficients and symbols go: ``substitution`` is that map, the one
@@ -64,14 +64,16 @@ class SymbolCodec:
 
     Symbol (var, order) has id ``grlex_rank(order) * count + var``; both ways
     cost O(width) binomials plus, for decoding, a walk over the degree.  The
-    codec keeps the symbol of each id it has decoded, so that walk runs once
-    per id; equality and hashing ignore that table, so equal rings still read
-    each other's elements.
+    codec keeps the id each shift gives, so that walk runs once per id and
+    slot; equality and hashing ignore that table, so equal rings still read
+    each other's elements.  Decoding keeps nothing: it serves only what shows
+    a symbol.
     """
 
     width: int
     count: int
-    _decoded: dict[int, Symbol] = field(
+    # i * width + slot -> the id of symbol i one order step up in slot
+    _shifts: dict[int, int] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
 
@@ -79,18 +81,19 @@ class SymbolCodec:
         return grlex_rank(entries) * self.count + var
 
     def decode(self, i: int) -> Symbol:
-        sym = self._decoded.get(i)
-        if sym is None:
-            rank, var = divmod(i, self.count)
-            sym = self._decoded[i] = (var, MultiIndex(grlex_unrank(self.width, rank)))
-        return sym
+        rank, var = divmod(i, self.count)
+        return var, MultiIndex(grlex_unrank(self.width, rank))
 
     def shift(self, i: int, slot: int) -> int:
-        """The id of symbol ``i`` one order step up in ``slot``."""
-        var, order = self.decode(i)
-        entries = list(order.entries)
-        entries[slot] += 1
-        return self.encode(var, entries)
+        """The id of symbol ``i`` one order step up in ``slot`` (in range)."""
+        key = i * self.width + slot
+        shifted = self._shifts.get(key)
+        if shifted is None:
+            rank, var = divmod(i, self.count)
+            entries = list(grlex_unrank(self.width, rank))
+            entries[slot] += 1
+            shifted = self._shifts[key] = self.encode(var, entries)
+        return shifted
 
 
 def _term_key(term: tuple[Monomial, Element]) -> tuple:
@@ -136,8 +139,6 @@ class DiffPolyRing(Ring):
         self.characteristic = base.ring.characteristic
         self._codec = SymbolCodec(base.width, len(names))
         self._one = base.ring.one()
-        # per slot, symbol id -> the id one order step up in that slot
-        self._shifts: tuple[dict[int, int], ...] = tuple({} for _ in range(base.width))
         # one structure per ring, so that ``taylor`` can recognise it by identity;
         # each slot looks ``derive`` up at call time
         self._structure = DifferentialRing(
@@ -174,14 +175,6 @@ class DiffPolyRing(Ring):
                 items.append((m, c))
         items.sort(key=_term_key)
         return DiffPolynomial(tuple(items), self._codec)
-
-    def _shift(self, i: int, slot: int) -> int:
-        """The id one order step up from ``i`` in ``slot``, from the slot's table."""
-        table = self._shifts[slot]
-        shifted = table.get(i)
-        if shifted is None:
-            shifted = table[i] = self._codec.shift(i, slot)
-        return shifted
 
     def _symbol_of(self, i: int) -> DiffPolynomial:
         """The single symbol with id ``i``."""
@@ -254,7 +247,7 @@ class DiffPolyRing(Ring):
         """
         if not 0 <= slot < self.width:
             raise ValueError(f"slot {slot} out of range for width {self.width}")
-        K = self.base.ring
+        K, shift = self.base.ring, self._codec.shift
         terms = []
         for mon, c in a.id_terms:
             dc = self.base.derive(c, slot)
@@ -262,7 +255,7 @@ class DiffPolyRing(Ring):
                 terms.append((mon, dc))
             n = len(mon)
             for k, (i, power) in enumerate(mon):
-                shifted = self._shift(i, slot)
+                shifted = shift(i, slot)
                 j = k + 1
                 while j < n and mon[j][0] < shifted:
                     j += 1
@@ -365,19 +358,28 @@ class DiffPolyRing(Ring):
         values: Mapping[Symbol, Element],
         default_zero: bool = False,
     ) -> Callable[[DiffPolynomial], Element]:
-        """Algebra map to the coefficients given a value for every symbol."""
-        K = self.base.ring
+        """Algebra map to the coefficients given a value for every symbol.
 
-        def lookup(sym: Symbol) -> Element:
-            if sym in values:
-                return values[sym]
+        The table is read once, here, by symbol id; a key whose variable or
+        order width does not fit the ring names none of its symbols and is
+        left out, so it cannot alias another symbol's id.
+        """
+        K, count, encode = self.base.ring, len(self.variables), self._codec.encode
+        table = {
+            encode(var, order.entries): v
+            for (var, order), v in values.items()
+            if 0 <= var < count and order.width == self.width
+        }
+
+        def lookup(i: int) -> Element:
+            if i in table:
+                return table[i]
             if default_zero:
                 return K.zero()
-            raise UncoveredSymbolError(
-                f"value table does not cover symbol {self.render_symbol(sym)}"
-            )
+            sym = self.render_symbol(self._codec.decode(i))
+            raise UncoveredSymbolError(f"value table does not cover symbol {sym}")
 
-        return self.substitution(K, lambda c: c, lookup)
+        return self._substitution(K, lambda c: c, lookup)
 
     def render_symbol(self, sym: Symbol) -> str:
         var, order = sym

@@ -25,12 +25,11 @@ Validity bookkeeping: each series carries ``valid <= trunc``, the order up
 to which its coefficients are trustworthy.  A shift derivation consumes one
 grade (``valid`` drops by 1), binary operations take the minimum, and the
 coefficientwise lift of a base derivation is free.  Comparisons must state
-the order they compare at; ``agree`` uses the shared valid order.
+the order they compare at, as ``agree_up_to`` does.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -301,13 +300,10 @@ class HurwitzRing(Ring):
         """Exact table equality over the whole truncation box.
 
         Validity is bookkeeping about trustworthiness, not part of the value;
-        use ``agree`` for the comparison that respects it.
+        use ``agree_up_to`` for the comparison that respects it.
         """
         self._check_pair(a, b)
         return all(map(self.coeff_ring.eq, a.entries, b.entries))
-
-    def agree(self, a: HurwitzSeries, b: HurwitzSeries) -> bool:
-        return self.agree_up_to(a, b, min(a.valid, b.valid))
 
     def agree_up_to(self, a: HurwitzSeries, b: HurwitzSeries, order: int) -> bool:
         """Coefficientwise equality for all indices of total degree <= order."""
@@ -453,11 +449,6 @@ class HurwitzRing(Ring):
 
     def render(self, a: HurwitzSeries) -> str:
         return _canonical_json(series_to_json(a))
-
-    def parse(self, text: str) -> HurwitzSeries:
-        a = series_from_json(json.loads(text))
-        self._check(a)
-        return a
 
     def sample(self, rng, degree: int = 2) -> HurwitzSeries:
         K = self.coeff_ring

@@ -146,8 +146,8 @@ def _taylor_raw(spec: MorphismSpec, a: Element) -> HurwitzSeries | None:
     cofree), so it is the ``DiffPolyRing.substitution`` that sends symbol
     (x, o) to ``beta -> phi(x at order o + beta)`` and a coefficient c to
     ``beta -> phi(delta^beta c)``.  It runs on symbol ids: the ids of a
-    symbol's derivatives come from the ring's shift tables, one step from
-    each parent in the plan.  Symbol images are read from the spec's
+    symbol's derivatives come from the codec's shifts, one step from each
+    parent in the plan.  Symbol images are read from the spec's
     ``_symbols`` table, which keeps only images ``phi`` returned, so a symbol
     that raised raises again for the next argument that reads it.  Only the
     source ``differential_ring()`` of a ``DiffPolyRing`` is taken.  ``None``
@@ -181,7 +181,7 @@ def _taylor_raw(spec: MorphismSpec, a: Element) -> HurwitzSeries | None:
         # the ids of the symbol's derivatives, each one shift from its parent's
         ids = [i]
         for q, slot in plan.parents:
-            ids.append(A._shift(ids[q], slot))
+            ids.append(A._codec.shift(ids[q], slot))
         return H._from_entries([image(j) for j in ids], trunc)
 
     try:

@@ -73,8 +73,10 @@ def naive_plan(width: int, trunc: int) -> dict[str, Any]:
     ``rows[p]`` runs over ``dominated(alpha)``: the positions of beta and of
     alpha - beta, and the binomial; ``shifts[slot]`` pairs each index below
     the top grade with the position of its step up in ``slot`` and the new
-    entry there; ``parents`` pairs each nonzero index with the position of
-    its step down in its first nonzero slot, and that slot.
+    entry there; ``lines[slot]`` gives, for each index alpha with
+    ``alpha[slot] == 0``, the positions of alpha + n e_slot up to the top
+    grade; ``parents`` pairs each nonzero index with the position of its
+    step down in its first nonzero slot, and that slot.
     """
     indices = grlex_tuples(width, trunc)
 
@@ -94,6 +96,14 @@ def naive_plan(width: int, trunc: int) -> dict[str, Any]:
         tuple((step(alpha, slot, 1), alpha[slot] + 1) for alpha in below_top)
         for slot in range(width)
     )
+    lines = tuple(
+        tuple(
+            tuple(step(alpha, slot, n) for n in range(trunc - sum(alpha) + 1))
+            for alpha in indices
+            if alpha[slot] == 0
+        )
+        for slot in range(width)
+    )
     parents = []
     for alpha in indices[1:]:
         slot = min(i for i, e in enumerate(alpha) if e > 0)
@@ -102,6 +112,7 @@ def naive_plan(width: int, trunc: int) -> dict[str, Any]:
         "indices": indices,
         "rows": tuple(rows),
         "shifts": shifts,
+        "lines": lines,
         "parents": tuple(parents),
         "factorials": tuple(tuple_factorial(alpha) for alpha in indices),
     }

@@ -232,6 +232,33 @@ class TestExpand:
                 ),
                 "error: problem.phi.values: more than 10000 rows",
             ),
+            # shapes that only one branch of the reader checks
+            (
+                lambda d: d.__setitem__("ring", {"kind": "Q", "derivations": [{}]}),
+                "error: problem.ring.derivations: only polynomial rings carry derivation tables",
+            ),
+            (
+                lambda d: d["source"].__setitem__("derivations", "all"),
+                'error: problem.source.derivations: expected "zero" or "ring"',
+            ),
+            (
+                lambda d: (
+                    diffpoly_element([0, [0], 1])(d),
+                    d["phi"].__setitem__("default_zero", 1),
+                ),
+                "error: problem.phi.default_zero: expected a boolean",
+            ),
+            (
+                lambda d: (
+                    diffpoly_element([0, [0], 1])(d),
+                    d["element"][0].__setitem__("monomial", {}),
+                ),
+                "error: problem.element[0].monomial: expected a list",
+            ),
+            (
+                diffpoly_element([0, [0]]),
+                "error: problem.element[0].monomial[0]: expected [var, order, power]",
+            ),
         ],
     )
     def test_validation_errors_name_paths(self, tmp_path, capsys, mutate, path_fragment):

@@ -52,6 +52,10 @@ class TestArithmetic:
         x = A.gen("x")
         x1 = A.symbol("x", [1])
         assert not A.eq(x, x1)
+        with pytest.raises(ValueError, match="variable slot 1 out of range"):
+            A.symbol(1, [1])
+        with pytest.raises(ValueError, match="order width 2 does not match 1 derivations"):
+            A.symbol("x", [1, 0])
         assert A.eq(A.add(x, A.zero()), x)
         assert A.eq(A.mul(A.one(), x1), x1)
 
@@ -77,6 +81,8 @@ class TestDerive:
     def test_shifts_symbols(self, ring_one_var):
         A = ring_one_var
         assert A.eq(A.derive(A.gen("x"), 0), A.symbol("x", [1]))
+        with pytest.raises(ValueError, match="slot 1 out of range for width 1"):
+            A.derive(A.gen("x"), 1)
 
     def test_product_rule(self, ring_one_var):
         A = ring_one_var
@@ -160,7 +166,7 @@ class TestSymbolIds:
                     for slot in range(width):
                         assert codec.shift(i, slot) > i, (width, count, i, slot)
 
-    def test_decoded_symbols_are_kept_and_ignored_by_equality(self, monkeypatch):
+    def test_shifts_are_kept_and_ignored_by_equality(self, monkeypatch):
         calls = []
         unrank = diffpoly.grlex_unrank
 
@@ -172,15 +178,21 @@ class TestSymbolIds:
         codec, twin = SymbolCodec(2, 2), SymbolCodec(2, 2)
         orders = enumerate_upto(2, 3)
         ids = [codec.encode(var, order.entries) for order in orders for var in (0, 1)]
-        symbols = [codec.decode(i) for i in ids]
-        shifted = [codec.shift(i, slot) for i in ids for slot in (0, 1)]
-        # one walk per id, shared by later decodes and shifts; the table
-        # holds the decoded ids and nothing else
-        assert len(calls) == len(ids) and sorted(codec._decoded) == sorted(ids)
-        assert all(codec.decode(i) is sym for i, sym in zip(ids, symbols))
-        assert shifted == [twin.shift(i, slot) for i in ids for slot in (0, 1)]
+        pairs = [(i, slot) for i in ids for slot in (0, 1)]
+        shifted = [codec.shift(i, slot) for i, slot in pairs]
+        # one walk per (id, slot); the table holds those shifts and nothing else
+        assert len(calls) == len(pairs)
+        assert codec._shifts == {i * 2 + slot: j for (i, slot), j in zip(pairs, shifted)}
+        assert [codec.shift(i, slot) for i, slot in pairs] == shifted
+        assert len(calls) == len(pairs)
+        # decoding keeps nothing: each decode walks again and leaves the table as it was
+        calls.clear()
+        assert [codec.decode(i) for i in ids] == [codec.decode(i) for i in ids]
+        assert len(calls) == 2 * len(ids) and len(codec._shifts) == len(pairs)
+        assert shifted == [twin.shift(i, slot) for i, slot in pairs]
         assert codec == twin and hash(codec) == hash(twin)
-        assert codec == SymbolCodec(2, 2) and codec != SymbolCodec(2, 1)
+        assert codec == SymbolCodec(2, 2) and hash(codec) == hash(SymbolCodec(2, 2))
+        assert codec != SymbolCodec(2, 1)
 
     def test_json_term_order_matches_the_oracle(self):
         """200 seeded elements, their products and derivatives: terms and factors
@@ -206,7 +218,7 @@ class TestSymbolIds:
         base = constant_structure(QQ, 2)
         A, B = DiffPolyRing(base, ["x", "y"]), DiffPolyRing(base, ["x", "y"])
         assert A == B and A is not B
-        # B's shift tables start empty and read symbols only A has shifted
+        # B's codec starts with no shifts and reads symbols only A has shifted
         x10 = A.derive(A.gen("x"), 0)
         assert B.derive(x10, 1) == A.symbol("x", [1, 1]) == B.symbol("x", [1, 1])
         rng = random.Random(29)
@@ -264,8 +276,30 @@ class TestEvaluate:
         lenient = A.value_hom({(0, MultiIndex.of(0)): Fraction(1)}, default_zero=True)
         assert lenient(A.symbol("x", [1])) == Fraction(0)
 
+    def test_foreign_keys_cover_no_symbol(self, ring_one_var):
+        """A key with a variable out of range or an order of another width
+        names no symbol of x: the ids it would encode to (x' and x'') stay
+        uncovered."""
+        A = ring_one_var
+        x1, x2 = A.symbol("x", [1]), A.symbol("x", [2])
+        foreign = {
+            (0, MultiIndex.of(0)): Fraction(1),
+            (1, MultiIndex.of(0)): Fraction(3),
+            (0, MultiIndex.of(0, 1)): Fraction(5),
+        }
+        assert A._codec.encode(1, (0,)) == A._codec.encode(0, (1,))
+        assert A._codec.encode(0, (0, 1)) == A._codec.encode(0, (2,))
+        phi = A.value_hom(foreign)
+        assert phi(A.gen("x")) == Fraction(1)
+        for sym, name in ((x1, "x'"), (x2, "x''")):
+            with pytest.raises(UncoveredSymbolError, match=f"symbol {name}$"):
+                phi(sym)
+        lenient = A.value_hom(foreign, default_zero=True)
+        assert lenient(x1) == lenient(x2) == Fraction(0)
+
     def test_value_map_reads_and_raises_each_symbol_once(self, monkeypatch):
-        """One map over several elements: one read per symbol, one K.pow per power."""
+        """One map over several elements: the table is read once, when the map
+        is built, and each power is one K.pow."""
         A = DiffPolyRing(constant_structure(QQ, 1), ["x", "y"])
         x, y, x1 = A.gen("x"), A.gen("y"), A.symbol("x", [1])
         elements = [
@@ -281,6 +315,14 @@ class TestEvaluate:
                 reads.append(sym)
                 return dict.__getitem__(self, sym)
 
+            def __contains__(self, sym):
+                reads.append(sym)
+                return dict.__contains__(self, sym)
+
+            def items(self):
+                reads.append("items")
+                return dict.items(self)
+
         table = Table({
             (0, MultiIndex.of(0)): Fraction(2),
             (1, MultiIndex.of(0)): Fraction(3),
@@ -295,8 +337,10 @@ class TestEvaluate:
 
         monkeypatch.setattr(Ring, "pow", counting)
         phi = A.value_hom(table)
+        assert reads == ["items"]
+        table[0, MultiIndex.of(0)] = Fraction(7)
         assert [phi(e) for e in elements] == [4 * 27, 4 + 5, 27 * 2, 8]
-        assert len(reads) == len(set(reads)) == len(table)
+        assert reads == ["items"]
         assert len(set(powers)) == len(powers)
         assert sorted(p for p in powers if p[1] > 1) == [(2, 2), (2, 3), (3, 3)]
 
@@ -345,6 +389,11 @@ class TestJson:
             (
                 [{"coeff": "1", "monomial": [[0, [1], 1], [0, [1], 2]]}],
                 "duplicate symbol",
+            ),
+            ([{"coeff": "1", "monomial": {}}], r"^element\[0\]\.monomial: expected a list$"),
+            (
+                [{"coeff": "1", "monomial": [[0, [0]]]}],
+                r"^element\[0\]\.monomial\[0\]: expected \[var, order, power\]$",
             ),
         ]
         for doc, pattern in cases:

@@ -76,6 +76,8 @@ class TestConstruction:
             a.coeffs[MultiIndex.of(0, 0, 0)] = 1
         with pytest.raises(ValueError, match="does not span the truncation box"):
             HurwitzSeries(H.coeff_ring, 3, 4, 4, a.entries[:-1])
+        with pytest.raises(TypeError, match="must be a tuple in graded-lex order"):
+            HurwitzSeries(H.coeff_ring, 3, 4, 4, list(a.entries))
 
     def test_mixed_carrier_rejected(self):
         H1 = HurwitzRing(QQ, 1, 3)
@@ -206,6 +208,7 @@ class TestProduct:
         assert [alpha.entries for alpha in plan.indices] == want["indices"]
         assert plan.rows == want["rows"]
         assert plan.shifts == want["shifts"]
+        assert plan.lines == want["lines"]
         assert plan.parents == want["parents"]
         assert plan.factorials == want["factorials"]
         # alpha - beta runs through the box below alpha backwards
@@ -231,6 +234,9 @@ class TestDerivations:
         d0 = H.shift_derive(a, 0)
         assert d0.valid == 2
         assert d0.coeff(MultiIndex.of(1, 1)) == a.coeff(MultiIndex.of(2, 1))
+        for derive, slot in ((H.shift_derive, 2), (H.formal_derive, -1)):
+            with pytest.raises(ValueError, match=f"slot {slot} out of range for width 2"):
+                derive(a, slot)
 
     def test_shift_exhaustion(self):
         H = HurwitzRing(QQ, 1, 2)
@@ -255,6 +261,10 @@ class TestDerivations:
         lhs = H.shift_derive(H.shift_derive(a, 0), 1)
         rhs = H.shift_derive(H.shift_derive(a, 1), 0)
         assert H.agree_up_to(lhs, rhs, 2)
+        with pytest.raises(ValueError, match="comparison order 3 exceeds valid orders 2, 2"):
+            H.agree_up_to(lhs, rhs, 3)
+        with pytest.raises(ValueError, match="comparison order -1 is negative"):
+            H.agree_up_to(lhs, rhs, -1)
 
     def test_coeff_derive_is_free_and_commutes_with_shift(self):
         R = PolynomialRing(QQ, ["u"])
@@ -265,7 +275,9 @@ class TestDerivations:
         assert lifted.valid == a.valid
         lhs = H.shift_derive(lifted, 0)
         rhs = H.coeff_derive(H.shift_derive(a, 0), [du], 0)
-        assert H.agree(lhs, rhs)
+        assert H.agree_up_to(lhs, rhs, 2)
+        with pytest.raises(ValueError, match="slot 1 out of range for 1 derivations"):
+            H.coeff_derive(a, [du], 1)
 
     def test_differential_structure_combines(self):
         R = PolynomialRing(QQ, ["u"])
@@ -294,7 +306,10 @@ class TestCofreeInCharacteristicP:
 
         def solutions(derive, mul):
             # derive costs one grade, so the comparison runs through order 5
-            return [s.entries for s in every if H.agree(derive(s, 0), H.add(mul(s, s), one))]
+            return [
+                s.entries for s in every
+                if H.agree_up_to(derive(s, 0), H.add(mul(s, s), one), 5)
+            ]
 
         hurwitz = solutions(H.shift_derive, H.mul)
         assert sorted(s[0] for s in hurwitz) == [0, 1, 2]
@@ -467,6 +482,15 @@ class TestDividedBridge:
         with pytest.raises(DomainError, match="characteristic"):
             H.to_divided(H.one())
 
+        # characteristic 0 is not enough: the coefficients must invert 2! too
+        class NoInverses(type(QQ)):
+            def try_invert(self, a):
+                return None
+
+        H = HurwitzRing(NoInverses(), 1, 4)
+        with pytest.raises(DomainError, match="does not invert 2; divided form needs"):
+            H.to_divided(H.one())
+
     def test_intertwines_shift_and_formal_derivative(self):
         H = HurwitzRing(QQ, 2, 5)
         a = H.sample(random.Random(14))
@@ -563,6 +587,11 @@ class TestJson:
             ({**good, "m": 4}, "series.m: must be between 1 and 3"),
             ({**good, "m": 6, "trunc": 20}, "series.m: must be between 1 and 3"),
             ({**good, "trunc": 13}, "series.trunc: must be between 0 and 12"),
+            ({**good, "coeffs": {}}, r"^series\.coeffs: expected a list$"),
+            (
+                {**good, "coeffs": [[[0], 1]]},
+                r"^series\.coeffs\[0\]: expected \[index list, element string\]$",
+            ),
         ]
         for doc, pattern in cases:
             with pytest.raises(ValueError, match=pattern):
